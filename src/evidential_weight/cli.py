@@ -12,6 +12,7 @@ Exit codes: 0 on success, 2 on input errors, 3 on numerical failures
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -97,9 +98,11 @@ class RunWriter:
             lines.append(",".join(str(v) for v in row))
         (self.out_dir / name).write_text("\n".join(lines) + "\n")
 
-    def write_manifest(self) -> None:
+    def write_manifest(self, diagnostics: dict | None = None) -> None:
+        """Write ``manifest.json``; ``diagnostics`` entries join it outside the digest."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = dict(self.core)
+        manifest = dict(diagnostics or {})
+        manifest.update(self.core)
         manifest["manifest_digest"] = self.digest
         manifest["wall_time_s"] = time.perf_counter() - self.started
         (self.out_dir / "manifest.json").write_text(
@@ -392,17 +395,10 @@ def _cmd_interval(args) -> int:
             width_post[scen] = interval_opinion.update_gamma_conj(width_priors[scen], widths)
 
     spec = interval_opinion.DEFAULT_WIDTH_QUAD_SPEC
-    if args.quad_rel_tol or args.quad_max_refinements is not None:
-        spec = mc.QuadratureSpec(
-            a_lo=spec.a_lo, a_hi=spec.a_hi, b_lo=spec.b_lo, b_hi=spec.b_hi,
-            rel_tol=args.quad_rel_tol or spec.rel_tol,
-            max_refinements=(
-                spec.max_refinements
-                if args.quad_max_refinements is None
-                else args.quad_max_refinements
-            ),
-            base_panels=spec.base_panels, gauss_order=spec.gauss_order,
-        )
+    if args.quad_rel_tol is not None:
+        spec = dataclasses.replace(spec, rel_tol=args.quad_rel_tol)
+    if args.quad_max_refinements is not None:
+        spec = dataclasses.replace(spec, max_refinements=args.quad_max_refinements)
 
     writer = RunWriter(
         out_dir,
@@ -443,7 +439,17 @@ def _cmd_interval(args) -> int:
     writer.write_csv(
         "width_curve.csv", ["w", "density_h1", "density_h2", "lr_w"], curve.rows()
     )
-    writer.write_manifest()
+    quadrature = {}
+    for i, scen in enumerate((Scenario.H1, Scenario.H2)):
+        normalizer = interval_opinion.width_normalizer_diagnostics(width_post[scen], spec)
+        quadrature[scen.value] = {
+            "boundary_mass_fraction": normalizer["boundary_mass_fraction"],
+            "normalizer_levels": normalizer["levels"],
+            "normalizer_abs_delta_log": normalizer["abs_delta_log"],
+            "curve_levels": curve.levels[i],
+            "curve_abs_delta_log": curve.abs_delta_log[i],
+        }
+    writer.write_manifest({"width_quadrature": quadrature})
     return 0
 
 

@@ -11,8 +11,14 @@ The width hyperprior density is proportional to
     p^(alpha - 1) * exp(-q * beta) * beta^(s * alpha) / Gamma(alpha)^r
 
 over (alpha, beta), truncated to a working rectangle in (shape, rate)
-space; the marginal width density has no closed form and is evaluated by
-2-D quadrature on log-spaced nodes.
+space.  The marginal width density has no closed form in the shape, but
+the rate integral does: for k = s alpha + 1,
+
+    int_{b_lo}^{b_hi} beta^(k-1) exp(-c beta) d beta
+        = Gamma(k) c^-k [P(k, c b_hi) - P(k, c b_lo)],
+
+so each density is a 1-D integral over log alpha, evaluated by a
+localized, adaptive composite Gauss-Legendre ladder.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaincc, gammaln
 
 from . import mc, scalar_opinion
 from .core import LrEstimate
-from .errors import DomainError
+from .errors import DomainError, QuadratureConvergenceError
 from .scalar_opinion import NormalGammaParams
 
 __all__ = [
@@ -59,6 +65,7 @@ BOUNDARY_MASS_LIMIT = 1e-6
 
 _SCAN_POINTS = 192
 _SCAN_LOG_DROP = 60.0
+_SCAN_PAD = 2
 
 
 @dataclass(frozen=True)
@@ -172,107 +179,180 @@ def update_gamma_conj_stats(
     )
 
 
-def _log_hyperprior(alpha: np.ndarray, beta: np.ndarray, params: GammaConjParams) -> np.ndarray:
-    """Unnormalized log density of the conjugate hyperprior at (alpha, beta)."""
-    return (
-        (alpha - 1.0) * params.log_p
-        - params.q * beta
-        + params.s * alpha * np.log(beta)
-        - params.r * gammaln(alpha)
-    )
+def _log_rate_integral(k, c, b_lo, b_hi) -> np.ndarray:
+    """log of the integral of beta^(k-1) exp(-c beta) over [b_lo, b_hi].
 
-
-def _log_gamma_pdf(w: float, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    return alpha * np.log(beta) + (alpha - 1.0) * math.log(w) - beta * w - gammaln(alpha)
-
-
-def _localized_log_spec(logf, spec: mc.QuadratureSpec) -> tuple[mc.QuadratureSpec, float]:
-    """Shrink the log-space integration box to where the integrand lives.
-
-    Scans a coarse grid over the full (log alpha, log beta) rectangle,
-    keeps the nodes within ``_SCAN_LOG_DROP`` of the maximum, and returns
-    a padded bounding sub-rectangle plus the fraction of coarse-grid mass
-    in the outermost scan cells of the full box (the truncation
-    diagnostic).
+    Closed form Gamma(k) c^-k [P(k, c b_hi) - P(k, c b_lo)] with P the
+    regularized lower incomplete gamma function.  Where c b_lo > k both
+    lower tails are near 1 and their difference cancels (to 0 once both
+    round to 1), so the upper tails are differenced instead.
     """
-    u = np.linspace(math.log(spec.a_lo), math.log(spec.a_hi), _SCAN_POINTS)
-    v = np.linspace(math.log(spec.b_lo), math.log(spec.b_hi), _SCAN_POINTS)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
-    logv = logf(uu, vv)
-    peak = float(np.max(logv))
-    if not np.isfinite(peak):
+    k, c = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(c, dtype=float))
+    x_lo, x_hi = c * b_lo, c * b_hi
+    upper = x_lo > k
+    lower = ~upper
+    frac = np.empty(k.shape)
+    frac[upper] = gammaincc(k[upper], x_lo[upper]) - gammaincc(k[upper], x_hi[upper])
+    frac[lower] = gammainc(k[lower], x_hi[lower]) - gammainc(k[lower], x_lo[lower])
+    with np.errstate(divide="ignore"):
+        return gammaln(k) - k * np.log(c) + np.log(np.maximum(frac, 0.0))
+
+
+def _log_shape_factor(u: np.ndarray, log_p, r) -> np.ndarray:
+    """Shape-only part of the hyperprior in log alpha = u, Jacobian included."""
+    alpha = np.exp(u)
+    return (alpha - 1.0) * log_p - r * gammaln(alpha) + u
+
+
+def _scan_grid(spec: mc.QuadratureSpec) -> np.ndarray:
+    return np.linspace(math.log(spec.a_lo), math.log(spec.a_hi), _SCAN_POINTS)
+
+
+def _log_shape_integrals(log_p, r: float, s: float, c, spec: mc.QuadratureSpec):
+    """Log integrals over the shape axis, one per entry of ``log_p`` and ``c``.
+
+    The integrand is p^(alpha-1) Gamma(alpha)^-r times the rate integral
+    of beta^(s alpha) e^(-c beta) over the box.  Each row is localized by
+    a scan of log alpha to the window within ``_SCAN_LOG_DROP`` nats of
+    its peak (plus two scan cells), then integrated by composite
+    Gauss-Legendre in log alpha, doubling the panels until two levels
+    agree to ``spec.rel_tol`` in the log.  A row stops at its own level,
+    so its value does not depend on the other rows.  Returns (log
+    integrals, deepest level used, largest final |difference of the last
+    two log estimates|).
+
+    Raises
+    ------
+    QuadratureConvergenceError
+        If a row has not converged within ``spec.max_refinements`` levels
+        or ``mc.MAX_NODES_PER_DIM`` nodes.
+    """
+    log_p = np.asarray(log_p, dtype=float).reshape(-1, 1)
+    c = np.asarray(c, dtype=float).reshape(-1, 1)
+
+    def logf(u, rows):
+        return _log_shape_factor(u, log_p[rows], r) + _log_rate_integral(
+            s * np.exp(u) + 1.0, c[rows], spec.b_lo, spec.b_hi
+        )
+
+    rows = np.arange(log_p.shape[0])
+    u = _scan_grid(spec)
+    scan = logf(u[None, :], rows)
+    peak = np.max(scan, axis=1, keepdims=True)
+    if not np.all(np.isfinite(peak)):
         raise DomainError("width-model integrand has no finite values on the domain")
+    keep = scan >= peak - _SCAN_LOG_DROP
+    first = np.argmax(keep, axis=1)
+    last = u.size - 1 - np.argmax(keep[:, ::-1], axis=1)
+    lo = u[np.maximum(first - _SCAN_PAD, 0)]
+    hi = u[np.minimum(last + _SCAN_PAD, u.size - 1)]
 
-    rel = np.exp(logv - peak)
-    total = float(rel.sum())
-    ring = float(rel[0, :].sum() + rel[-1, :].sum() + rel[1:-1, 0].sum() + rel[1:-1, -1].sum())
-    boundary_fraction = ring / total
+    def estimate(active, panels):
+        nodes, weights = mc.gauss_nodes(lo[active], hi[active], panels, spec.gauss_order)
+        values = logf(nodes, active)
+        shift = np.max(values, axis=1, keepdims=True)
+        return shift[:, 0] + np.log(np.sum(weights * np.exp(values - shift), axis=1))
 
-    keep = logv >= peak - _SCAN_LOG_DROP
-    iu, iv_ = np.where(keep)
-    du = u[1] - u[0]
-    dv = v[1] - v[0]
-    pad = 2
-    lo_u = max(u[iu.min()] - pad * du, u[0])
-    hi_u = min(u[iu.max()] + pad * du, u[-1])
-    lo_v = max(v[iv_.min()] - pad * dv, v[0])
-    hi_v = min(v[iv_.max()] + pad * dv, v[-1])
-    sub = mc.QuadratureSpec(
-        a_lo=lo_u, a_hi=hi_u, b_lo=lo_v, b_hi=hi_v,
-        rel_tol=spec.rel_tol / 2.0,
-        max_refinements=spec.max_refinements,
-        base_panels=spec.base_panels,
-        gauss_order=spec.gauss_order,
+    current = estimate(rows, spec.base_panels)
+    previous = current.copy()
+    delta = np.full(rows.size, np.inf)
+    active = rows
+    for level in range(1, spec.max_refinements + 1):
+        panels = spec.base_panels * (2**level)
+        if panels * spec.gauss_order > mc.MAX_NODES_PER_DIM:
+            break
+        previous[active] = current[active]
+        current[active] = estimate(active, panels)
+        delta[active] = np.abs(current[active] - previous[active])
+        active = active[~(delta[active] <= spec.rel_tol)]
+        if active.size == 0:
+            return current, level, float(np.max(delta))
+    worst = int(active[0])
+    raise QuadratureConvergenceError(
+        f"no convergence to rel_tol={spec.rel_tol:g} within "
+        f"{spec.max_refinements} refinements",
+        last_two_estimates=(float(previous[worst]), float(current[worst])),
     )
-    return sub, boundary_fraction
 
 
-def _log_integral_over_box(logf_linear, spec: mc.QuadratureSpec) -> tuple[float, float]:
-    """Log integral of exp(logf_linear(alpha, beta)) over the spec rectangle.
+def _boundary_mass_fraction(params: GammaConjParams, spec: mc.QuadratureSpec) -> float:
+    """Share of the hyperprior's scanned mass in the rectangle's outermost cells.
 
-    Integration runs in log coordinates (log-spaced nodes) with the
-    Jacobian alpha * beta folded in.  Returns (log integral, boundary
-    mass fraction of the full box).
+    The cells are those of the ``_SCAN_POINTS``-point log-alpha scan and
+    log-beta strips of the same count: the alpha-marginal mass at the first
+    and last scan points, plus, at the interior scan points, the closed-form
+    rate mass in [b_lo, b_lo e^d] and [b_hi e^-d, b_hi], d the log-beta
+    cell width.
     """
-
-    def logf_logcoords(u, v):
-        return logf_linear(np.exp(u), np.exp(v)) + u + v
-
-    sub, boundary_fraction = _localized_log_spec(logf_logcoords, spec)
-    return mc.log_integrate_2d(logf_logcoords, sub), boundary_fraction
+    u = _scan_grid(spec)
+    shape = _log_shape_factor(u, params.log_p, params.r)
+    k = params.s * np.exp(u) + 1.0
+    d = (math.log(spec.b_hi) - math.log(spec.b_lo)) / (_SCAN_POINTS - 1)
+    full = shape + _log_rate_integral(k, params.q, spec.b_lo, spec.b_hi)
+    strips = shape + np.logaddexp(
+        _log_rate_integral(k, params.q, spec.b_lo, spec.b_lo * math.exp(d)),
+        _log_rate_integral(k, params.q, spec.b_hi * math.exp(-d), spec.b_hi),
+    )
+    peak = float(np.max(full))
+    mass = np.exp(full - peak)
+    ring = mass[0] + mass[-1] + float(np.sum(np.exp(strips[1:-1] - peak)))
+    return float(ring / np.sum(mass))
 
 
 _normalizer_cache: dict = {}
 
 
-def _log_normalizer(params: GammaConjParams, spec: mc.QuadratureSpec) -> float:
-    """Cached log of the hyperprior mass over the working rectangle."""
-    key = (params, spec)
-    hit = _normalizer_cache.get(key)
-    if hit is not None:
-        return hit[0]
-    value, boundary_fraction = _log_integral_over_box(
-        lambda a, b: _log_hyperprior(a, b, params), spec
-    )
-    if boundary_fraction > BOUNDARY_MASS_LIMIT:
-        warnings.warn(
-            f"width hyperprior places mass fraction {boundary_fraction:.3g} in the "
-            f"outermost cells of the working rectangle; densities are those of the "
-            f"rectangle-truncated hyperprior",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    _normalizer_cache[key] = (value, boundary_fraction)
-    return value
-
-
 def width_normalizer_diagnostics(
     params: GammaConjParams, spec: mc.QuadratureSpec = DEFAULT_WIDTH_QUAD_SPEC
 ) -> dict:
-    """Log normalizer and boundary-mass fraction for one hyperprior state."""
-    _log_normalizer(params, spec)
-    value, boundary_fraction = _normalizer_cache[(params, spec)]
-    return {"log_normalizer": value, "boundary_mass_fraction": boundary_fraction}
+    """Log normalizer of one hyperprior state over the working rectangle,
+    with its quadrature diagnostics.
+
+    Keys: ``log_normalizer``, ``boundary_mass_fraction``, ``levels`` (the
+    refinement level that converged) and ``abs_delta_log`` (the final
+    difference of successive log estimates).  Cached per (params, spec);
+    the truncation warning fires when the value is first computed.
+    """
+    key = (params, spec)
+    hit = _normalizer_cache.get(key)
+    if hit is None:
+        value, levels, delta = _log_shape_integrals(
+            [params.log_p], params.r, params.s, [params.q], spec
+        )
+        hit = {
+            "log_normalizer": float(value[0]),
+            "boundary_mass_fraction": _boundary_mass_fraction(params, spec),
+            "levels": levels,
+            "abs_delta_log": delta,
+        }
+        if hit["boundary_mass_fraction"] > BOUNDARY_MASS_LIMIT:
+            warnings.warn(
+                f"width hyperprior places mass fraction {hit['boundary_mass_fraction']:.3g} "
+                f"in the outermost cells of the working rectangle; densities are those "
+                f"of the rectangle-truncated hyperprior",
+                RuntimeWarning,
+                stacklevel=4,
+            )
+        _normalizer_cache[key] = hit
+    return dict(hit)
+
+
+def _log_width_density(params: GammaConjParams, ws, spec: mc.QuadratureSpec):
+    """Log marginal width densities at every width in ``ws``.
+
+    The numerator for width w is the normalizer's integral with
+    (log_p, r, s, q) advanced to (log_p + log w, r + 1, s + 1, q + w).
+    Returns (log densities, levels, abs_delta_log) of the numerators.
+    """
+    ws = np.asarray(ws, dtype=float)
+    bad = ~(np.isfinite(ws) & (ws > 0.0))
+    if np.any(bad):
+        raise DomainError(f"w must be positive and finite, got {float(ws[bad][0])!r}")
+    log_normalizer = width_normalizer_diagnostics(params, spec)["log_normalizer"]
+    log_num, levels, delta = _log_shape_integrals(
+        params.log_p + np.log(ws), params.r + 1.0, params.s + 1.0, params.q + ws, spec
+    )
+    return log_num - log_normalizer, levels, delta
 
 
 def width_predictive_density(
@@ -282,23 +362,13 @@ def width_predictive_density(
 ) -> float:
     """Marginal density of an interval width under the hyperprior state.
 
-    Integrates Gamma(w | alpha, beta) against the normalized conjugate
-    hyperprior by 2-D quadrature; numerator and normalizer are separate
-    quadratures and the normalizer is cached per parameter value.
+    Integrates Gamma(w | alpha, beta) against the normalized,
+    rectangle-truncated conjugate hyperprior: the rate in closed form, the
+    shape by adaptive Gauss-Legendre in log alpha.  The normalizer is
+    cached per parameter value.
     """
-    if not (math.isfinite(w) and w > 0.0):
-        raise DomainError(f"w must be positive and finite, got {w!r}")
-    log_num, _ = _log_integral_over_box(
-        lambda a, b: _log_hyperprior(a, b, params) + _log_gamma_pdf(w, a, b), spec
-    )
-    return math.exp(log_num - _log_normalizer(params, spec))
-
-
-def _log_width_density(params: GammaConjParams, w: float, spec: mc.QuadratureSpec) -> float:
-    log_num, _ = _log_integral_over_box(
-        lambda a, b: _log_hyperprior(a, b, params) + _log_gamma_pdf(w, a, b), spec
-    )
-    return log_num - _log_normalizer(params, spec)
+    log_density, _, _ = _log_width_density(params, [w], spec)
+    return math.exp(log_density[0])
 
 
 @dataclass(frozen=True)
@@ -327,9 +397,9 @@ def lr_for_interval(
     """
     m, w = split_interval(iv)
     mid_estimate = scalar_opinion.lr_for_scalar(m, mid_h1, mid_h2)
-    log10_lr_w = (
-        _log_width_density(width_h1, w, spec) - _log_width_density(width_h2, w, spec)
-    ) / math.log(10.0)
+    log_h1, _, _ = _log_width_density(width_h1, [w], spec)
+    log_h2, _, _ = _log_width_density(width_h2, [w], spec)
+    log10_lr_w = float(log_h1[0] - log_h2[0]) / math.log(10.0)
     estimate = LrEstimate.from_log10(mid_estimate.log10_lr + log10_lr_w)
     return IntervalLr(
         estimate=estimate,
@@ -342,11 +412,19 @@ def lr_for_interval(
 
 @dataclass(frozen=True)
 class WidthCurve:
-    """Width densities and lr_w over a grid of widths."""
+    """Width densities and lr_w over a grid of widths.
+
+    ``levels`` and ``abs_delta_log`` hold, per scenario (H1, H2), the
+    deepest refinement level and the largest final log-estimate difference
+    of the numerator shape quadratures behind the densities (the
+    normalizer's are in :func:`width_normalizer_diagnostics`).
+    """
 
     w: np.ndarray
     density_h1: np.ndarray
     density_h2: np.ndarray
+    levels: tuple[int, int]
+    abs_delta_log: tuple[float, float]
 
     @property
     def lr_w(self) -> np.ndarray:
@@ -372,6 +450,12 @@ def width_curve(
     ws = np.asarray(grid, dtype=float)
     if ws.size == 0:
         raise DomainError("grid must be nonempty")
-    d1 = np.array([width_predictive_density(width_h1, float(w), spec) for w in ws])
-    d2 = np.array([width_predictive_density(width_h2, float(w), spec) for w in ws])
-    return WidthCurve(w=ws, density_h1=d1, density_h2=d2)
+    log_d1, levels_h1, delta_h1 = _log_width_density(width_h1, ws, spec)
+    log_d2, levels_h2, delta_h2 = _log_width_density(width_h2, ws, spec)
+    return WidthCurve(
+        w=ws,
+        density_h1=np.exp(log_d1),
+        density_h2=np.exp(log_d2),
+        levels=(levels_h1, levels_h2),
+        abs_delta_log=(delta_h1, delta_h2),
+    )

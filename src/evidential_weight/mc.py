@@ -24,6 +24,7 @@ __all__ = [
     "RejectionResult",
     "sample_dirichlet3",
     "rejection_sample",
+    "gauss_nodes",
     "integrate_2d",
     "log_integrate_2d",
     "sample_gamma",
@@ -91,6 +92,10 @@ class QuadratureSpec:
     The rectangle lives in the integrand's parameter space.  Refinement
     doubles the panel count per axis until two successive estimates agree
     to ``rel_tol`` relatively.
+
+    For the interval width model the rate bounds ``b_lo``/``b_hi`` are the
+    limits of a closed-form rate integral; the panels, Gauss order and
+    refinement levels apply to the shape axis alone.
     """
 
     a_lo: float
@@ -105,7 +110,7 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (self.a_lo < self.a_hi and self.b_lo < self.b_hi):
             raise DomainError("quadrature domain must satisfy a_lo < a_hi and b_lo < b_hi")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise DomainError(f"rel_tol must be positive, got {self.rel_tol!r}")
         if self.max_refinements < 0 or self.base_panels < 1 or self.gauss_order < 1:
             raise DomainError("max_refinements, base_panels, gauss_order must be positive")
@@ -255,20 +260,25 @@ def rejection_sample(
 MAX_NODES_PER_DIM = 3000
 
 
-def _gauss_nodes(lo: float, hi: float, panels: int, order: int):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
+def gauss_nodes(lo, hi, panels: int, order: int):
+    """Composite Gauss-Legendre nodes and weights on [lo, hi].
+
+    Scalar bounds give 1-D arrays; arrays of bounds give one row of
+    nodes (last axis) per interval.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    edges = np.linspace(lo, hi, panels + 1, axis=-1)
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    shape = mid.shape[:-1] + (panels * order,)
+    nodes = (mid[..., None] + half[..., None] * x).reshape(shape)
+    weights = (half[..., None] * w).reshape(shape)
     return nodes, weights
 
 
 def _tensor_estimate(f, spec: QuadratureSpec, panels: int) -> float:
-    a, wa = _gauss_nodes(spec.a_lo, spec.a_hi, panels, spec.gauss_order)
-    b, wb = _gauss_nodes(spec.b_lo, spec.b_hi, panels, spec.gauss_order)
+    a, wa = gauss_nodes(spec.a_lo, spec.a_hi, panels, spec.gauss_order)
+    b, wb = gauss_nodes(spec.b_lo, spec.b_hi, panels, spec.gauss_order)
     aa, bb = np.meshgrid(a, b, indexing="ij")
     try:
         values = np.asarray(f(aa, bb), dtype=float)
@@ -310,8 +320,8 @@ def integrate_2d(f, spec: QuadratureSpec) -> float:
 
 
 def _tensor_log_estimate(logf, spec: QuadratureSpec, panels: int) -> float:
-    a, wa = _gauss_nodes(spec.a_lo, spec.a_hi, panels, spec.gauss_order)
-    b, wb = _gauss_nodes(spec.b_lo, spec.b_hi, panels, spec.gauss_order)
+    a, wa = gauss_nodes(spec.a_lo, spec.a_hi, panels, spec.gauss_order)
+    b, wb = gauss_nodes(spec.b_lo, spec.b_hi, panels, spec.gauss_order)
     aa, bb = np.meshgrid(a, b, indexing="ij")
     logv = np.asarray(logf(aa, bb), dtype=float)
     shift = float(np.max(logv))

@@ -39,17 +39,27 @@ class TestAcceptance:
     def test_criterion_01_categorical_prior_lr(self):
         started = time.perf_counter()
         samples = cat.sample_rate_pairs(None, 1_000_000, mc.RngStream(7))
-        lrs = {c: cat.lr_from_samples(samples, c).lr for c in cat.Conclusion}
+        est = {c: cat.lr_from_samples(samples, c) for c in cat.Conclusion}
         elapsed = time.perf_counter() - started
+        lr_id, lr_inc, lr_exc = (est[c] for c in cat.Conclusion)
+        # the truncation region is symmetric under p <-> reversed q, so
+        # LR(Inc) = 1 and LR(ID) * LR(Exc) = 1 exactly; both are checked
+        # against the Monte Carlo error, z = 5
+        product_se = lr_id.lr * lr_exc.lr * math.hypot(
+            lr_id.mc_std_err / lr_id.lr, lr_exc.mc_std_err / lr_exc.lr
+        )
         ok = (
-            abs(lrs[cat.Conclusion.ID] - 4.0) / 4.0 <= 0.03
-            and lrs[cat.Conclusion.EXC] < 1.0 < lrs[cat.Conclusion.INC] < lrs[cat.Conclusion.ID]
+            abs(lr_id.lr - 4.0) / 4.0 <= 0.03
+            and abs(lr_inc.lr - 1.0) <= 5.0 * lr_inc.mc_std_err
+            and abs(lr_id.lr * lr_exc.lr - 1.0) <= 5.0 * product_se
             and elapsed < 60.0
         )
         report(
-            1, "categorical prior LR(ID) = 4.0 +-3% with ordered conclusion LRs", ok,
-            f"LR(ID)={lrs[cat.Conclusion.ID]:.4f}, LR(Inc)={lrs[cat.Conclusion.INC]:.4f}, "
-            f"LR(Exc)={lrs[cat.Conclusion.EXC]:.4f}, {elapsed:.1f}s",
+            1, "categorical prior LR(ID) = 4.0 +-3%, LR(Inc) = 1 and LR(ID) LR(Exc) = 1 "
+               "within 5 SE", ok,
+            f"LR(ID)={lr_id.lr:.4f}, LR(Inc)={lr_inc.lr:.4f} +- {lr_inc.mc_std_err:.4f}, "
+            f"LR(Exc)={lr_exc.lr:.4f}, LR(ID) LR(Exc)={lr_id.lr * lr_exc.lr:.4f} "
+            f"+- {product_se:.4f}, {elapsed:.1f}s",
         )
 
     def test_criterion_02_categorical_posterior_lr(self, study_samples):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from evidential_weight import cli, mc
+from evidential_weight import cli, interval_opinion, mc
 
 STUDY_JSON = {
     "H1": {"id": 3663, "inc": 1856, "exc": 450},
@@ -174,6 +174,35 @@ class TestIntervalCommand:
     def test_degenerate_interval_exit_2(self, tmp_path):
         assert run(["interval", "--lo", "10", "--hi", "10", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
+    def test_nonpositive_quad_rel_tol_exit_2(self, tmp_path, capsys, tol):
+        assert run(
+            ["interval", "--lo", "1e8", "--hi", "1e10", "--out", tmp_path,
+             f"--quad-rel-tol={tol}"]
+        ) == 2
+        assert "rel_tol must be positive" in capsys.readouterr().err
+
+    def test_manifest_width_quadrature(self, tmp_path):
+        # the second run finds the normalizer cached and raises no warning;
+        # its manifest must still carry the same diagnostics
+        interval_opinion._normalizer_cache.clear()
+        argv = ["interval", "--lo", "1e8", "--hi", "1e10", "--w-grid", "0.5:8:9"]
+        assert run(argv + ["--out", tmp_path / "a"]) == 0
+        assert run(argv + ["--out", tmp_path / "b"]) == 0
+        first = read_json(tmp_path / "a" / "manifest.json")
+        second = read_json(tmp_path / "b" / "manifest.json")
+        assert first["width_quadrature"] == second["width_quadrature"]
+        assert first["manifest_digest"] == read_json(tmp_path / "a" / "result.json")[
+            "manifest_digest"
+        ]
+        for scenario in ("H1", "H2"):
+            block = first["width_quadrature"][scenario]
+            # the packaged hyperprior leans on the shape-axis edge
+            assert block["boundary_mass_fraction"] > interval_opinion.BOUNDARY_MASS_LIMIT
+            for ladder in ("normalizer", "curve"):
+                assert block[f"{ladder}_levels"] >= 1
+                assert 0.0 <= block[f"{ladder}_abs_delta_log"] <= 1e-6
+
     def test_quadrature_budget_exhaustion_exit_3(self, tmp_path, capsys):
         code = run(
             ["interval", "--lo", "1e8", "--hi", "1e10", "--out", tmp_path,
@@ -236,8 +265,10 @@ class TestReproducibility:
             ["scalar", "--r", "9", "--grid=-10:10:21"],
             ["coin", "--seq", "HHHHHTTT"],
             ["two-expert", "--x", "2,1.4771", "--sweep", "0,10"],
+            ["interval", "--lo", "1e3", "--hi", "1e6", "--w-grid", "0.5:8:9"],
         ],
     )
+    @pytest.mark.filterwarnings("ignore:width hyperprior")
     def test_byte_identical_reruns(self, tmp_path, argv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert run(argv + ["--out", out_a]) == 0

@@ -1,9 +1,12 @@
 """Interval decomposition and the gamma-conjugate width model.
 
-The width density oracle here takes a different route from the module:
-the rate integral has a closed incomplete-gamma form, leaving a 1-D
-shape integral for adaptive quadrature.  Agreement between the two
-routes validates the module's 2-D quadrature.
+The module integrates the rate in closed form and the shape by a
+Gauss-Legendre ladder in log alpha.  Two oracles check it by other
+routes: ``oracle_width_density`` keeps the closed-form rate but
+integrates the shape in linear alpha with QUADPACK, and
+``two_d_width_density`` integrates both axes numerically with the
+tensor rule ``mc.integrate_2d``, sharing no code with the module's
+width route.
 """
 
 import math
@@ -12,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import gammainc, gammaln
 
 from evidential_weight import interval_opinion as io
@@ -64,11 +67,31 @@ def oracle_width_density(params: io.GammaConjParams, w: float) -> float:
         )
 
     def log_alpha_integral(log_f) -> float:
+        def at(a: float) -> float:
+            return float(log_f(np.array([a]))[0])
+
+        # The peak is refined off a grid scan, and adaptive quadrature gets
+        # breakpoints at a few curvature widths around it, so that a posterior
+        # peak much narrower than the grid spacing is not stepped over.
         grid = np.linspace(BOX.a_lo, BOX.a_hi, 4001)
-        shift = float(np.max(log_f(grid)))
+        top = int(np.argmax(log_f(grid)))
+        peak = optimize.minimize_scalar(
+            lambda a: -at(a),
+            bounds=(grid[max(top - 1, 0)], grid[min(top + 1, grid.size - 1)]),
+            method="bounded", options={"xatol": 1e-12},
+        ).x
+        shift = at(peak)
+        step = 1e-4 * peak
+        curvature = (at(peak + step) - 2.0 * shift + at(peak - step)) / step**2
+        points = None
+        if curvature < 0.0 and BOX.a_lo < peak - step and peak + step < BOX.a_hi:
+            width = (-curvature) ** -0.5
+            points = [
+                peak + m * width for m in (-16, -4, -1, 0, 1, 4, 16)
+                if BOX.a_lo < peak + m * width < BOX.a_hi
+            ]
         value, _ = integrate.quad(
-            lambda a: math.exp(float(log_f(np.array([a]))[0]) - shift),
-            BOX.a_lo, BOX.a_hi, limit=400,
+            lambda a: math.exp(at(a) - shift), BOX.a_lo, BOX.a_hi, points=points, limit=400
         )
         return shift + math.log(value)
 
@@ -76,6 +99,41 @@ def oracle_width_density(params: io.GammaConjParams, w: float) -> float:
         log_alpha_integral(log_numerator_integrand)
         - log_alpha_integral(log_normalizer_integrand)
     )
+
+
+def two_d_width_density(
+    params: io.GammaConjParams, w: float, log_box: tuple[float, float, float, float]
+) -> float:
+    """Width density as a ratio of two 2-D tensor Gauss-Legendre integrals.
+
+    Both integrals run over ``log_box`` = (log alpha lo, hi, log beta lo,
+    hi) with the Jacobian alpha * beta folded in.  Each integrand is scaled
+    by its maximum on a scan grid so that the linear-scale rule does not
+    underflow.
+    """
+
+    def log_hyperprior(u, v):
+        alpha, beta = np.exp(u), np.exp(v)
+        return (
+            (alpha - 1.0) * params.log_p - params.q * beta + params.s * alpha * v
+            - params.r * gammaln(alpha) + u + v
+        )
+
+    def log_joint(u, v):
+        alpha, beta = np.exp(u), np.exp(v)
+        log_gamma_pdf = alpha * v + (alpha - 1.0) * math.log(w) - beta * w - gammaln(alpha)
+        return log_hyperprior(u, v) + log_gamma_pdf
+
+    spec = mc.QuadratureSpec(*log_box, rel_tol=1e-10, max_refinements=4, base_panels=32)
+    uu, vv = np.meshgrid(
+        np.linspace(log_box[0], log_box[1], 200), np.linspace(log_box[2], log_box[3], 200)
+    )
+
+    def log_integral(log_f) -> float:
+        shift = float(np.max(log_f(uu, vv)))
+        return shift + math.log(mc.integrate_2d(lambda u, v: np.exp(log_f(u, v) - shift), spec))
+
+    return math.exp(log_integral(log_joint) - log_integral(log_hyperprior))
 
 
 class TestSplitInterval:
@@ -165,6 +223,57 @@ class TestWidthDensity:
         module = io.width_predictive_density(POST_H1, w)
         oracle = oracle_width_density(POST_H1, w)
         assert module == pytest.approx(oracle, rel=2e-4)
+
+    def test_matches_rate_reduction_oracle_large_posterior(self):
+        # a million widths: the shape posterior is far narrower than the box
+        params = updated_width(PRIOR_WIDTH, 1_000_000, 5.0, 4.5)
+        for w in (2.0, 5.0, 8.0):
+            module = io.width_predictive_density(params, w)
+            assert module == pytest.approx(oracle_width_density(params, w), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "params, w, log_box",
+        [
+            (PRIOR_WIDTH, 0.5, (math.log(BOX.a_lo), math.log(BOX.a_hi),
+                                math.log(BOX.b_lo), math.log(BOX.b_hi))),
+            (PRIOR_WIDTH, 3.0, (math.log(BOX.a_lo), math.log(BOX.a_hi),
+                                math.log(BOX.b_lo), math.log(BOX.b_hi))),
+            # the n = 100 posterior sits near (alpha, beta) = (5, 1); the box
+            # spans many posterior widths in both log coordinates
+            (POST_H1, 2.0, (math.log(5.0) - 1.5, math.log(5.0) + 1.5, -1.5, 1.5)),
+            (POST_H1, 5.0, (math.log(5.0) - 1.5, math.log(5.0) + 1.5, -1.5, 1.5)),
+        ],
+    )
+    def test_matches_2d_tensor_quadrature(self, params, w, log_box):
+        module = io.width_predictive_density(params, w)
+        assert module == pytest.approx(two_d_width_density(params, w, log_box), rel=1e-6)
+
+    def test_curve_matches_pointwise_densities(self):
+        grid = np.linspace(0.2, 10.0, 50)
+        curve = io.width_curve(POST_H1, PRIOR_WIDTH, grid)
+        for densities, params in ((curve.density_h1, POST_H1), (curve.density_h2, PRIOR_WIDTH)):
+            pointwise = [io.width_predictive_density(params, w) for w in grid]
+            np.testing.assert_allclose(densities, pointwise, rtol=1e-12)
+
+    # at (2, 5e4) both lower incomplete-gamma tails round to 1, so their
+    # difference is exactly 0 and only the upper-tail route stays finite
+    @pytest.mark.parametrize("k, c", [(2.0, 5e4), (3.0, 6.0), (4e3, 5e4)])
+    def test_log_rate_integral_matches_quad(self, k, c):
+        lo, hi = BOX.b_lo, BOX.b_hi
+        value = io._log_rate_integral(k, c, lo, hi)
+        mode = min(max((k - 1.0) / c, lo), hi)
+        shift = (k - 1.0) * math.log(mode) - c * mode
+        spread = math.sqrt(k) / c
+        points = [
+            mode + m * spread for m in (-64, -16, -4, -1, 1, 4, 16, 64)
+            if lo < mode + m * spread < hi
+        ]
+        reference, _ = integrate.quad(
+            lambda b: math.exp((k - 1.0) * math.log(b) - c * b - shift), lo, hi,
+            points=points, epsabs=0.0, epsrel=1e-12, limit=400,
+        )
+        assert math.isfinite(value)
+        assert value == pytest.approx(shift + math.log(reference), abs=1e-10)
 
     def test_positive_and_unimodal_on_profile(self):
         grid = np.linspace(0.25, 20.0, 80)
