@@ -14,6 +14,7 @@ from .errors import (
     DegenerateRateError,
     DomainError,
     InputFormatError,
+    LrRangeError,
     QuadratureConvergenceError,
 )
 from .mc import QuadratureSpec, RngStream
@@ -56,4 +57,5 @@ __all__ = [
     "ConstraintIntractableError",
     "QuadratureConvergenceError",
     "InputFormatError",
+    "LrRangeError",
 ]

@@ -6,7 +6,8 @@ and a ``manifest.json`` recording everything needed to reproduce the run.
 Every CSV starts with a comment line carrying the manifest digest.
 
 Exit codes: 0 on success, 2 on input errors, 3 on numerical failures
-(intractable constraints, quadrature non-convergence).
+(intractable constraints, quadrature non-convergence, an LR beyond the
+float range).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import (
     ConstraintIntractableError,
     DomainError,
     InputFormatError,
+    LrRangeError,
     QuadratureConvergenceError,
 )
 
@@ -648,7 +650,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InputFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConstraintIntractableError, QuadratureConvergenceError) as exc:
+    except (ConstraintIntractableError, QuadratureConvergenceError, LrRangeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

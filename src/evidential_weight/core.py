@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .errors import DegenerateRateError, DomainError
+from .errors import DegenerateRateError, DomainError, LrRangeError
 
 __all__ = [
     "Scenario",
@@ -26,6 +27,9 @@ __all__ = [
 
 #: Relative tolerance tying ``log10_lr`` to ``log10(lr)`` in LrEstimate.
 LOG10_CONSISTENCY_RTOL = 1e-12
+
+#: Smallest linear LR whose inverse a float still holds.
+_LR_MIN = 1.0 / sys.float_info.max
 
 
 class Scenario(enum.Enum):
@@ -106,12 +110,24 @@ class LrEstimate:
         acceptance_rate: float | None = None,
         seed: int | None = None,
     ) -> "LrEstimate":
-        """Build an estimate from a log10 value (the internal currency)."""
+        """Build an estimate from a log10 value (the internal currency).
+
+        Raises
+        ------
+        LrRangeError
+            If the linear LR or its inverse overflows a float.
+        """
         log10_lr = float(log10_lr)
         if not math.isfinite(log10_lr):
             raise DomainError(f"log10_lr must be finite, got {log10_lr!r}")
+        try:
+            lr = 10.0**log10_lr
+        except OverflowError:
+            lr = math.inf
+        if not _LR_MIN <= lr < math.inf:
+            raise LrRangeError(log10_lr)
         return cls(
-            lr=10.0**log10_lr,
+            lr=lr,
             log10_lr=log10_lr,
             mc_std_err=mc_std_err,
             n_samples=n_samples,

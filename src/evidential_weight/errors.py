@@ -35,6 +35,21 @@ class QuadratureConvergenceError(RuntimeError):
         self.last_two_estimates = last_two_estimates
 
 
+class LrRangeError(RuntimeError):
+    """A likelihood ratio is exact in log10 but too large or too small for a float.
+
+    Raised where a linear LR must be materialized; ``log10_lr`` carries the
+    exact value.
+    """
+
+    def __init__(self, log10_lr: float):
+        super().__init__(
+            f"log10 LR = {log10_lr!r} is outside the range of a float LR "
+            f"(|log10 LR| up to about 308)"
+        )
+        self.log10_lr = log10_lr
+
+
 class InputFormatError(ValueError):
     """A priors/validation input file failed to parse.
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
 
 from . import mc, scalar_opinion
 from .core import LrEstimate
@@ -66,6 +65,14 @@ BOUNDARY_MASS_LIMIT = 1e-6
 _SCAN_POINTS = 192
 _SCAN_LOG_DROP = 60.0
 _SCAN_PAD = 2
+
+#: Modified Lentz method for the upper incomplete gamma continued
+#: fraction: floor for vanishing partial denominators, stopping tolerance,
+#: and term budget (where it is used, x - k exceeds about 37 sqrt(k) and
+#: about ten terms suffice).
+_CF_TINY = 1e-300
+_CF_EPS = 2.0**-52
+_CF_MAX_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -179,14 +186,54 @@ def update_gamma_conj_stats(
     )
 
 
+def _log_upper_gamma(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log Gamma(k, x), the unregularized upper incomplete gamma, for x > k.
+
+    Legendre's continued fraction
+    Gamma(k, x) = e^-x x^k / (x + 1 - k - 1 (1 - k) / (x + 3 - k - 2 (2 - k) / ...))
+    is evaluated by the modified Lentz method and kept in log form: e^-x is
+    never formed, so the result stays finite where the regularized tail
+    underflows.
+
+    Raises
+    ------
+    QuadratureConvergenceError
+        If the fraction has not converged within ``_CF_MAX_TERMS`` terms.
+    """
+    b = x + 1.0 - k
+    c = np.full(b.shape, 1.0 / _CF_TINY)
+    d = 1.0 / b
+    h = d
+    for i in range(1, _CF_MAX_TERMS + 1):
+        an = -i * (i - k)
+        b = b + 2.0
+        d = an * d + b
+        d = 1.0 / np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
+        delta = c * d
+        h = h * delta
+        if np.all(np.abs(delta - 1.0) <= _CF_EPS):
+            return k * np.log(x) - x + np.log(h)
+    raise QuadratureConvergenceError(
+        f"upper incomplete gamma continued fraction did not converge in {_CF_MAX_TERMS} terms",
+        last_two_estimates=(),
+    )
+
+
 def _log_rate_integral(k, c, b_lo, b_hi) -> np.ndarray:
     """log of the integral of beta^(k-1) exp(-c beta) over [b_lo, b_hi].
 
     Closed form Gamma(k) c^-k [P(k, c b_hi) - P(k, c b_lo)] with P the
     regularized lower incomplete gamma function.  Where c b_lo > k both
     lower tails are near 1 and their difference cancels (to 0 once both
-    round to 1), so the upper tails are differenced instead.
+    round to 1), so the upper tails are differenced instead.  Where that
+    difference falls below the normal float range (it underflows once
+    c b_lo exceeds about 700), the unregularized upper tails are
+    differenced in log space.
     """
+    from scipy.special import gammainc, gammaincc, gammaln
+
     k, c = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(c, dtype=float))
     x_lo, x_hi = c * b_lo, c * b_hi
     upper = x_lo > k
@@ -195,11 +242,20 @@ def _log_rate_integral(k, c, b_lo, b_hi) -> np.ndarray:
     frac[upper] = gammaincc(k[upper], x_lo[upper]) - gammaincc(k[upper], x_hi[upper])
     frac[lower] = gammainc(k[lower], x_hi[lower]) - gammainc(k[lower], x_lo[lower])
     with np.errstate(divide="ignore"):
-        return gammaln(k) - k * np.log(c) + np.log(np.maximum(frac, 0.0))
+        out = np.asarray(gammaln(k) - k * np.log(c) + np.log(np.maximum(frac, 0.0)))
+    tails = upper & (frac < np.finfo(float).tiny)
+    if np.any(tails):
+        kt = k[tails]
+        log_lo = _log_upper_gamma(kt, x_lo[tails])
+        log_hi = _log_upper_gamma(kt, x_hi[tails])
+        out[tails] = log_lo + np.log1p(-np.exp(log_hi - log_lo)) - kt * np.log(c[tails])
+    return out
 
 
 def _log_shape_factor(u: np.ndarray, log_p, r) -> np.ndarray:
     """Shape-only part of the hyperprior in log alpha = u, Jacobian included."""
+    from scipy.special import gammaln
+
     alpha = np.exp(u)
     return (alpha - 1.0) * log_p - r * gammaln(alpha) + u
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -22,12 +22,10 @@ __all__ = [
     "RngStream",
     "QuadratureSpec",
     "RejectionResult",
-    "sample_dirichlet3",
     "rejection_sample",
     "gauss_nodes",
     "integrate_2d",
     "log_integrate_2d",
-    "sample_gamma",
     "sample_wishart",
     "resolve_threads",
 ]
@@ -124,33 +122,6 @@ class RejectionResult:
     acceptance_rate: float
     n_proposed: int
     n_chunks: int
-
-
-def sample_dirichlet3(
-    alpha: Sequence[float], rng: RngStream, size: int = 1
-) -> np.ndarray:
-    """Draw ``size`` points on the 3-simplex from Dirichlet(alpha).
-
-    Returns an array of shape ``(size, 3)`` whose rows are nonnegative and
-    sum to one.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (3,):
-        raise DomainError(f"alpha must have exactly 3 components, got shape {alpha.shape}")
-    if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
-        raise DomainError(f"alpha components must be positive and finite, got {alpha!r}")
-    if size < 1:
-        raise DomainError(f"size must be >= 1, got {size!r}")
-    return rng.generator().dirichlet(alpha, size=int(size))
-
-
-def sample_gamma(
-    shape: float, rate: float, rng: RngStream, size: int = 1
-) -> np.ndarray:
-    """Draw from Gamma(shape, rate) with the rate (inverse-scale) convention."""
-    if shape <= 0 or rate <= 0:
-        raise DomainError(f"gamma shape and rate must be positive, got {shape!r}, {rate!r}")
-    return rng.generator().gamma(shape, scale=1.0 / rate, size=int(size))
 
 
 def sample_wishart(

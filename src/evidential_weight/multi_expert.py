@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
-from . import mc
 from .core import LrEstimate
 from .errors import DomainError
+from .scalar_opinion import student_t_logpdf
 
 __all__ = [
     "NormalWishartParams",
@@ -40,7 +39,6 @@ __all__ = [
     "posterior_params",
     "bivariate_t_params",
     "bivariate_t_logdensity",
-    "mc_predictive_logdensity",
     "lr_for_pair",
     "pair_lr_sweep",
     "PairSweepResult",
@@ -270,21 +268,6 @@ def bivariate_t_params(
     return df, params.mu0, scale
 
 
-def _mvt_logpdf(x: np.ndarray, df: float, loc: np.ndarray, scale: np.ndarray) -> float:
-    """Log density of the bivariate Student-t via Cholesky factors."""
-    chol = np.linalg.cholesky(scale)
-    solved = np.linalg.solve(chol, np.asarray(x, dtype=float) - loc)
-    qf = float(solved @ solved)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return float(
-        gammaln((df + 2.0) / 2.0)
-        - gammaln(df / 2.0)
-        - math.log(df * math.pi)
-        - 0.5 * logdet
-        - ((df + 2.0) / 2.0) * math.log1p(qf / df)
-    )
-
-
 def bivariate_t_logdensity(
     params: NormalWishartParams,
     x: Sequence[float],
@@ -295,48 +278,7 @@ def bivariate_t_logdensity(
     x = np.asarray(x, dtype=float)
     if x.shape != (2,) or not np.all(np.isfinite(x)):
         raise DomainError(f"x must be a finite 2-vector, got {x!r}")
-    df, loc, scale = bivariate_t_params(params, df_convention, wishart_matrix)
-    return _mvt_logpdf(x, df, loc, scale)
-
-
-def mc_predictive_logdensity(
-    params: NormalWishartParams,
-    x: Sequence[float],
-    n_draws: int = 100_000,
-    rng: mc.RngStream = mc.RngStream(0),
-    wishart_matrix: WishartMatrix = DEFAULT_WISHART_MATRIX,
-) -> tuple[float, float]:
-    """Monte Carlo route to the marginal density at ``x``.
-
-    Samples precision matrices from Wishart(W, n0) under the chosen
-    matrix reading, means from Normal(mu0, (k0 Lambda)^-1), and averages
-    the bivariate normal density of ``x``.  Returns (log density,
-    standard error of the log).  This estimates the exact marginal,
-    whose closed form is the ``"n0-1"`` df convention.
-    """
-    x = np.asarray(x, dtype=float)
-    if wishart_matrix == "scale":
-        w = params.lambda0
-    elif wishart_matrix == "rate":
-        w = np.linalg.inv(params.lambda0)
-    else:
-        raise DomainError(f"unknown wishart_matrix {wishart_matrix!r}")
-    lams = mc.sample_wishart(w, params.n0, rng, size=n_draws)
-    gen = rng.substream(1).generator()
-    # mu | Lambda ~ N(mu0, (k0 Lambda)^-1) via Cholesky of each precision
-    chols = np.linalg.cholesky(lams)
-    z = gen.standard_normal((n_draws, 2))
-    mus = params.mu0 + np.linalg.solve(
-        np.transpose(chols, (0, 2, 1)), z[:, :, None]
-    )[:, :, 0] / math.sqrt(params.k0)
-    diffs = x[None, :] - mus
-    # N(x; mu, Lambda^-1) evaluated with the precision directly
-    qf = np.einsum("ni,nij,nj->n", diffs, lams, diffs)
-    logdet = 2.0 * np.sum(np.log(np.diagonal(chols, axis1=1, axis2=2)), axis=1)
-    dens = np.exp(-0.5 * qf + 0.5 * logdet) / (2.0 * math.pi)
-    mean = float(dens.mean())
-    se = float(dens.std(ddof=1) / math.sqrt(n_draws))
-    return math.log(mean), se / mean
+    return float(student_t_logpdf(x, *bivariate_t_params(params, df_convention, wishart_matrix)))
 
 
 def lr_for_pair(

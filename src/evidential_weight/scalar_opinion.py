@@ -14,9 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
-from . import mc
 from .core import LrEstimate
 from .errors import DomainError
 
@@ -28,7 +26,7 @@ __all__ = [
     "predictive_params",
     "predictive_density",
     "predictive_logpdf",
-    "mc_blend_density",
+    "student_t_logpdf",
     "lr_for_scalar",
     "lr_curve",
     "ScalarCurve",
@@ -133,37 +131,69 @@ def predictive_params(params: NormalGammaParams) -> tuple[float, float, float]:
     return df, params.mu0, scale
 
 
+#: Degrees of freedom from which the d = 1 gamma ratio of the t's
+#: normalizer comes from its asymptotic series rather than a difference of
+#: two large ``lgamma`` values (which loses digits as df grows); the series
+#: is accurate to double precision from df = 40 on.
+_T_SERIES_MIN_DF = 50.0
+
+
+def _t_log_gamma_ratio(df: float, d: int) -> float:
+    """log Gamma((df + d)/2) - log Gamma(df/2) without cancellation.
+
+    Gamma(b + 1) = b Gamma(b) peels off whole steps as a sum of logs
+    (exactly log(df/2) at d = 2); an odd d leaves the half step
+    log Gamma(a + 1/2) - log Gamma(a), a = df/2, which comes from ``lgamma``
+    below ``_T_SERIES_MIN_DF`` and from its asymptotic series above
+    (coefficients (2^(1-n) - 2) B_n / (n (n-1)), B_n the Bernoulli numbers).
+    """
+    a = 0.5 * df
+    out = sum(math.log(a + (d / 2 - 1 - j)) for j in range(d // 2))
+    if d % 2:
+        if df < _T_SERIES_MIN_DF:
+            out += math.lgamma(a + 0.5) - math.lgamma(a)
+        else:
+            z2 = 1.0 / (a * a)
+            out += 0.5 * math.log(a) - (
+                1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * (17 / 14336 - z2 * 31 / 18432)))
+            ) / a
+    return out
+
+
+def student_t_logpdf(x, df: float, loc, scale) -> np.ndarray:
+    """Log density of a d-variate Student-t, vectorized over ``x``.
+
+    For d = 1, ``loc`` and ``scale`` are scalars (``scale`` the t's scale,
+    as in :func:`predictive_params`) and ``x`` is any array of reports.
+    For d >= 2, ``loc`` is a d-vector, ``scale`` the d x d positive
+    definite shape matrix, and the last axis of ``x`` holds the d
+    coordinates.  Returns an array of x's shape less that last axis.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.ndim(scale) == 0:
+        d = 1
+        z = (x - loc) / scale
+        qf = z * z
+        half_logdet = math.log(scale)
+    else:
+        chol = np.linalg.cholesky(scale)
+        d = chol.shape[0]
+        z = np.linalg.solve(chol, (x - loc)[..., None])[..., 0]
+        qf = (z * z).sum(axis=-1)
+        half_logdet = float(np.log(chol.diagonal()).sum())
+    log_norm = _t_log_gamma_ratio(df, d) - 0.5 * d * math.log(df * math.pi) - half_logdet
+    return log_norm - 0.5 * (df + d) * np.log1p(qf / df)
+
+
 def predictive_density(params: NormalGammaParams, x) -> float | np.ndarray:
     """Marginal (predictive) density of the reported log10 LR at ``x``."""
-    df, loc, scale = predictive_params(params)
-    out = stats.t.pdf(x, df=df, loc=loc, scale=scale)
+    out = np.exp(student_t_logpdf(x, *predictive_params(params)))
     return float(out) if np.isscalar(x) else out
 
 
 def predictive_logpdf(params: NormalGammaParams, x) -> float | np.ndarray:
-    df, loc, scale = predictive_params(params)
-    out = stats.t.logpdf(x, df=df, loc=loc, scale=scale)
+    out = student_t_logpdf(x, *predictive_params(params))
     return float(out) if np.isscalar(x) else out
-
-
-def mc_blend_density(
-    params: NormalGammaParams,
-    x: float,
-    n_draws: int = 200_000,
-    rng: mc.RngStream = mc.RngStream(0),
-) -> tuple[float, float]:
-    """Monte Carlo cross-check of the predictive density at one point.
-
-    Draws (tau, mu) from the conjugate state and averages the normal
-    density of ``x``; returns (estimate, standard error).  Kept
-    independent of :func:`predictive_density` as the second route of the
-    dual check.
-    """
-    gen = rng.generator()
-    tau = gen.gamma(params.n_tau / 2.0, scale=2.0 * params.tau0 / params.n_tau, size=n_draws)
-    mu = gen.normal(params.mu0, 1.0 / np.sqrt(params.n_mu * tau))
-    dens = np.sqrt(tau / (2.0 * np.pi)) * np.exp(-0.5 * tau * (x - mu) ** 2)
-    return float(dens.mean()), float(dens.std(ddof=1) / math.sqrt(n_draws))
 
 
 def lr_for_scalar(

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +81,19 @@ class TestScalarCommand:
         path.write_text(json.dumps(priors))
         assert run(["scalar", "--r", "0", "--priors", path, "--out", tmp_path]) == 0
         assert read_json(tmp_path / "result.json")["lr_estimate"]["lr"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("r, sign", [("5", ""), ("-5", "-")])
+    def test_lr_beyond_float_range_exits_3(self, tmp_path, capsys, r, sign):
+        # |log10 LR| = 1501.5 here: exact in log10, but no float holds the LR
+        priors = {
+            "H1": {"mu0": 5.0, "n_mu": 1000.0, "tau0": 1e4, "n_tau": 1000.0},
+            "H2": {"mu0": -5.0, "n_mu": 1000.0, "tau0": 1e4, "n_tau": 1000.0},
+        }
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps(priors))
+        assert run(["scalar", f"--r={r}", "--priors", path, "--out", tmp_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: log10 LR = " + sign + "1501.50")
 
 
 class TestCategoricalCommand:
@@ -203,6 +220,19 @@ class TestIntervalCommand:
                 assert block[f"{ladder}_levels"] >= 1
                 assert 0.0 <= block[f"{ladder}_abs_delta_log"] <= 1e-6
 
+    def test_very_wide_widths(self, tmp_path):
+        # from w of about 7e5 on the rate integral's regularized upper tails
+        # underflow; the densities are tiny but come from finite logs
+        assert run(
+            ["interval", "--lo", "1e3", "--hi", "1e6", "--w-grid", "1e5:1e7:3",
+             "--out", tmp_path]
+        ) == 0
+        rows = (tmp_path / "width_curve.csv").read_text().splitlines()[2:]
+        assert len(rows) == 3
+        for row in rows:
+            _, d1, d2, _ = (float(v) for v in row.split(","))
+            assert math.isfinite(d1) and math.isfinite(d2)
+
     def test_quadrature_budget_exhaustion_exit_3(self, tmp_path, capsys):
         code = run(
             ["interval", "--lo", "1e8", "--hi", "1e10", "--out", tmp_path,
@@ -301,3 +331,41 @@ class TestReproducibility:
             assert key in manifest
         assert "c.json" in manifest["input_digests"]
         assert len(manifest["input_digests"]["c.json"]) == 64
+
+
+IMPORT_PROBE = """
+import sys
+from evidential_weight import cli
+
+def scipy_modules():
+    return sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules)
+
+out = sys.argv[1]
+for i, argv in enumerate([
+    ["scalar", "--r", "9"],
+    ["two-expert", "--x", "2,1.4771", "--sweep", "0,10"],
+    ["coin", "--seq", "HHHHHTTT"],
+    ["categorical", "--conclusion", "id", "--samples", "2000"],
+    ["interval", "--lo", "1e8", "--hi", "1e10", "--w-grid", "0.5:8:3"],
+]):
+    code = cli.main(argv + ["--out", f"{out}/{i}"])
+    print(argv[0], code, ",".join(scipy_modules()))
+"""
+
+
+def test_runtime_imports_no_scipy_stats(tmp_path):
+    # a fresh interpreter, so modules that other tests loaded do not count
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", IMPORT_PROBE, str(tmp_path)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+    )
+    loaded = {}
+    for line in proc.stdout.splitlines():
+        command, code, modules = line.split(" ")
+        assert code == "0", line
+        loaded[command] = modules
+    assert loaded == {
+        "scalar": "", "two-expert": "", "coin": "", "categorical": "",
+        "interval": "scipy.special",
+    }

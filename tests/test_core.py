@@ -12,7 +12,7 @@ from evidential_weight.core import (
     odds_to_probability,
     posterior_odds,
 )
-from evidential_weight.errors import DegenerateRateError, DomainError
+from evidential_weight.errors import DegenerateRateError, DomainError, LrRangeError
 
 finite_positive = st.floats(
     min_value=1e-12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -123,6 +123,17 @@ class TestLrEstimate:
         est = LrEstimate.from_log10(1.25)
         assert est.inverse().log10_lr == -1.25
         assert est.inverse().lr * est.lr == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("log10_lr", [308.0, -308.0])
+    def test_edge_of_float_range(self, log10_lr):
+        est = LrEstimate.from_log10(log10_lr)
+        assert math.isfinite(est.inverse().lr) and est.inverse().lr > 0.0
+
+    @pytest.mark.parametrize("log10_lr", [308.5, -308.5, 1501.5, -1501.5])
+    def test_beyond_float_range_raises(self, log10_lr):
+        with pytest.raises(LrRangeError, match=f"log10 LR = {log10_lr!r}") as info:
+            LrEstimate.from_log10(log10_lr)
+        assert info.value.log10_lr == log10_lr
 
     def test_closed_form_has_no_mc_error(self):
         est = LrEstimate.from_log10(0.3)

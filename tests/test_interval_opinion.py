@@ -256,8 +256,13 @@ class TestWidthDensity:
             np.testing.assert_allclose(densities, pointwise, rtol=1e-12)
 
     # at (2, 5e4) both lower incomplete-gamma tails round to 1, so their
-    # difference is exactly 0 and only the upper-tail route stays finite
-    @pytest.mark.parametrize("k, c", [(2.0, 5e4), (3.0, 6.0), (4e3, 5e4)])
+    # difference is exactly 0 and only the upper-tail route stays finite;
+    # from c b_lo of about 700 on the regularized upper tails underflow too,
+    # and only their log-space difference stays finite
+    @pytest.mark.parametrize("k, c", [
+        (2.0, 5e4), (3.0, 6.0), (4e3, 5e4),
+        (1.0, 7.1e5), (1.0, 1e6), (120.0, 1e7), (2.5, 2e9), (5e3, 1e7),
+    ])
     def test_log_rate_integral_matches_quad(self, k, c):
         lo, hi = BOX.b_lo, BOX.b_hi
         value = io._log_rate_integral(k, c, lo, hi)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
 from evidential_weight import mc
 from evidential_weight.errors import (
@@ -39,33 +39,6 @@ class TestRngStream:
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError):
             mc.RngStream(-1)
-
-
-class TestSampleDirichlet3:
-    def test_rows_on_simplex(self):
-        draws = mc.sample_dirichlet3((1.0, 1.0, 1.0), mc.RngStream(5), size=10_000)
-        assert draws.shape == (10_000, 3)
-        assert np.all(draws >= 0)
-        np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_uniform_means(self):
-        n = 1_000_000
-        draws = mc.sample_dirichlet3((1.0, 1.0, 1.0), mc.RngStream(6), size=n)
-        se = draws.std(axis=0, ddof=1) / math.sqrt(n)
-        np.testing.assert_array_less(np.abs(draws.mean(axis=0) - 1 / 3), 4 * se)
-
-    def test_concentrated_means(self):
-        alpha = (3664.0, 1857.0, 451.0)
-        n = 200_000
-        draws = mc.sample_dirichlet3(alpha, mc.RngStream(9), size=n)
-        expected = np.asarray(alpha) / sum(alpha)
-        se = draws.std(axis=0, ddof=1) / math.sqrt(n)
-        np.testing.assert_array_less(np.abs(draws.mean(axis=0) - expected), 3 * se)
-
-    @pytest.mark.parametrize("alpha", [(1.0, 1.0, 0.0), (1.0, -2.0, 1.0), (1.0, 1.0)])
-    def test_rejects_bad_alpha(self, alpha):
-        with pytest.raises(DomainError):
-            mc.sample_dirichlet3(alpha, mc.RngStream(0))
 
 
 class TestRejectionSample:
@@ -173,17 +146,6 @@ class TestIntegrate2d:
 
 
 class TestSamplerHelpers:
-    def test_gamma_moments(self):
-        shape, rate, n = 3.7, 2.2, 400_000
-        draws = mc.sample_gamma(shape, rate, mc.RngStream(8), size=n)
-        se = draws.std(ddof=1) / math.sqrt(n)
-        assert abs(draws.mean() - shape / rate) < 4 * se
-
-    def test_gamma_distribution_ks(self):
-        draws = mc.sample_gamma(2.5, 1.5, mc.RngStream(9), size=50_000)
-        stat = stats.kstest(draws, stats.gamma(a=2.5, scale=1 / 1.5).cdf)
-        assert stat.pvalue > 1e-3
-
     def test_wishart_mean(self):
         scale = np.array([[0.1, -0.08], [-0.08, 0.1]])
         df, n = 2.0, 200_000

@@ -10,6 +10,7 @@ from scipy import stats
 from evidential_weight import mc
 from evidential_weight import multi_expert as me
 from evidential_weight.errors import DomainError
+from mc_oracles import mc_predictive_logdensity
 
 H1, H2 = me.PRIOR_PRESETS["default"]
 X_PAIR = np.array([2.0, math.log10(30.0)])
@@ -215,7 +216,7 @@ class TestBivariateT:
         probes = H1.mu0 + gen.normal(scale=1.5 * spread, size=(20, 2))
         for i, point in enumerate(probes):
             closed = me.bivariate_t_logdensity(H1, point, "n0-1", wishart)
-            sampled, se = me.mc_predictive_logdensity(
+            sampled, se = mc_predictive_logdensity(
                 H1, point, n_draws=150_000, rng=mc.RngStream(500 + i), wishart_matrix=wishart
             )
             assert abs(sampled - closed) < 3 * max(se, 1e-3)
@@ -230,6 +231,15 @@ class TestLrForPair:
     def test_literal_formula_readings_are_modest(self):
         assert me.lr_for_pair(X_PAIR, H1, H2, "n0", "scale").lr == pytest.approx(1.4085, rel=1e-3)
         assert me.lr_for_pair(X_PAIR, H1, H2, "n0-1", "scale").lr == pytest.approx(1.5346, rel=1e-3)
+
+    @pytest.mark.parametrize("df_conv, wishart, readme_lr", [
+        ("n0", "scale", 1.41), ("n0-1", "scale", 1.53), ("n0-1", "rate", 3.07), ("n0", "rate", 4.46),
+    ])
+    def test_readme_reading_table(self, df_conv, wishart, readme_lr):
+        x = np.array([2.0, 1.4771])
+        assert me.lr_for_pair(x, H1, H2, df_conv, wishart).lr == pytest.approx(
+            readme_lr, abs=0.005
+        )
 
     def test_identical_params_give_unit_lr(self):
         gen = mc.RngStream(15).generator()

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from evidential_weight import mc
 from evidential_weight import scalar_opinion as so
 from evidential_weight.errors import DomainError
+from mc_oracles import mc_blend_density
 
 PRIOR_H1 = so.NormalGammaParams(5.0, 1.0, 0.01, 1.0)
 PRIOR_H2 = so.NormalGammaParams(-5.0, 1.0, 0.01, 1.0)
@@ -121,8 +122,77 @@ class TestPredictive:
     @pytest.mark.parametrize("x", [5.0, 9.0, -3.0])
     def test_matches_mc_blend_oracle(self, x):
         closed = so.predictive_density(PRIOR_H1, x)
-        estimate, se = so.mc_blend_density(PRIOR_H1, x, n_draws=400_000, rng=mc.RngStream(900))
+        estimate, se = mc_blend_density(PRIOR_H1, x, n_draws=400_000, rng=mc.RngStream(900))
         assert abs(closed - estimate) < 3 * se
+
+
+#: Degrees of freedom from the Cauchy-like tail to where the t is a normal
+#: to double precision, across the series switch at 50.
+T_DFS = [0.5, 1.0, 3.7, 10.0, 49.9, 50.0, 51.0, 120.0, 1e3, 1e4, 1e5, 1e8, 1e12]
+T_SCALES = [1e-3, 0.7, 30.0, 1e4]
+T_XS = np.array([-1e3, -7.5, -0.3, 0.0, 0.2, 3.0, 41.0, 2e4])
+SHAPE_2D = np.array([[2.0, -0.7], [-0.7, 0.9]])
+LOC_2D = np.array([0.4, -1.2])
+XS_2D = np.array([[0.0, 0.0], [3.1, -2.2], [-40.0, 7.0], [0.4, -1.2], [1e3, 2e3]])
+
+
+def mp_t_logpdf(mpmath, qf, df, d, half_logdet):
+    """The d-variate t log density at mpmath's working precision."""
+    df = mpmath.mpf(df)
+    return float(
+        mpmath.loggamma((df + d) / 2) - mpmath.loggamma(df / 2)
+        - mpmath.mpf(d) / 2 * mpmath.log(df * mpmath.pi) - half_logdet
+        - (df + d) / 2 * mpmath.log1p(qf / df)
+    )
+
+
+class TestStudentTCore:
+    @pytest.mark.parametrize("df", T_DFS)
+    def test_univariate_matches_scipy(self, df):
+        for scale in T_SCALES:
+            got = so.student_t_logpdf(T_XS, df, 0.3, scale)
+            want = stats.t.logpdf(T_XS, df, loc=0.3, scale=scale)
+            assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("df", T_DFS)
+    def test_bivariate_matches_oracles(self, df):
+        mpmath = pytest.importorskip("mpmath")
+        for s in (1e-3, 1.0, 1e4):
+            shape = SHAPE_2D * s * s
+            got = so.student_t_logpdf(XS_2D, df, LOC_2D, shape)
+            # scipy's multivariate_t differences two gammaln values and
+            # takes log(1 + q/df), which lose digits above df of about 1e5
+            if df <= 1e5:
+                want = stats.multivariate_t(loc=LOC_2D, shape=shape, df=df).logpdf(XS_2D)
+                assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
+            with mpmath.workdps(40):
+                precision = mpmath.matrix(shape.tolist()) ** -1
+                half_logdet = mpmath.log(mpmath.det(mpmath.matrix(shape.tolist()))) / 2
+                for x, value in zip(XS_2D, got):
+                    dev = mpmath.matrix((x - LOC_2D).tolist())
+                    want = mp_t_logpdf(mpmath, (dev.T * precision * dev)[0], df, 2, half_logdet)
+                    assert abs(value - want) <= 1e-11 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("df", T_DFS)
+    def test_bivariate_gamma_ratio_is_log_half_df(self, df):
+        assert so._t_log_gamma_ratio(df, 2) == math.log(df / 2)
+
+    def test_univariate_gamma_ratio_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for df in T_DFS:
+            with mpmath.workdps(40):
+                a = mpmath.mpf(df) / 2
+                want = float(mpmath.loggamma(a + mpmath.mpf(0.5)) - mpmath.loggamma(a))
+            assert so._t_log_gamma_ratio(df, 1) == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+    @pytest.mark.parametrize("df", [0.5, 3.7, 120.0, 1e12])
+    def test_vector_matches_pointwise(self, df):
+        vector = so.student_t_logpdf(T_XS, df, 0.3, 30.0)
+        pointwise = [float(so.student_t_logpdf(x, df, 0.3, 30.0)) for x in T_XS]
+        np.testing.assert_allclose(vector, pointwise, rtol=1e-14, atol=0)
+        vector = so.student_t_logpdf(XS_2D, df, LOC_2D, SHAPE_2D)
+        pointwise = [float(so.student_t_logpdf(x, df, LOC_2D, SHAPE_2D)) for x in XS_2D]
+        np.testing.assert_allclose(vector, pointwise, rtol=1e-14, atol=0)
 
 
 class TestLrForScalar:
