@@ -203,7 +203,11 @@ class ConclusionCounts:
 
 
 class RatePairSamples:
-    """Accepted rate-pair draws held as two (n, 3) arrays."""
+    """Accepted rate-pair draws held as two (n, 3) arrays.
+
+    From :func:`sample_rate_pairs` they are read-only views of one sample
+    buffer in which each rate column is contiguous.
+    """
 
     def __init__(self, p: np.ndarray, q: np.ndarray, acceptance_rate: float,
                  seed: int | None = None):
@@ -251,9 +255,11 @@ def sample_rate_pairs(
     alpha_p, alpha_q = counts.alphas()
 
     def proposal(gen: np.random.Generator, n: int) -> np.ndarray:
-        p = gen.dirichlet(alpha_p, size=n)
-        q = gen.dirichlet(alpha_q, size=n)
-        return np.hstack([p, q])
+        # column-major, so the constraint checks read contiguous columns
+        draws = np.empty((n, 6), order="F")
+        draws[:, :3] = gen.dirichlet(alpha_p, size=n)
+        draws[:, 3:] = gen.dirichlet(alpha_q, size=n)
+        return draws
 
     def accept(draws: np.ndarray) -> np.ndarray:
         return admissible_mask(draws[:, :3], draws[:, 3:])
@@ -262,11 +268,20 @@ def sample_rate_pairs(
         proposal, accept, n_accepted, rng, threads=threads
     )
     return RatePairSamples(
-        p=result.samples[:, :3].copy(),
-        q=result.samples[:, 3:].copy(),
+        p=result.samples[:, :3],
+        q=result.samples[:, 3:],
         acceptance_rate=result.acceptance_rate,
         seed=rng.seed,
     )
+
+
+#: Rows per block of the one-pass reductions over draws, small enough
+#: for the block's temporaries to stay in cache.
+_BLOCK_ROWS = 1 << 16
+
+
+def _blocks(n: int):
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
 def lr_from_samples(samples: RatePairSamples, conclusion: Conclusion) -> LrEstimate:
@@ -277,12 +292,23 @@ def lr_from_samples(samples: RatePairSamples, conclusion: Conclusion) -> LrEstim
     """
     pc, qc = samples.rate_columns(conclusion)
     n = len(samples)
+    if n < 2:
+        raise DomainError(f"a Monte Carlo standard error needs at least 2 draws, got {n}")
     mp = float(pc.mean())
     mq = float(qc.mean())
     log10_lr = math.log10(mp) - math.log10(mq)
-    var_mp = float(pc.var(ddof=1)) / n
-    var_mq = float(qc.var(ddof=1)) / n
-    cov = float(np.cov(pc, qc, ddof=1)[0, 1]) / n
+    # sample (co)variances of the means, from centered dot products
+    spp = sqq = spq = 0.0
+    for block in _blocks(n):
+        dp = pc[block] - mp
+        dq = qc[block] - mq
+        spp += float(dp @ dp)
+        sqq += float(dq @ dq)
+        spq += float(dp @ dq)
+    scale = 1.0 / ((n - 1) * n)
+    var_mp = spp * scale
+    var_mq = sqq * scale
+    cov = spq * scale
     lr = mp / mq
     rel_var = var_mp / mp**2 + var_mq / mq**2 - 2.0 * cov / (mp * mq)
     se = lr * math.sqrt(max(rel_var, 0.0))
@@ -387,6 +413,7 @@ def lr_sweep(
         )
         for conclusion in Conclusion:
             rows.append(SweepRow(int(size), conclusion, lr_from_samples(samples, conclusion)))
+        del samples  # before the next size draws its own
     asymptotes = {c: base_counts.observed_rate_ratio(c) for c in Conclusion}
     return SweepResult(rows=tuple(rows), asymptotes=asymptotes)
 
@@ -401,8 +428,32 @@ def density_grid(
     first axis.
     """
     pc, qc = samples.rate_columns(conclusion)
+    for rates in (pc, qc):
+        if not (0.0 <= rates.min() and rates.max() <= 1.0):
+            raise DomainError("rates must lie in [0, 1] for the density grid")
     edges = np.linspace(0.0, 1.0, bins + 1)
-    grid, _, _ = np.histogram2d(pc, qc, bins=[edges, edges])
+    counts = np.zeros(bins * bins, dtype=np.intp)
+    for block in _blocks(len(samples)):
+        cells = _bin_index(pc[block], edges) * bins + _bin_index(qc[block], edges)
+        counts += np.bincount(cells, minlength=bins * bins)
+    grid = counts.reshape(bins, bins).astype(float)
     grid /= len(samples) * (1.0 / bins) ** 2
     centers = 0.5 * (edges[:-1] + edges[1:])
     return centers, grid
+
+
+def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each rate in [0, 1] on ``edges``, exactly as ``np.histogram`` assigns it.
+
+    Bins are half-open, [e_k, e_k+1), except the last, which also holds
+    1.0.  ``floor(x * bins)`` can miss by one next to an edge, because
+    the ``linspace`` edges are rounded; one comparison each way against
+    the edges themselves corrects it.
+    """
+    bins = edges.size - 1
+    k = np.minimum(x * bins, bins - 1).astype(np.intp)
+    k -= x < edges[k]
+    upper = edges[1:].copy()
+    upper[-1] = np.inf  # the last bin is closed
+    k += x >= upper[k]
+    return k

@@ -7,7 +7,7 @@ Every CSV starts with a comment line carrying the manifest digest.
 
 Exit codes: 0 on success, 2 on input errors, 3 on numerical failures
 (intractable constraints, quadrature non-convergence, an LR beyond the
-float range).
+float range, more Monte Carlo draws than memory can hold).
 """
 
 from __future__ import annotations
@@ -300,6 +300,7 @@ def _cmd_categorical(args) -> int:
             ["p_bin", "q_bin", "density"],
             rows,
         )
+    del samples  # the sweep draws its own
 
     if sweep_sizes:
         if counts is None:
@@ -650,7 +651,8 @@ def main(argv: list[str] | None = None) -> int:
     except (InputFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConstraintIntractableError, QuadratureConvergenceError, LrRangeError) as exc:
+    except (ConstraintIntractableError, QuadratureConvergenceError, LrRangeError,
+            MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -477,23 +477,30 @@ class WidthCurve:
     """
 
     w: np.ndarray
-    density_h1: np.ndarray
-    density_h2: np.ndarray
+    log_density_h1: np.ndarray
+    log_density_h2: np.ndarray
     levels: tuple[int, int]
     abs_delta_log: tuple[float, float]
 
     @property
+    def density_h1(self) -> np.ndarray:
+        return np.exp(self.log_density_h1)
+
+    @property
+    def density_h2(self) -> np.ndarray:
+        return np.exp(self.log_density_h2)
+
+    @property
     def lr_w(self) -> np.ndarray:
-        return self.density_h1 / self.density_h2
+        """Density ratio from the log densities: exactly 1 where they are equal,
+        and ``inf`` or 0.0 beyond the float range, where the linear
+        densities would give ``nan``."""
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(self.log_density_h1 - self.log_density_h2)
 
     def rows(self):
-        for i in range(self.w.size):
-            yield (
-                float(self.w[i]),
-                float(self.density_h1[i]),
-                float(self.density_h2[i]),
-                float(self.density_h1[i] / self.density_h2[i]),
-            )
+        for row in zip(self.w, self.density_h1, self.density_h2, self.lr_w):
+            yield tuple(float(v) for v in row)
 
 
 def width_curve(
@@ -510,8 +517,8 @@ def width_curve(
     log_d2, levels_h2, delta_h2 = _log_width_density(width_h2, ws, spec)
     return WidthCurve(
         w=ws,
-        density_h1=np.exp(log_d1),
-        density_h2=np.exp(log_d2),
+        log_density_h1=log_d1,
+        log_density_h2=log_d2,
         levels=(levels_h1, levels_h2),
         abs_delta_log=(delta_h1, delta_h2),
     )

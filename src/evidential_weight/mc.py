@@ -10,6 +10,7 @@ chunks.
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -24,9 +25,7 @@ __all__ = [
     "RejectionResult",
     "rejection_sample",
     "gauss_nodes",
-    "integrate_2d",
     "log_integrate_2d",
-    "sample_wishart",
     "resolve_threads",
 ]
 
@@ -43,11 +42,18 @@ INTRACTABLE_PROBE = 10_000_000
 _THREADS_ENV_VAR = "EVIDENTIAL_WEIGHT_THREADS"
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker-thread cap: explicit argument, else the environment, else 1."""
+    """Worker-thread cap: explicit argument, else the environment, else the
+    number of CPUs this process may run on."""
     if threads is None:
         raw = os.environ.get(_THREADS_ENV_VAR, "")
-        threads = int(raw) if raw.strip() else 1
+        threads = int(raw) if raw.strip() else _available_cpus()
     if threads < 1:
         raise DomainError(f"thread count must be >= 1, got {threads!r}")
     return threads
@@ -124,31 +130,6 @@ class RejectionResult:
     n_chunks: int
 
 
-def sample_wishart(
-    scale: np.ndarray, df: float, rng: RngStream, size: int = 1
-) -> np.ndarray:
-    """Draw ``size`` Wishart(scale, df) matrices via Bartlett decomposition.
-
-    Uses the scale-matrix convention: the mean of a draw is ``df * scale``.
-    Requires ``df >= d`` where ``d`` is the matrix dimension.
-    """
-    scale = np.asarray(scale, dtype=float)
-    d = scale.shape[0]
-    if scale.shape != (d, d):
-        raise DomainError(f"scale must be square, got shape {scale.shape}")
-    if df < d:
-        raise DomainError(f"wishart df must be >= dimension {d}, got {df!r}")
-    lo = np.linalg.cholesky(scale)
-    gen = rng.generator()
-    a = np.zeros((size, d, d))
-    for i in range(d):
-        a[:, i, i] = np.sqrt(gen.chisquare(df - i, size=size))
-        if i > 0:
-            a[:, i, :i] = gen.standard_normal(size=(size, i))
-    m = lo[None, :, :] @ a
-    return m @ np.transpose(m, (0, 2, 1))
-
-
 def rejection_sample(
     proposal: Callable[[np.random.Generator, int], np.ndarray],
     accept: Callable[[np.ndarray], np.ndarray],
@@ -162,68 +143,90 @@ def rejection_sample(
 ) -> RejectionResult:
     """Draw until ``target_accepted`` proposals satisfy the predicate.
 
-    ``proposal(generator, n)`` must return ``n`` draws (rows); ``accept``
-    maps those rows to a boolean mask and must be pure.  Chunks are indexed
-    from zero and assembled in index order, so the result is identical for
-    any ``threads`` value.
+    ``proposal(generator, n)`` must return ``n`` draws (the rows of a 2-D
+    array); ``accept`` maps those rows to a boolean mask and must be pure.
+    Worker threads keep up to ``threads`` proposal chunks in flight (fewer
+    near the end, where the acceptance rate so far puts the target in
+    reach), and none is left running on return.  ``accept`` runs on the
+    calling thread, one chunk at a time in chunk-index order, and the
+    accepted rows go straight into one buffer of ``target_accepted`` rows
+    whose columns are each contiguous (Fortran order).  The result and
+    every counter are identical for any ``threads`` value.
 
     Raises
     ------
     ConstraintIntractableError
         If the empirical acceptance rate is below ``floor`` once ``probe``
         proposals have been spent.
+    MemoryError
+        If the buffer for ``target_accepted`` rows cannot be allocated.
     """
     if target_accepted < 1:
         raise DomainError(f"target_accepted must be >= 1, got {target_accepted!r}")
     threads = resolve_threads(threads)
 
-    def run_chunk(index: int) -> np.ndarray:
-        gen = rng.chunk_generator(index)
-        draws = proposal(gen, chunk_size)
-        mask = np.asarray(accept(draws), dtype=bool)
-        return draws[mask]
+    def propose(index: int) -> np.ndarray:
+        return proposal(rng.chunk_generator(index), chunk_size)
 
-    kept: list[np.ndarray] = []
-    n_accepted = 0
-    n_proposed = 0
+    samples = None
+    n_accepted = 0  # every accepted proposal, including the last chunk's surplus
+    n_kept = 0
     n_chunks = 0
-    next_index = 0
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    in_flight: deque = deque()
     try:
-        while n_accepted < target_accepted:
-            wave = list(range(next_index, next_index + threads))
-            next_index += threads
-            if pool is not None:
-                batches = list(pool.map(run_chunk, wave))
+        while n_kept < target_accepted:
+            if pool is None:
+                draws = propose(n_chunks)
             else:
-                batches = [run_chunk(i) for i in wave]
-            # Consume in chunk order; stop at the same chunk regardless of
-            # how many were precomputed in this wave.
-            for batch in batches:
-                kept.append(batch)
-                n_accepted += batch.shape[0]
-                n_proposed += chunk_size
-                n_chunks += 1
-                if n_proposed >= probe and n_accepted < floor * n_proposed:
-                    raise ConstraintIntractableError(
-                        f"acceptance rate {n_accepted / n_proposed:.3g} below floor "
-                        f"{floor:g} after {n_proposed} proposals",
-                        acceptance_rate=n_accepted / n_proposed,
-                        n_proposed=n_proposed,
-                    )
-                if n_accepted >= target_accepted:
-                    break
+                # top up, but skip chunks that those in flight, at the
+                # acceptance rate so far, are expected to make unnecessary
+                while len(in_flight) < threads and (
+                    n_chunks == 0
+                    or n_accepted * (n_chunks + len(in_flight)) < target_accepted * n_chunks
+                ):
+                    in_flight.append(pool.submit(propose, n_chunks + len(in_flight)))
+                draws = in_flight.popleft().result()
+            mask = np.asarray(accept(draws), dtype=bool)
+            n_chunks += 1
+            if samples is None:
+                samples = _row_buffer(target_accepted, draws)
+            rows = np.flatnonzero(mask)
+            n_accepted += rows.size
+            rows = rows[: target_accepted - n_kept]
+            kept = slice(n_kept, n_kept + rows.size)
+            for j in range(draws.shape[1]):
+                # "clip" skips the bounds check, which would copy via a temporary
+                np.take(draws[:, j], rows, out=samples[kept, j], mode="clip")
+            n_kept += rows.size
+            n_proposed = n_chunks * chunk_size
+            if n_proposed >= probe and n_accepted < floor * n_proposed:
+                raise ConstraintIntractableError(
+                    f"acceptance rate {n_accepted / n_proposed:.3g} below floor "
+                    f"{floor:g} after {n_proposed} proposals",
+                    acceptance_rate=n_accepted / n_proposed,
+                    n_proposed=n_proposed,
+                )
     finally:
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            # no proposal outlives the call
+            pool.shutdown(wait=True, cancel_futures=True)
 
-    samples = np.concatenate(kept, axis=0)[:target_accepted]
     return RejectionResult(
         samples=samples,
         acceptance_rate=n_accepted / n_proposed,
         n_proposed=n_proposed,
         n_chunks=n_chunks,
     )
+
+
+def _row_buffer(n_rows: int, draws: np.ndarray) -> np.ndarray:
+    """Uninitialized room for ``n_rows`` rows like those of ``draws``, columns contiguous."""
+    try:
+        return np.empty((n_rows, draws.shape[1]), dtype=draws.dtype, order="F")
+    except MemoryError:
+        size = n_rows * draws.shape[1] * draws.dtype.itemsize
+        raise MemoryError(f"{n_rows} draws need {size / 2**30:.3g} GiB") from None
 
 
 #: Per-axis node budget for the refinement ladder; a level that would
@@ -247,49 +250,6 @@ def gauss_nodes(lo, hi, panels: int, order: int):
     return nodes, weights
 
 
-def _tensor_estimate(f, spec: QuadratureSpec, panels: int) -> float:
-    a, wa = gauss_nodes(spec.a_lo, spec.a_hi, panels, spec.gauss_order)
-    b, wb = gauss_nodes(spec.b_lo, spec.b_hi, panels, spec.gauss_order)
-    aa, bb = np.meshgrid(a, b, indexing="ij")
-    try:
-        values = np.asarray(f(aa, bb), dtype=float)
-    except (TypeError, ValueError):
-        values = np.vectorize(f)(aa, bb).astype(float)
-    if values.shape != aa.shape:
-        values = np.broadcast_to(values, aa.shape)
-    return float(wa @ values @ wb)
-
-
-def integrate_2d(f, spec: QuadratureSpec) -> float:
-    """Integrate a nonnegative function over the spec's rectangle.
-
-    Refines a composite Gauss-Legendre tensor rule by doubling the panel
-    count per axis until two successive estimates agree to ``rel_tol``
-    relatively.  Refinement also stops at ``MAX_NODES_PER_DIM`` nodes per
-    axis, which counts as budget exhaustion.
-
-    Raises
-    ------
-    QuadratureConvergenceError
-        Carrying the last two estimates if the budget is exhausted.
-    """
-    previous = _tensor_estimate(f, spec, spec.base_panels)
-    current = previous
-    for level in range(1, spec.max_refinements + 1):
-        panels = spec.base_panels * (2**level)
-        if panels * spec.gauss_order > MAX_NODES_PER_DIM:
-            break
-        current = _tensor_estimate(f, spec, panels)
-        if abs(current - previous) <= spec.rel_tol * max(abs(current), 1e-300):
-            return current
-        previous = current
-    raise QuadratureConvergenceError(
-        f"no convergence to rel_tol={spec.rel_tol:g} within "
-        f"{spec.max_refinements} refinements",
-        last_two_estimates=(previous, current),
-    )
-
-
 def _tensor_log_estimate(logf, spec: QuadratureSpec, panels: int) -> float:
     a, wa = gauss_nodes(spec.a_lo, spec.a_hi, panels, spec.gauss_order)
     b, wb = gauss_nodes(spec.b_lo, spec.b_hi, panels, spec.gauss_order)
@@ -303,10 +263,12 @@ def _tensor_log_estimate(logf, spec: QuadratureSpec, panels: int) -> float:
 
 
 def log_integrate_2d(logf, spec: QuadratureSpec) -> float:
-    """Like :func:`integrate_2d` for exp(logf), returning the log integral.
+    """Integrate exp(logf) over the spec's rectangle, returning the log integral.
 
-    Shifts by the grid maximum before exponentiating, so integrands whose
-    scale overflows float64 are handled. Convergence is judged on the log
+    Refines a composite Gauss-Legendre tensor rule by doubling the panel
+    count per axis, up to ``MAX_NODES_PER_DIM`` nodes per axis.  Shifts
+    by the grid maximum before exponentiating, so integrands whose scale
+    overflows float64 are handled.  Convergence is judged on the log
     values: two successive refinements must agree within ``rel_tol``
     (a relative criterion on the underlying integral).
     """

@@ -1,8 +1,9 @@
-"""Monte Carlo oracles for the closed-form predictive densities.
+"""Oracles that only the tests use.
 
-Each draws the conjugate state's parameters and averages the sampling
-density of the report, sharing no code with the Student-t closed forms
-they check.
+The Monte Carlo oracles draw the conjugate state's parameters and average
+the sampling density of the report, sharing no code with the Student-t
+closed forms they check.  ``integrate_2d`` is a plain tensor-product
+Gauss-Legendre rule for checking densities by integration.
 """
 
 import math
@@ -11,6 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from evidential_weight import mc
+from evidential_weight.errors import DomainError, QuadratureConvergenceError
 from evidential_weight.multi_expert import (
     DEFAULT_WISHART_MATRIX,
     NormalWishartParams,
@@ -54,7 +56,7 @@ def mc_predictive_logdensity(
     """
     x = np.asarray(x, dtype=float)
     w = params.lambda0 if wishart_matrix == "scale" else np.linalg.inv(params.lambda0)
-    lams = mc.sample_wishart(w, params.n0, rng, size=n_draws)
+    lams = sample_wishart(w, params.n0, rng, size=n_draws)
     gen = rng.substream(1).generator()
     # mu | Lambda ~ N(mu0, (k0 Lambda)^-1) via Cholesky of each precision
     chols = np.linalg.cholesky(lams)
@@ -70,3 +72,71 @@ def mc_predictive_logdensity(
     mean = float(dens.mean())
     se = float(dens.std(ddof=1) / math.sqrt(n_draws))
     return math.log(mean), se / mean
+
+
+def sample_wishart(
+    scale: np.ndarray, df: float, rng: mc.RngStream, size: int = 1
+) -> np.ndarray:
+    """Draw ``size`` Wishart(scale, df) matrices via Bartlett decomposition.
+
+    Uses the scale-matrix convention: the mean of a draw is ``df * scale``.
+    Requires ``df >= d`` where ``d`` is the matrix dimension.
+    """
+    scale = np.asarray(scale, dtype=float)
+    d = scale.shape[0]
+    if scale.shape != (d, d):
+        raise DomainError(f"scale must be square, got shape {scale.shape}")
+    if df < d:
+        raise DomainError(f"wishart df must be >= dimension {d}, got {df!r}")
+    lo = np.linalg.cholesky(scale)
+    gen = rng.generator()
+    a = np.zeros((size, d, d))
+    for i in range(d):
+        a[:, i, i] = np.sqrt(gen.chisquare(df - i, size=size))
+        if i > 0:
+            a[:, i, :i] = gen.standard_normal(size=(size, i))
+    m = lo[None, :, :] @ a
+    return m @ np.transpose(m, (0, 2, 1))
+
+
+def _tensor_estimate(f, spec: mc.QuadratureSpec, panels: int) -> float:
+    a, wa = mc.gauss_nodes(spec.a_lo, spec.a_hi, panels, spec.gauss_order)
+    b, wb = mc.gauss_nodes(spec.b_lo, spec.b_hi, panels, spec.gauss_order)
+    aa, bb = np.meshgrid(a, b, indexing="ij")
+    try:
+        values = np.asarray(f(aa, bb), dtype=float)
+    except (TypeError, ValueError):
+        values = np.vectorize(f)(aa, bb).astype(float)
+    if values.shape != aa.shape:
+        values = np.broadcast_to(values, aa.shape)
+    return float(wa @ values @ wb)
+
+
+def integrate_2d(f, spec: mc.QuadratureSpec) -> float:
+    """Integrate a nonnegative function over the spec's rectangle.
+
+    Refines a composite Gauss-Legendre tensor rule by doubling the panel
+    count per axis until two successive estimates agree to ``rel_tol``
+    relatively.  Refinement also stops at ``mc.MAX_NODES_PER_DIM`` nodes
+    per axis, which counts as budget exhaustion.
+
+    Raises
+    ------
+    QuadratureConvergenceError
+        Carrying the last two estimates if the budget is exhausted.
+    """
+    previous = _tensor_estimate(f, spec, spec.base_panels)
+    current = previous
+    for level in range(1, spec.max_refinements + 1):
+        panels = spec.base_panels * (2**level)
+        if panels * spec.gauss_order > mc.MAX_NODES_PER_DIM:
+            break
+        current = _tensor_estimate(f, spec, panels)
+        if abs(current - previous) <= spec.rel_tol * max(abs(current), 1e-300):
+            return current
+        previous = current
+    raise QuadratureConvergenceError(
+        f"no convergence to rel_tol={spec.rel_tol:g} within "
+        f"{spec.max_refinements} refinements",
+        last_two_estimates=(previous, current),
+    )

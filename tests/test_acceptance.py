@@ -22,7 +22,7 @@ from evidential_weight import (
     multi_expert as me,
     scalar_opinion as so,
 )
-from mc_oracles import mc_blend_density
+from mc_oracles import integrate_2d, mc_blend_density
 
 SCALAR_H1 = so.NormalGammaParams(5.0, 1.0, 0.01, 1.0)
 SCALAR_H2 = so.NormalGammaParams(-5.0, 1.0, 0.01, 1.0)
@@ -253,7 +253,7 @@ class TestAcceptance:
             )
             return np.exp(log_norm - ((df2 + 2) / 2) * np.log1p(qf / df2))
 
-        mass_pair = mc.integrate_2d(
+        mass_pair = integrate_2d(
             whitened_density,
             mc.QuadratureSpec(-8, 8, -8, 8, rel_tol=1e-8, max_refinements=7),
         )
@@ -262,7 +262,7 @@ class TestAcceptance:
                 (-outer, -inner, -outer, outer), (inner, outer, -outer, outer),
                 (-inner, inner, -outer, -inner), (-inner, inner, inner, outer),
             ):
-                mass_pair += mc.integrate_2d(
+                mass_pair += integrate_2d(
                     whitened_density,
                     mc.QuadratureSpec(alo, ahi, blo, bhi, rel_tol=1e-8, max_refinements=7),
                 )

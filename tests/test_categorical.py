@@ -8,6 +8,7 @@ from scipy import stats
 
 from evidential_weight import categorical as cat
 from evidential_weight import mc
+from evidential_weight.core import LrEstimate
 from evidential_weight.errors import DomainError, InputFormatError
 
 ID, INC, EXC = cat.Conclusion.ID, cat.Conclusion.INC, cat.Conclusion.EXC
@@ -161,6 +162,30 @@ class TestLrEstimates:
         est = cat.lr_for_conclusion("id", None, 10_000, mc.RngStream(71))
         assert est.lr > 1.0
 
+    @pytest.mark.parametrize("which", ["prior", "study"])
+    def test_one_pass_moments_match_numpy(self, which, request):
+        samples = request.getfixturevalue(f"{which}_samples")
+        for conclusion in cat.Conclusion:
+            est = cat.lr_from_samples(samples, conclusion)
+            # the estimator as written with np.var and np.cov
+            pc, qc = samples.rate_columns(conclusion)
+            n = len(samples)
+            mp, mq = float(pc.mean()), float(qc.mean())
+            log10_lr = math.log10(mp) - math.log10(mq)
+            var_mp = float(pc.var(ddof=1)) / n
+            var_mq = float(qc.var(ddof=1)) / n
+            cov = float(np.cov(pc, qc, ddof=1)[0, 1]) / n
+            lr = mp / mq
+            rel_var = var_mp / mp**2 + var_mq / mq**2 - 2.0 * cov / (mp * mq)
+            assert est.log10_lr == log10_lr
+            assert est.lr == LrEstimate.from_log10(log10_lr).lr
+            assert est.mc_std_err == pytest.approx(lr * math.sqrt(rel_var), rel=1e-12, abs=0)
+
+    def test_single_draw_has_no_standard_error(self):
+        samples = cat.sample_rate_pairs(None, 1, mc.RngStream(3))
+        with pytest.raises(DomainError):
+            cat.lr_from_samples(samples, ID)
+
     def test_delta_method_se_matches_batch_spread(self, study_counts):
         # the delta-method SE should predict the spread of independent replicates
         reps = [
@@ -222,3 +247,40 @@ class TestDensityGrid:
         # p_ID > q_ID everywhere, so cells with the q bin above the p bin are empty
         upper = np.triu_indices(100, k=1)
         assert grid[upper].sum() == 0.0
+
+    def test_bins_match_histogram2d_at_every_edge(self):
+        edges = np.linspace(0.0, 1.0, 101)
+        values = np.concatenate([
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            0.5 * (edges[:-1] + edges[1:]),
+            [0.0, 1.0],
+        ])
+        values = values[(values >= 0.0) & (values <= 1.0)]
+        # every value against every other, as mated and as non-mated rate
+        p_col, q_col = (a.ravel() for a in np.meshgrid(values, values[::-1]))
+        p, q = np.zeros((p_col.size, 3)), np.zeros((p_col.size, 3))
+        p[:, 1], q[:, 1] = p_col, q_col
+        _, grid = cat.density_grid(cat.RatePairSamples(p, q, acceptance_rate=1.0), INC)
+        expected, _, _ = np.histogram2d(p_col, q_col, bins=[edges, edges])
+        expected /= p_col.size * (1 / 100) ** 2
+        assert np.array_equal(grid, expected)
+
+    def test_bins_match_histogram2d_on_draws(self, prior_samples, study_samples):
+        edges = np.linspace(0.0, 1.0, 101)
+        for samples in (prior_samples, study_samples):
+            for conclusion in cat.Conclusion:
+                _, grid = cat.density_grid(samples, conclusion)
+                expected, _, _ = np.histogram2d(
+                    *samples.rate_columns(conclusion), bins=[edges, edges]
+                )
+                expected /= len(samples) * (1 / 100) ** 2
+                assert np.array_equal(grid, expected)
+
+    def test_rates_outside_unit_interval_raise(self):
+        p = np.full((2, 3), 1 / 3)
+        q = p.copy()
+        q[1, 0] = np.nextafter(1.0, 2.0)
+        with pytest.raises(DomainError):
+            cat.density_grid(cat.RatePairSamples(p, q, acceptance_rate=1.0), ID)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,38 @@ class TestCategoricalCommand:
         ) == 3
         assert "acceptance rate" in capsys.readouterr().err
 
+    def test_outputs_independent_of_thread_count(self, tmp_path, monkeypatch):
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps(STUDY_JSON))
+        outputs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
+            out = tmp_path / threads
+            assert run(
+                ["categorical", "--validation", counts, "--sweep", "100,1000",
+                 "--samples", 20_000, "--out", out]
+            ) == 0
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+            manifest = read_json(out / "manifest.json")
+            del manifest["wall_time_s"], manifest["command"]
+            outputs.append((files, manifest))
+        assert sorted(outputs[0][0]) == sorted(
+            ["result.json", "sweep.csv"] + [f"density_grid_{c}.csv" for c in ("id", "inc", "exc")]
+        )
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_too_many_samples_exit_3(self, tmp_path, capsys):
+        # 1e13 draws of six rates need 437 TiB: the buffer allocation is
+        # refused before any sample is stored
+        assert run(
+            ["categorical", "--samples", 10_000_000_000_000, "--out", tmp_path]
+        ) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: 10000000000000 draws need ")
+        assert "GiB" in err
+        assert not (tmp_path / "result.json").exists()
+
 
 @pytest.mark.filterwarnings("ignore:width hyperprior")
 class TestIntervalCommand:
@@ -232,6 +265,26 @@ class TestIntervalCommand:
         for row in rows:
             _, d1, d2, _ = (float(v) for v in row.split(","))
             assert math.isfinite(d1) and math.isfinite(d2)
+
+    def test_width_ratio_where_densities_underflow(self, tmp_path):
+        # from w of about 5e6 both linear densities underflow to 0.0; the
+        # ratio comes from the equal log densities, so it is exactly 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(
+                ["interval", "--lo", "1e3", "--hi", "1e6", "--w-grid", "1e5:1e7:3",
+                 "--out", tmp_path]
+            ) == 0
+        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)
+                   and not str(w.message).startswith("width hyperprior")]
+        assert runtime == []
+        rows = (tmp_path / "width_curve.csv").read_text().splitlines()[2:]
+        values = [[float(v) for v in row.split(",")] for row in rows]
+        assert not any(math.isnan(v) for row in values for v in row)
+        assert [row[0] for row in values[1:]] == [5.05e6, 1e7]
+        for _, d1, d2, lr_w in values[1:]:
+            assert d1 == d2 == 0.0
+            assert lr_w == 1.0
 
     def test_quadrature_budget_exhaustion_exit_3(self, tmp_path, capsys):
         code = run(

@@ -5,8 +5,8 @@ Gauss-Legendre ladder in log alpha.  Two oracles check it by other
 routes: ``oracle_width_density`` keeps the closed-form rate but
 integrates the shape in linear alpha with QUADPACK, and
 ``two_d_width_density`` integrates both axes numerically with the
-tensor rule ``mc.integrate_2d``, sharing no code with the module's
-width route.
+tensor rule ``mc_oracles.integrate_2d``, sharing no code with the
+module's width route.
 """
 
 import math
@@ -21,6 +21,7 @@ from scipy.special import gammainc, gammaln
 from evidential_weight import interval_opinion as io
 from evidential_weight import mc, scalar_opinion as so
 from evidential_weight.errors import DomainError
+from mc_oracles import integrate_2d
 
 PRIOR_WIDTH = io.GammaConjParams.from_p(9.0, 6.0, 2.0, 2.0)
 MID_H1 = so.NormalGammaParams(5.0, 1.0, 0.01, 1.0)
@@ -131,7 +132,7 @@ def two_d_width_density(
 
     def log_integral(log_f) -> float:
         shift = float(np.max(log_f(uu, vv)))
-        return shift + math.log(mc.integrate_2d(lambda u, v: np.exp(log_f(u, v) - shift), spec))
+        return shift + math.log(integrate_2d(lambda u, v: np.exp(log_f(u, v) - shift), spec))
 
     return math.exp(log_integral(log_joint) - log_integral(log_hyperprior))
 

@@ -1,6 +1,7 @@
 """Determinism, sampler correctness, and quadrature behavior."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from evidential_weight.errors import (
     DomainError,
     QuadratureConvergenceError,
 )
+from mc_oracles import integrate_2d, sample_wishart
 
 UNIT_SQUARE = mc.QuadratureSpec(0.0, 1.0, 0.0, 1.0, rel_tol=1e-9, max_refinements=6)
 
@@ -79,7 +81,7 @@ class TestRejectionSample:
         monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "3")
         assert mc.resolve_threads() == 3
         monkeypatch.delenv("EVIDENTIAL_WEIGHT_THREADS")
-        assert mc.resolve_threads() == 1
+        assert mc.resolve_threads() == len(os.sched_getaffinity(0))
 
     def test_intractable_constraint_raises(self):
         with pytest.raises(ConstraintIntractableError):
@@ -91,6 +93,40 @@ class TestRejectionSample:
                 probe=4 * mc.CHUNK_SIZE,
             )
 
+    def test_intractable_same_proposals_across_thread_counts(self):
+        proposed = []
+        for threads in (1, 3):
+            with pytest.raises(ConstraintIntractableError) as err:
+                mc.rejection_sample(
+                    uniform_pair_proposal,
+                    lambda d: d[:, 0] < 1e-7,
+                    10,
+                    mc.RngStream(6),
+                    probe=4 * mc.CHUNK_SIZE,
+                    threads=threads,
+                )
+            proposed.append(err.value.n_proposed)
+        assert proposed == [4 * mc.CHUNK_SIZE] * 2
+
+    def test_counters_and_column_layout(self):
+        # accepts about one proposal in 8: the target is met inside chunk 3
+        target = 50_000
+        result, serial = (
+            mc.rejection_sample(
+                uniform_pair_proposal, lambda d: d[:, 0] < 0.125, target, mc.RngStream(8),
+                threads=threads,
+            )
+            for threads in (3, 1)
+        )
+        assert np.array_equal(result.samples, serial.samples)
+        assert result.acceptance_rate == serial.acceptance_rate
+        assert result.n_chunks == 4
+        assert result.n_proposed == 4 * mc.CHUNK_SIZE
+        # the rate counts the whole last chunk, not just the rows kept
+        assert result.acceptance_rate * result.n_proposed > target
+        assert result.samples.flags.f_contiguous
+        assert result.samples.shape == (target, 2)
+
     def test_rejects_nonpositive_target(self):
         with pytest.raises(DomainError):
             mc.rejection_sample(
@@ -100,22 +136,22 @@ class TestRejectionSample:
 
 class TestIntegrate2d:
     def test_constant_on_unit_square(self):
-        value = mc.integrate_2d(lambda a, b: np.ones_like(a), UNIT_SQUARE)
+        value = integrate_2d(lambda a, b: np.ones_like(a), UNIT_SQUARE)
         assert value == pytest.approx(1.0, rel=1e-9)
 
     def test_product_xy(self):
-        value = mc.integrate_2d(lambda a, b: a * b, UNIT_SQUARE)
+        value = integrate_2d(lambda a, b: a * b, UNIT_SQUARE)
         assert value == pytest.approx(0.25, rel=1e-9)
 
     def test_separable_equals_product_of_1d(self):
         spec = mc.QuadratureSpec(0.0, 2.0, -1.0, 1.0, rel_tol=1e-8, max_refinements=6)
-        value = mc.integrate_2d(lambda a, b: np.exp(-a) * np.cos(b) ** 2, spec)
+        value = integrate_2d(lambda a, b: np.exp(-a) * np.cos(b) ** 2, spec)
         ga, _ = integrate.quad(lambda a: math.exp(-a), 0.0, 2.0)
         gb, _ = integrate.quad(lambda b: math.cos(b) ** 2, -1.0, 1.0)
         assert value == pytest.approx(ga * gb, rel=2 * spec.rel_tol)
 
     def test_scalar_callable_supported(self):
-        value = mc.integrate_2d(lambda a, b: float(a) + float(b), UNIT_SQUARE)
+        value = integrate_2d(lambda a, b: float(a) + float(b), UNIT_SQUARE)
         assert value == pytest.approx(1.0, rel=1e-9)
 
     def test_nonconvergence_error_carries_estimates(self):
@@ -124,12 +160,12 @@ class TestIntegrate2d:
             0.0, 1.0, 0.0, 1.0, rel_tol=1e-14, max_refinements=1, base_panels=1, gauss_order=1
         )
         with pytest.raises(QuadratureConvergenceError) as err:
-            mc.integrate_2d(lambda a, b: np.sin(40 * a) ** 2 + np.cos(37 * b) ** 2, spec)
+            integrate_2d(lambda a, b: np.sin(40 * a) ** 2 + np.cos(37 * b) ** 2, spec)
         assert len(err.value.last_two_estimates) == 2
 
     def test_log_variant_matches_linear(self):
         spec = mc.QuadratureSpec(0.1, 3.0, 0.1, 3.0, rel_tol=1e-9, max_refinements=6)
-        linear = mc.integrate_2d(lambda a, b: np.exp(-a * b) * a, spec)
+        linear = integrate_2d(lambda a, b: np.exp(-a * b) * a, spec)
         logged = mc.log_integrate_2d(lambda a, b: -a * b + np.log(a), spec)
         assert math.log(linear) == pytest.approx(logged, abs=1e-9)
 
@@ -149,11 +185,11 @@ class TestSamplerHelpers:
     def test_wishart_mean(self):
         scale = np.array([[0.1, -0.08], [-0.08, 0.1]])
         df, n = 2.0, 200_000
-        draws = mc.sample_wishart(scale, df, mc.RngStream(10), size=n)
+        draws = sample_wishart(scale, df, mc.RngStream(10), size=n)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(n)
         np.testing.assert_array_less(np.abs(mean - df * scale), 4 * se)
 
     def test_wishart_requires_df_at_least_dim(self):
         with pytest.raises(DomainError):
-            mc.sample_wishart(np.eye(2), 1.5, mc.RngStream(0))
+            sample_wishart(np.eye(2), 1.5, mc.RngStream(0))

@@ -10,7 +10,7 @@ from scipy import stats
 from evidential_weight import mc
 from evidential_weight import multi_expert as me
 from evidential_weight.errors import DomainError
-from mc_oracles import mc_predictive_logdensity
+from mc_oracles import integrate_2d, mc_predictive_logdensity
 
 H1, H2 = me.PRIOR_PRESETS["default"]
 X_PAIR = np.array([2.0, math.log10(30.0)])
@@ -180,7 +180,7 @@ class TestBivariateT:
         # nested boxes resolve the peak and reach the power-law tails
         sigma = math.sqrt(max(np.diag(scale)))
         radii = [8.0 * sigma, 64.0 * sigma, 2000.0 * sigma]
-        mass = mc.integrate_2d(
+        mass = integrate_2d(
             density,
             mc.QuadratureSpec(loc[0] - radii[0], loc[0] + radii[0],
                               loc[1] - radii[0], loc[1] + radii[0],
@@ -193,7 +193,7 @@ class TestBivariateT:
                 (loc[0] - inner, loc[0] + inner, loc[1] - outer, loc[1] - inner),
                 (loc[0] - inner, loc[0] + inner, loc[1] + inner, loc[1] + outer),
             ):
-                mass += mc.integrate_2d(
+                mass += integrate_2d(
                     density,
                     mc.QuadratureSpec(alo, ahi, blo, bhi, rel_tol=1e-7, max_refinements=7),
                 )
