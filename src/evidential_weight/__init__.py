@@ -6,8 +6,6 @@ interval, or a pair of LRs from two experts) and quantifies how
 validation-test data moves that likelihood ratio.
 """
 
-from typing import Union
-
 from .core import LrEstimate, Odds, Scenario, lr_from_counts, odds_to_probability, posterior_odds
 from .errors import (
     ConstraintIntractableError,
@@ -20,14 +18,11 @@ from .errors import (
 from .mc import QuadratureSpec, RngStream
 from .categorical import Conclusion, ConclusionCounts, ConclusionRates, RatePair
 from .scalar_opinion import NormalGammaParams, ScalarValidationSummary
-from .interval_opinion import GammaConjParams, IntervalPrior, LrInterval
+from .interval_opinion import GammaConjParams, LrInterval
 from .multi_expert import NormalWishartParams, PairedLrSummary
 from .coin_oracle import TossSequence
 
 __version__ = "0.1.0"
-
-#: The hyperparameter state of any one opinion model.
-Hyperparams = Union[ConclusionCounts, NormalGammaParams, IntervalPrior, NormalWishartParams]
 
 __all__ = [
     "__version__",
@@ -46,12 +41,10 @@ __all__ = [
     "NormalGammaParams",
     "ScalarValidationSummary",
     "GammaConjParams",
-    "IntervalPrior",
     "LrInterval",
     "NormalWishartParams",
     "PairedLrSummary",
     "TossSequence",
-    "Hyperparams",
     "DomainError",
     "DegenerateRateError",
     "ConstraintIntractableError",

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import mc
-from .core import LrEstimate
+from .core import LrEstimate, Scenario, read_scenario_rows
 from .errors import DomainError, InputFormatError
 
 __all__ = [
@@ -172,34 +172,15 @@ class ConclusionCounts:
     def from_csv_rows(cls, rows: Iterable[str], path: str = "") -> "ConclusionCounts":
         """Parse per-comparison rows ``scenario,conclusion`` into counts.
 
-        A header row ``scenario,conclusion`` is permitted and skipped.
+        The rows follow :func:`core.read_scenario_rows`: an optional header
+        ``scenario,conclusion``, blank lines skipped, errors citing the line.
         """
-        tallies = {"H1": [0, 0, 0], "H2": [0, 0, 0]}
-        saw_row = False
-        for lineno, raw in enumerate(rows, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.lower().replace(" ", "") == "scenario,conclusion":
-                continue
-            parts = [part.strip() for part in line.split(",")]
-            if len(parts) != 2:
-                raise InputFormatError(
-                    f"expected 2 fields 'scenario,conclusion', got {len(parts)}",
-                    path=path, line=lineno,
-                )
-            try:
-                scen = parts[0].upper()
-                if scen not in tallies:
-                    raise DomainError(f"unknown scenario {parts[0]!r}")
-                conclusion = Conclusion.parse(parts[1])
-            except DomainError as exc:
-                raise InputFormatError(str(exc), path=path, line=lineno) from exc
-            tallies[scen][conclusion.value] += 1
-            saw_row = True
-        if not saw_row:
-            raise InputFormatError("no data rows found", path=path)
-        return cls(tuple(tallies["H1"]), tuple(tallies["H2"]))
+        tallies = {Scenario.H1: [0, 0, 0], Scenario.H2: [0, 0, 0]}
+        for scenario, (conclusion,) in read_scenario_rows(
+            rows, "scenario,conclusion", Conclusion.parse, path=path
+        ):
+            tallies[scenario][conclusion.value] += 1
+        return cls(tuple(tallies[Scenario.H1]), tuple(tallies[Scenario.H2]))
 
 
 class RatePairSamples:

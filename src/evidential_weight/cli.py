@@ -1,13 +1,16 @@
 """Command-line front end.
 
-Each subcommand ingests priors and validation data, runs one opinion
-module, and writes ``result.json`` (or ``result.csv``), figure-data CSVs,
-and a ``manifest.json`` recording everything needed to reproduce the run.
-Every CSV starts with a comment line carrying the manifest digest.
+Each subcommand is a step: it checks all of its inputs, ingests priors
+and validation data, runs one opinion module and returns a :class:`Run`.
+:func:`main` then writes ``result.json`` (or ``result.csv``), the
+figure-data CSVs, and a ``manifest.json`` recording everything needed to
+reproduce the run.  Every CSV starts with a comment line carrying the
+manifest digest.  A command that fails writes no files.
 
 Exit codes: 0 on success, 2 on input errors, 3 on numerical failures
 (intractable constraints, quadrature non-convergence, an LR beyond the
-float range, more Monte Carlo draws than memory can hold).
+float range, more Monte Carlo draws than memory can hold, inputs that take
+float arithmetic out of range).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -23,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, categorical, coin_oracle, interval_opinion, mc, multi_expert, scalar_opinion
-from .core import Scenario
+from .core import Scenario, read_scenario_rows
 from .errors import (
     ConstraintIntractableError,
     DomainError,
@@ -125,9 +129,29 @@ def _flatten(obj, prefix: str = "") -> dict:
     return flat
 
 
+@dataclasses.dataclass
+class Run:
+    """What one subcommand computed, ready for :func:`main` to write.
+
+    ``tables`` holds the figure-data CSVs as (file name, header, rows).
+    ``diagnostics`` joins the manifest outside its digest.
+    """
+
+    parameters: dict
+    result: dict
+    tables: list = dataclasses.field(default_factory=list)
+    input_paths: list[Path] = dataclasses.field(default_factory=list)
+    n_samples: int = 0
+    diagnostics: dict | None = None
+
+
 # ----------------------------------------------------------------------
 # input parsing
 # ----------------------------------------------------------------------
+
+def _paths(*texts: str | None) -> list[Path]:
+    return [Path(text) for text in texts if text]
+
 
 def _load_json(path: Path) -> dict:
     try:
@@ -145,94 +169,39 @@ def _read_lines(path: Path) -> list[str]:
         raise InputFormatError(f"cannot read file: {exc}", path=str(path)) from exc
 
 
-def _load_conclusion_counts(path: Path) -> categorical.ConclusionCounts:
+def _load_counts(text: str | None) -> categorical.ConclusionCounts | None:
+    if not text:
+        return None
+    path = Path(text)
     if path.suffix.lower() == ".json":
-        return categorical.ConclusionCounts.from_json_obj(_load_json(path), path=str(path))
-    return categorical.ConclusionCounts.from_csv_rows(_read_lines(path), path=str(path))
+        return categorical.ConclusionCounts.from_json_obj(_load_json(path), path=text)
+    return categorical.ConclusionCounts.from_csv_rows(_read_lines(path), path=text)
 
 
-def _parse_scenario_field(text: str, path: Path, lineno: int) -> Scenario:
-    try:
-        return Scenario.parse(text)
-    except DomainError as exc:
-        raise InputFormatError(str(exc), path=str(path), line=lineno) from exc
-
-
-def _parse_float_field(text: str, name: str, path: Path, lineno: int) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InputFormatError(f"bad {name} value {text!r}", path=str(path), line=lineno) from exc
-
-
-def _load_scenario_csv(path: Path, n_fields: int, header: str) -> dict[Scenario, list[tuple]]:
-    """Rows ``scenario,<floats...>`` grouped by scenario; header optional."""
+def _load_scenario_csv(text: str | None, header: str) -> dict[Scenario, list[tuple]] | None:
+    """Validation rows ``scenario,<floats...>`` grouped by scenario (None without a file)."""
+    if not text:
+        return None
     grouped: dict[Scenario, list[tuple]] = {Scenario.H1: [], Scenario.H2: []}
-    saw_row = False
-    for lineno, raw in enumerate(_read_lines(path), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.lower().replace(" ", "") == header:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != n_fields:
-            raise InputFormatError(
-                f"expected {n_fields} fields '{header}', got {len(parts)}",
-                path=str(path), line=lineno,
-            )
-        scen = _parse_scenario_field(parts[0], path, lineno)
-        values = tuple(
-            _parse_float_field(parts[i], header.split(",")[i], path, lineno)
-            for i in range(1, n_fields)
-        )
-        grouped[scen].append(values)
-        saw_row = True
-    if not saw_row:
-        raise InputFormatError("no data rows found", path=str(path))
+    for scenario, values in read_scenario_rows(_read_lines(Path(text)), header, float, path=text):
+        grouped[scenario].append(values)
     return grouped
 
 
-def _load_scalar_priors(path: Path | None) -> dict[Scenario, scalar_opinion.NormalGammaParams]:
-    if path is None:
-        return dict(DEFAULT_SCALAR_PRIORS)
-    obj = _load_json(path)
+def _load_priors(text: str | None, params_type, default) -> dict:
+    """H1/H2 parameters of ``params_type`` from a JSON file, else ``default``."""
+    if not text:
+        return dict(default)
+    obj = _load_json(Path(text))
     try:
-        return {
-            scen: scalar_opinion.NormalGammaParams.from_dict(obj[scen.value])
-            for scen in Scenario
-        }
+        return {scen: params_type.from_dict(obj[scen.value]) for scen in Scenario}
     except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise InputFormatError(f"bad scalar prior JSON: {exc}", path=str(path)) from exc
+        raise InputFormatError(f"bad {params_type.__name__} prior JSON: {exc}", path=text) from exc
 
 
-def _load_width_priors(path: Path | None) -> dict[Scenario, interval_opinion.GammaConjParams]:
-    if path is None:
-        return dict(DEFAULT_WIDTH_PRIORS)
-    obj = _load_json(path)
+def _parse_list(text: str, flag: str, kind=int) -> list:
     try:
-        return {
-            scen: interval_opinion.GammaConjParams.from_dict(obj[scen.value])
-            for scen in Scenario
-        }
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise InputFormatError(f"bad width prior JSON: {exc}", path=str(path)) from exc
-
-
-def _load_pair_priors(path: Path) -> dict[Scenario, multi_expert.NormalWishartParams]:
-    obj = _load_json(path)
-    try:
-        return {
-            scen: multi_expert.NormalWishartParams.from_dict(obj[scen.value])
-            for scen in Scenario
-        }
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
-        raise InputFormatError(f"bad pair prior JSON: {exc}", path=str(path)) from exc
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
+        values = [kind(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise InputFormatError(f"bad {flag} list {text!r}: {exc}") from exc
     if not values:
@@ -247,203 +216,136 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         raise InputFormatError(f"{flag} must look like 'lo:hi:count', got {text!r}")
     try:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1 or not lo < hi or not math.isfinite(hi - lo):
+            raise ValueError("needs finite lo < hi and count >= 1")
+        return np.linspace(lo, hi, count)
     except ValueError as exc:
         raise InputFormatError(f"bad {flag} {text!r}: {exc}") from exc
-    if count < 1 or not lo < hi:
-        raise InputFormatError(f"{flag} needs lo < hi and count >= 1, got {text!r}")
-    return np.linspace(lo, hi, count)
+
+
+# ----------------------------------------------------------------------
+# the shared update pipeline
+# ----------------------------------------------------------------------
+
+def _pair(by_scenario: dict) -> tuple:
+    return by_scenario[Scenario.H1], by_scenario[Scenario.H2]
+
+
+def _to_dicts(by_scenario: dict) -> dict:
+    return {scen.value: params.to_dict() for scen, params in by_scenario.items()}
+
+
+def _update(priors: dict, grouped: dict | None, update) -> dict:
+    """Each scenario's prior, updated by ``update(prior, rows)`` where it has rows."""
+    return {
+        scen: update(prior, grouped[scen]) if grouped and grouped[scen] else prior
+        for scen, prior in priors.items()
+    }
+
+
+def _normal_gamma_update(prior, values):
+    summary = scalar_opinion.ScalarValidationSummary.from_values(values)
+    return scalar_opinion.update_normal_gamma(prior, summary)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
-def _cmd_categorical(args) -> int:
-    out_dir = Path(args.out)
-    counts = _load_conclusion_counts(Path(args.validation)) if args.validation else None
+def _cmd_categorical(args) -> Run:
     conclusion = categorical.Conclusion.parse(args.conclusion)
-    sweep_sizes = _parse_int_list(args.sweep, "--sweep") if args.sweep else None
+    counts = _load_counts(args.validation)
+    sweep_sizes = _parse_list(args.sweep, "--sweep") if args.sweep else None
+    if sweep_sizes:
+        if counts is None:
+            raise InputFormatError("--sweep requires --validation counts to rescale")
+        for size in sweep_sizes:
+            categorical.scaled_counts(counts, size)
 
-    writer = RunWriter(
-        out_dir,
-        command=_command_string(args),
-        seed=args.seed,
-        n_samples=args.samples,
+    rng = mc.RngStream(args.seed)
+    samples = categorical.sample_rate_pairs(counts, args.samples, rng)
+    estimate = categorical.lr_from_samples(samples, conclusion)
+    tables = [
+        (f"density_grid_{c.name.lower()}.csv", ["p_bin", "q_bin", "density"],
+         _grid_rows(*categorical.density_grid(samples, c)))
+        for c in categorical.Conclusion
+    ]
+    del samples  # the sweep draws its own
+
+    if sweep_sizes:
+        sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng)
+        rows = [
+            (row.size, row.conclusion.name.lower(), row.estimate.lr,
+             row.estimate.mc_std_err, sweep.asymptotes[row.conclusion])
+            for row in sweep.rows
+        ]
+        tables.append(("sweep.csv", ["size", "conclusion", "lr", "mc_std_err", "asymptote"], rows))
+
+    return Run(
         parameters={
             "conclusion": conclusion.name.lower(),
             "counts": None if counts is None else {"H1": list(counts.h1), "H2": list(counts.h2)},
             "sweep": sweep_sizes,
         },
-        input_paths=[Path(args.validation)] if args.validation else [],
+        result={"conclusion": conclusion.name.lower(), "lr_estimate": estimate.to_dict()},
+        tables=tables,
+        input_paths=_paths(args.validation),
+        n_samples=args.samples,
     )
 
-    rng = mc.RngStream(args.seed)
-    samples = categorical.sample_rate_pairs(counts, args.samples, rng)
-    estimate = categorical.lr_from_samples(samples, conclusion)
-    writer.write_result(
-        {
-            "conclusion": conclusion.name.lower(),
-            "lr_estimate": estimate.to_dict(),
-        },
-        fmt=args.format,
+
+def _grid_rows(centers: np.ndarray, grid: np.ndarray):
+    return (
+        (centers[i], centers[j], grid[i, j])
+        for i in range(centers.size)
+        for j in range(centers.size)
     )
 
-    for grid_conclusion in categorical.Conclusion:
-        centers, grid = categorical.density_grid(samples, grid_conclusion)
-        rows = (
-            (centers[i], centers[j], grid[i, j])
-            for i in range(centers.size)
-            for j in range(centers.size)
-        )
-        writer.write_csv(
-            f"density_grid_{grid_conclusion.name.lower()}.csv",
-            ["p_bin", "q_bin", "density"],
-            rows,
-        )
-    del samples  # the sweep draws its own
 
-    if sweep_sizes:
-        if counts is None:
-            raise InputFormatError("--sweep requires --validation counts to rescale")
-        sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng)
-        rows = [
-            (
-                row.size,
-                row.conclusion.name.lower(),
-                row.estimate.lr,
-                row.estimate.mc_std_err,
-                sweep.asymptotes[row.conclusion],
-            )
-            for row in sweep.rows
-        ]
-        writer.write_csv(
-            "sweep.csv", ["size", "conclusion", "lr", "mc_std_err", "asymptote"], rows
-        )
-
-    writer.write_manifest()
-    return 0
-
-
-def _cmd_scalar(args) -> int:
-    out_dir = Path(args.out)
-    priors = _load_scalar_priors(Path(args.priors) if args.priors else None)
-    posteriors = dict(priors)
-    input_paths = [Path(p) for p in (args.priors, args.validation) if p]
-    if args.validation:
-        grouped = _load_scenario_csv(Path(args.validation), 2, "scenario,log10_lr")
-        for scen, rows in grouped.items():
-            if rows:
-                summary = scalar_opinion.ScalarValidationSummary.from_values(
-                    [v[0] for v in rows]
-                )
-                posteriors[scen] = scalar_opinion.update_normal_gamma(priors[scen], summary)
-
-    writer = RunWriter(
-        out_dir,
-        command=_command_string(args),
-        seed=args.seed,
-        n_samples=0,
-        parameters={
-            "r": args.r,
-            "priors": {s.value: p.to_dict() for s, p in priors.items()},
-            "posteriors": {s.value: p.to_dict() for s, p in posteriors.items()},
-        },
-        input_paths=input_paths,
-    )
-
-    estimate = scalar_opinion.lr_for_scalar(
-        args.r, posteriors[Scenario.H1], posteriors[Scenario.H2]
-    )
-    writer.write_result(
-        {
-            "r": args.r,
-            "lr_estimate": estimate.to_dict(),
-            "posteriors": {s.value: p.to_dict() for s, p in posteriors.items()},
-        },
-        fmt=args.format,
-    )
-
+def _cmd_scalar(args) -> Run:
     grid = _parse_grid(args.grid, "--grid")
-    curve = scalar_opinion.lr_curve(posteriors[Scenario.H1], posteriors[Scenario.H2], grid)
-    writer.write_csv("lr_curve.csv", ["r", "density_h1", "density_h2", "lr_a"], curve.rows())
-    writer.write_manifest()
-    return 0
+    priors = _load_priors(args.priors, scalar_opinion.NormalGammaParams, DEFAULT_SCALAR_PRIORS)
+    grouped = _load_scenario_csv(args.validation, "scenario,log10_lr")
+    posteriors = _update(priors, grouped, lambda prior, rows: _normal_gamma_update(
+        prior, [value for value, in rows]))
+
+    estimate = scalar_opinion.lr_for_scalar(args.r, *_pair(posteriors))
+    curve = scalar_opinion.lr_curve(*_pair(posteriors), grid)
+    return Run(
+        parameters={"r": args.r, "priors": _to_dicts(priors), "posteriors": _to_dicts(posteriors)},
+        result={
+            "r": args.r, "lr_estimate": estimate.to_dict(), "posteriors": _to_dicts(posteriors)
+        },
+        tables=[("lr_curve.csv", ["r", "density_h1", "density_h2", "lr_a"], curve.rows())],
+        input_paths=_paths(args.priors, args.validation),
+    )
 
 
-def _cmd_interval(args) -> int:
-    out_dir = Path(args.out)
+def _cmd_interval(args) -> Run:
     iv = interval_opinion.LrInterval(args.lo, args.hi)
-    mid_priors = _load_scalar_priors(Path(args.mid_priors) if args.mid_priors else None)
-    width_priors = _load_width_priors(Path(args.width_priors) if args.width_priors else None)
-    mid_post = dict(mid_priors)
-    width_post = dict(width_priors)
-    input_paths = [
-        Path(p) for p in (args.mid_priors, args.width_priors, args.validation) if p
-    ]
-    if args.validation:
-        grouped = _load_scenario_csv(Path(args.validation), 3, "scenario,log10_lo,log10_hi")
-        for scen, rows in grouped.items():
-            if not rows:
-                continue
-            mids = [0.5 * (lo + hi) for lo, hi in rows]
-            widths = [hi - lo for lo, hi in rows]
-            if any(w <= 0 for w in widths):
-                raise InputFormatError(
-                    "interval rows must satisfy log10_lo < log10_hi",
-                    path=str(args.validation),
-                )
-            mid_post[scen] = scalar_opinion.update_normal_gamma(
-                mid_priors[scen], scalar_opinion.ScalarValidationSummary.from_values(mids)
-            )
-            width_post[scen] = interval_opinion.update_gamma_conj(width_priors[scen], widths)
-
-    spec = interval_opinion.DEFAULT_WIDTH_QUAD_SPEC
-    if args.quad_rel_tol is not None:
-        spec = dataclasses.replace(spec, rel_tol=args.quad_rel_tol)
-    if args.quad_max_refinements is not None:
-        spec = dataclasses.replace(spec, max_refinements=args.quad_max_refinements)
-
-    writer = RunWriter(
-        out_dir,
-        command=_command_string(args),
-        seed=args.seed,
-        n_samples=0,
-        parameters={
-            "interval": [args.lo, args.hi],
-            "mid_posteriors": {s.value: p.to_dict() for s, p in mid_post.items()},
-            "width_posteriors": {s.value: p.to_dict() for s, p in width_post.items()},
-            "quadrature": {"rel_tol": spec.rel_tol, "max_refinements": spec.max_refinements},
-        },
-        input_paths=input_paths,
-    )
-
-    result = interval_opinion.lr_for_interval(
-        iv,
-        mid_post[Scenario.H1], mid_post[Scenario.H2],
-        width_post[Scenario.H1], width_post[Scenario.H2],
-        spec,
-    )
-    writer.write_result(
-        {
-            "interval": [args.lo, args.hi],
-            "midpoint": result.midpoint,
-            "width": result.width,
-            "lr_m": result.lr_m,
-            "lr_w": result.lr_w,
-            "lr_estimate": result.estimate.to_dict(),
-        },
-        fmt=args.format,
-    )
-
     w_grid = _parse_grid(args.w_grid, "--w-grid")
-    curve = interval_opinion.width_curve(
-        width_post[Scenario.H1], width_post[Scenario.H2], w_grid, spec
+    overrides = {"rel_tol": args.quad_rel_tol, "max_refinements": args.quad_max_refinements}
+    spec = dataclasses.replace(
+        interval_opinion.DEFAULT_WIDTH_QUAD_SPEC,
+        **{name: value for name, value in overrides.items() if value is not None},
     )
-    writer.write_csv(
-        "width_curve.csv", ["w", "density_h1", "density_h2", "lr_w"], curve.rows()
-    )
+    mid_priors = _load_priors(args.mid_priors, scalar_opinion.NormalGammaParams,
+                              DEFAULT_SCALAR_PRIORS)
+    width_priors = _load_priors(args.width_priors, interval_opinion.GammaConjParams,
+                                DEFAULT_WIDTH_PRIORS)
+    grouped = _load_scenario_csv(args.validation, "scenario,log10_lo,log10_hi")
+    if grouped and any(not lo < hi for rows in grouped.values() for lo, hi in rows):
+        raise InputFormatError("interval rows must satisfy log10_lo < log10_hi",
+                               path=args.validation)
+    mid_post = _update(mid_priors, grouped, lambda prior, rows: _normal_gamma_update(
+        prior, [0.5 * (lo + hi) for lo, hi in rows]))
+    width_post = _update(width_priors, grouped, lambda prior, rows: (
+        interval_opinion.update_gamma_conj(prior, [hi - lo for lo, hi in rows])))
+
+    result = interval_opinion.lr_for_interval(iv, *_pair(mid_post), *_pair(width_post), spec)
+    curve = interval_opinion.width_curve(*_pair(width_post), w_grid, spec)
     quadrature = {}
-    for i, scen in enumerate((Scenario.H1, Scenario.H2)):
+    for i, scen in enumerate(Scenario):
         normalizer = interval_opinion.width_normalizer_diagnostics(width_post[scen], spec)
         quadrature[scen.value] = {
             "boundary_mass_fraction": normalizer["boundary_mass_fraction"],
@@ -452,96 +354,67 @@ def _cmd_interval(args) -> int:
             "curve_levels": curve.levels[i],
             "curve_abs_delta_log": curve.abs_delta_log[i],
         }
-    writer.write_manifest({"width_quadrature": quadrature})
-    return 0
-
-
-def _cmd_two_expert(args) -> int:
-    out_dir = Path(args.out)
-    parts = args.x.split(",")
-    if len(parts) != 2:
-        raise InputFormatError(f"--x must be 'log10_lr_b,log10_lr_c', got {args.x!r}")
-    try:
-        x = np.array([float(parts[0]), float(parts[1])])
-    except ValueError as exc:
-        raise InputFormatError(f"bad --x {args.x!r}: {exc}") from exc
-
-    if args.priors:
-        priors = _load_pair_priors(Path(args.priors))
-        input_paths = [Path(args.priors)]
-    else:
-        h1, h2 = multi_expert.PRIOR_PRESETS[args.prior_preset]
-        priors = {Scenario.H1: h1, Scenario.H2: h2}
-        input_paths = []
-    posteriors = dict(priors)
-    if args.validation:
-        input_paths.append(Path(args.validation))
-        grouped = _load_scenario_csv(
-            Path(args.validation), 3, "scenario,log10_lr_b,log10_lr_c"
-        )
-        for scen, rows in grouped.items():
-            if rows:
-                summary = multi_expert.PairedLrSummary.from_values(rows)
-                posteriors[scen] = multi_expert.posterior_params(
-                    priors[scen], summary, args.wishart
-                )
-
-    sweep_sizes = _parse_int_list(args.sweep, "--sweep") if args.sweep else None
-    writer = RunWriter(
-        out_dir,
-        command=_command_string(args),
-        seed=args.seed,
-        n_samples=0,
+    return Run(
         parameters={
-            "x": [float(v) for v in x],
+            "interval": [args.lo, args.hi],
+            "mid_posteriors": _to_dicts(mid_post),
+            "width_posteriors": _to_dicts(width_post),
+            "quadrature": {"rel_tol": spec.rel_tol, "max_refinements": spec.max_refinements},
+        },
+        result={
+            "interval": [args.lo, args.hi],
+            "midpoint": result.midpoint,
+            "width": result.width,
+            "lr_m": result.lr_m,
+            "lr_w": result.lr_w,
+            "lr_estimate": result.estimate.to_dict(),
+        },
+        tables=[("width_curve.csv", ["w", "density_h1", "density_h2", "lr_w"], curve.rows())],
+        input_paths=_paths(args.mid_priors, args.width_priors, args.validation),
+        diagnostics={"width_quadrature": quadrature},
+    )
+
+
+def _cmd_two_expert(args) -> Run:
+    x = _parse_list(args.x, "--x", float)
+    if len(x) != 2:
+        raise InputFormatError(f"--x must be 'log10_lr_b,log10_lr_c', got {args.x!r}")
+    sweep_sizes = _parse_list(args.sweep, "--sweep") if args.sweep else None
+    preset = zip(Scenario, multi_expert.PRIOR_PRESETS[args.prior_preset])
+    priors = _load_priors(args.priors, multi_expert.NormalWishartParams, preset)
+    grouped = _load_scenario_csv(args.validation, "scenario,log10_lr_b,log10_lr_c")
+    posteriors = _update(priors, grouped, lambda prior, rows: multi_expert.posterior_params(
+        prior, multi_expert.PairedLrSummary.from_values(rows), args.wishart))
+
+    estimate = multi_expert.lr_for_pair(x, *_pair(posteriors), args.df, args.wishart)
+    tables = []
+    if sweep_sizes is not None:
+        sweep = multi_expert.pair_lr_sweep(
+            x, *_pair(priors), sweep_sizes, df_convention=args.df, wishart_matrix=args.wishart
+        )
+        rows = [(row.m, row.estimate.lr) for row in sweep.rows]
+        tables.append(("pair_sweep.csv", ["m", "lr_a"], rows))
+    return Run(
+        parameters={
+            "x": x,
             "df_convention": args.df,
             "wishart_matrix": args.wishart,
             "prior_preset": None if args.priors else args.prior_preset,
-            "priors": {s.value: p.to_dict() for s, p in priors.items()},
+            "priors": _to_dicts(priors),
         },
-        input_paths=input_paths,
-    )
-
-    estimate = multi_expert.lr_for_pair(
-        x, posteriors[Scenario.H1], posteriors[Scenario.H2], args.df, args.wishart
-    )
-    writer.write_result(
-        {
-            "x": [float(v) for v in x],
+        result={
+            "x": x,
             "df_convention": args.df,
             "wishart_matrix": args.wishart,
             "lr_estimate": estimate.to_dict(),
         },
-        fmt=args.format,
+        tables=tables,
+        input_paths=_paths(args.priors, args.validation),
     )
 
-    if sweep_sizes is not None:
-        sweep = multi_expert.pair_lr_sweep(
-            x,
-            priors[Scenario.H1],
-            priors[Scenario.H2],
-            sweep_sizes,
-            df_convention=args.df,
-            wishart_matrix=args.wishart,
-        )
-        writer.write_csv(
-            "pair_sweep.csv", ["m", "lr_a"], ((row.m, row.estimate.lr) for row in sweep.rows)
-        )
-    writer.write_manifest()
-    return 0
 
-
-def _cmd_coin(args) -> int:
-    out_dir = Path(args.out)
+def _cmd_coin(args) -> Run:
     seq = coin_oracle.TossSequence.from_string(args.seq)
-    writer = RunWriter(
-        out_dir,
-        command=_command_string(args),
-        seed=args.seed,
-        n_samples=0,
-        parameters={"seq": "".join(seq.tosses)},
-        input_paths=[],
-    )
     result = {
         "seq": "".join(seq.tosses),
         "prob_next_heads": {
@@ -553,18 +426,12 @@ def _cmd_coin(args) -> int:
         posterior = coin_oracle.markov_posterior(seq)
         result["prob_next_heads"]["C"] = posterior.prob_next_heads
         result["c_likelihood_weighted"] = posterior.prob_next_heads_likelihood_weighted
-    writer.write_result(result, fmt=args.format)
-    writer.write_manifest()
-    return 0
+    return Run(parameters={"seq": result["seq"]}, result=result)
 
 
 # ----------------------------------------------------------------------
 # parser wiring
 # ----------------------------------------------------------------------
-
-def _command_string(args) -> str:
-    return " ".join(args._argv)
-
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
@@ -642,19 +509,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; write its outputs only once it has succeeded."""
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._argv = ["evidential-weight"] + argv
+    if [] in vars(args).values():  # argparse reads a flag value of '--' as []
+        parser.error("'--' is not a flag value")
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        # a float overflow or invalid operation that no step expects stops
+        # the command, rather than running on with inf or nan
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            run = args.func(args)
     except (InputFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConstraintIntractableError, QuadratureConvergenceError, LrRangeError,
-            MemoryError) as exc:
+            MemoryError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"numerical failure: the inputs take float arithmetic out of range ({exc})",
+              file=sys.stderr)
+        return 3
+    writer = RunWriter(Path(args.out), " ".join(["evidential-weight"] + argv), args.seed,
+                       run.n_samples, run.parameters, run.input_paths)
+    writer.started = started  # the manifest's wall time covers the whole command
+    writer.write_result(run.result, fmt=args.format)
+    for name, header, rows in run.tables:
+        writer.write_csv(name, header, rows)
+    writer.write_manifest(run.diagnostics)
+    return 0
 
 
 if __name__ == "__main__":

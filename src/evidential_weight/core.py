@@ -13,8 +13,9 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator
 
-from .errors import DegenerateRateError, DomainError, LrRangeError
+from .errors import DegenerateRateError, DomainError, InputFormatError, LrRangeError
 
 __all__ = [
     "Scenario",
@@ -23,6 +24,7 @@ __all__ = [
     "posterior_odds",
     "odds_to_probability",
     "lr_from_counts",
+    "read_scenario_rows",
 ]
 
 #: Relative tolerance tying ``log10_lr`` to ``log10(lr)`` in LrEstimate.
@@ -44,6 +46,48 @@ class Scenario(enum.Enum):
             return cls[text.strip().upper()]
         except KeyError:
             raise DomainError(f"unknown scenario {text!r}; expected H1 or H2") from None
+
+
+def read_scenario_rows(
+    lines: Iterable[str], header: str, convert: Callable[[str], object], path: str = ""
+) -> Iterator[tuple[Scenario, tuple]]:
+    """Yield ``(scenario, values)`` for each row ``scenario,<fields>`` of a validation CSV.
+
+    ``header`` names the columns, as in ``"scenario,log10_lr"``.  A first
+    line equal to it (case and spaces aside) is skipped, as are blank
+    lines.  ``convert`` turns each field after the scenario into a value
+    and rejects a bad one with ``ValueError``.
+
+    Raises
+    ------
+    InputFormatError
+        Citing ``path:line``, for a wrong field count, an unknown scenario
+        or a rejected field; citing ``path``, for a file with no data rows.
+    """
+    names = header.split(",")
+    parsers = [Scenario.parse] + [convert] * (len(names) - 1)
+    saw_row = False
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or (lineno == 1 and line.lower().replace(" ", "") == header):
+            continue
+        parts = [part.strip() for part in line.split(",")]
+        if len(parts) != len(names):
+            raise InputFormatError(
+                f"expected {len(names)} fields '{header}', got {len(parts)}",
+                path=path, line=lineno,
+            )
+        values = []
+        for name, text, parse in zip(names, parts, parsers):
+            try:
+                values.append(parse(text))
+            except ValueError as exc:
+                detail = str(exc) if isinstance(exc, DomainError) else f"bad {name} value {text!r}"
+                raise InputFormatError(detail, path=path, line=lineno) from exc
+        saw_row = True
+        yield values[0], tuple(values[1:])
+    if not saw_row:
+        raise InputFormatError("no data rows found", path=path)
 
 
 def _require_positive_finite(name: str, value: float) -> float:

@@ -38,8 +38,6 @@ from .scalar_opinion import NormalGammaParams
 __all__ = [
     "LrInterval",
     "GammaConjParams",
-    "IntervalPrior",
-    "split_interval",
     "update_gamma_conj",
     "update_gamma_conj_stats",
     "width_predictive_density",
@@ -74,6 +72,10 @@ _CF_TINY = 1e-300
 _CF_EPS = 2.0**-52
 _CF_MAX_TERMS = 200
 
+#: Largest upper limit c b_hi of the rate integral: beyond it the
+#: fraction's 1 / (x + 1 - k) is no longer a normal float.
+_C_B_HI_MAX = 1.0 / np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class LrInterval:
@@ -98,11 +100,6 @@ class LrInterval:
     def width(self) -> float:
         """Width of the interval on the log10 scale."""
         return math.log10(self.hi) - math.log10(self.lo)
-
-
-def split_interval(iv: LrInterval) -> tuple[float, float]:
-    """Decompose an interval into its log10 (midpoint, width)."""
-    return iv.midpoint, iv.width
 
 
 @dataclass(frozen=True)
@@ -142,14 +139,6 @@ class GammaConjParams:
         if "p" in obj and "log_p" not in obj:
             return cls.from_p(float(obj["p"]), float(obj["q"]), float(obj["r"]), float(obj["s"]))
         return cls(float(obj["log_p"]), float(obj["q"]), float(obj["r"]), float(obj["s"]))
-
-
-@dataclass(frozen=True)
-class IntervalPrior:
-    """Paired midpoint and width hyperparameters for one scenario."""
-
-    mid: NormalGammaParams
-    width: GammaConjParams
 
 
 def update_gamma_conj(
@@ -279,12 +268,20 @@ def _log_shape_integrals(log_p, r: float, s: float, c, spec: mc.QuadratureSpec):
 
     Raises
     ------
+    DomainError
+        If some ``c`` times ``spec.b_hi`` exceeds ``_C_B_HI_MAX``.
     QuadratureConvergenceError
         If a row has not converged within ``spec.max_refinements`` levels
         or ``mc.MAX_NODES_PER_DIM`` nodes.
     """
     log_p = np.asarray(log_p, dtype=float).reshape(-1, 1)
     c = np.asarray(c, dtype=float).reshape(-1, 1)
+    c_max = _C_B_HI_MAX / spec.b_hi
+    if np.any(c > c_max):
+        raise DomainError(
+            f"width sum q = {float(np.max(c)):.4g} exceeds {c_max:.4g}, beyond which "
+            f"the rate integral leaves the float range"
+        )
 
     def logf(u, rows):
         return _log_shape_factor(u, log_p[rows], r) + _log_rate_integral(
@@ -451,7 +448,7 @@ def lr_for_interval(
     The midpoint factor treats m exactly as a reported scalar log10 LR;
     the width factor is the ratio of marginal width densities.
     """
-    m, w = split_interval(iv)
+    m, w = iv.midpoint, iv.width
     mid_estimate = scalar_opinion.lr_for_scalar(m, mid_h1, mid_h2)
     log_h1, _, _ = _log_width_density(width_h1, [w], spec)
     log_h2, _, _ = _log_width_density(width_h2, [w], spec)
@@ -484,11 +481,14 @@ class WidthCurve:
 
     @property
     def density_h1(self) -> np.ndarray:
-        return np.exp(self.log_density_h1)
+        """Linear density, ``inf`` where it is beyond the float range."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_density_h1)
 
     @property
     def density_h2(self) -> np.ndarray:
-        return np.exp(self.log_density_h2)
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_density_h2)
 
     @property
     def lr_w(self) -> np.ndarray:

@@ -138,7 +138,7 @@ def rejection_sample(
     *,
     chunk_size: int = CHUNK_SIZE,
     floor: float = INTRACTABLE_FLOOR,
-    probe: int = INTRACTABLE_PROBE,
+    probe: int | None = None,
     threads: int | None = None,
 ) -> RejectionResult:
     """Draw until ``target_accepted`` proposals satisfy the predicate.
@@ -157,13 +157,15 @@ def rejection_sample(
     ------
     ConstraintIntractableError
         If the empirical acceptance rate is below ``floor`` once ``probe``
-        proposals have been spent.
+        proposals (``INTRACTABLE_PROBE`` when None) have been spent.
     MemoryError
         If the buffer for ``target_accepted`` rows cannot be allocated.
     """
     if target_accepted < 1:
         raise DomainError(f"target_accepted must be >= 1, got {target_accepted!r}")
     threads = resolve_threads(threads)
+    if probe is None:
+        probe = INTRACTABLE_PROBE
 
     def propose(index: int) -> np.ndarray:
         return proposal(rng.chunk_generator(index), chunk_size)

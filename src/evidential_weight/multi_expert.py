@@ -187,25 +187,8 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 def update_normal_wishart(
     prior: NormalWishartParams, data: PairedLrSummary
 ) -> NormalWishartParams:
-    """Conjugate update treating the stored matrix as the Wishart scale.
-
-    n' = n0 + m,  k' = k0 + m,  mu' = (k0 mu0 + m xbar) / (k0 + m),
-    lambda' = (lambda0^-1 + S + (k0 m / (k0 + m)) d d^T)^-1  with
-    d = xbar - mu0.
-    """
-    m = data.m
-    d = data.mean - prior.mu0
-    inv_new = (
-        np.linalg.inv(prior.lambda0)
-        + data.scatter
-        + (prior.k0 * m / (prior.k0 + m)) * np.outer(d, d)
-    )
-    return NormalWishartParams(
-        mu0=(prior.k0 * prior.mu0 + m * data.mean) / (prior.k0 + m),
-        k0=prior.k0 + m,
-        lambda0=_symmetrize(np.linalg.inv(inv_new)),
-        n0=prior.n0 + m,
-    )
+    """Conjugate update treating the stored matrix as the Wishart scale."""
+    return posterior_params(prior, data, "scale")
 
 
 def posterior_params(
@@ -215,24 +198,26 @@ def posterior_params(
 ) -> NormalWishartParams:
     """Conjugate update under the chosen matrix reading.
 
-    Under the scale reading this is :func:`update_normal_wishart`; under
-    the rate reading the same posterior is reached by updating the
-    inverse, which reduces to adding the scatter terms to the stored
-    matrix directly.
+    n' = n0 + m,  k' = k0 + m,  mu' = (k0 mu0 + m xbar) / (k0 + m), and,
+    with d = xbar - mu0 and T = S + (k0 m / (k0 + m)) d d^T, the stored
+    matrix becomes (lambda0^-1 + T)^-1 under the scale reading.  Under the
+    rate reading the stored matrix is the inverse scale, so the same
+    update adds T to it directly: lambda0 + T.
     """
-    if wishart_matrix == "scale":
-        return update_normal_wishart(prior, data)
-    if wishart_matrix != "rate":
+    if wishart_matrix not in ("scale", "rate"):
         raise DomainError(f"unknown wishart_matrix {wishart_matrix!r}")
+    scale = wishart_matrix == "scale"
     m = data.m
     d = data.mean - prior.mu0
-    lam_new = (
-        prior.lambda0 + data.scatter + (prior.k0 * m / (prior.k0 + m)) * np.outer(d, d)
+    inverse_scale = (
+        (np.linalg.inv(prior.lambda0) if scale else prior.lambda0)
+        + data.scatter
+        + (prior.k0 * m / (prior.k0 + m)) * np.outer(d, d)
     )
     return NormalWishartParams(
         mu0=(prior.k0 * prior.mu0 + m * data.mean) / (prior.k0 + m),
         k0=prior.k0 + m,
-        lambda0=_symmetrize(lam_new),
+        lambda0=_symmetrize(np.linalg.inv(inverse_scale) if scale else inverse_scale),
         n0=prior.n0 + m,
     )
 

@@ -148,6 +148,8 @@ def _t_log_gamma_ratio(df: float, d: int) -> float:
     (coefficients (2^(1-n) - 2) B_n / (n (n-1)), B_n the Bernoulli numbers).
     """
     a = 0.5 * df
+    if not a > 0.0:
+        raise DomainError(f"degrees of freedom {df!r} are too small for a t density")
     out = sum(math.log(a + (d / 2 - 1 - j)) for j in range(d // 2))
     if d % 2:
         if df < _T_SERIES_MIN_DF:
@@ -221,17 +223,14 @@ class ScalarCurve:
 
     @property
     def lr(self) -> np.ndarray:
-        return 10.0**self.log10_lr
+        """Linear LR, ``inf`` or 0.0 where it is beyond the float range."""
+        with np.errstate(over="ignore", under="ignore"):
+            return 10.0**self.log10_lr
 
     def rows(self):
         """Yield (r, density_h1, density_h2, lr) rows for CSV emission."""
-        for i in range(self.r.size):
-            yield (
-                float(self.r[i]),
-                float(self.density_h1[i]),
-                float(self.density_h2[i]),
-                float(10.0 ** self.log10_lr[i]),
-            )
+        for row in zip(self.r, self.density_h1, self.density_h2, self.lr):
+            yield tuple(float(v) for v in row)
 
 
 def lr_curve(

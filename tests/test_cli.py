@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from evidential_weight import cli, interval_opinion, mc
+from evidential_weight import categorical, cli, interval_opinion, mc
 
 STUDY_JSON = {
     "H1": {"id": 3663, "inc": 1856, "exc": 450},
@@ -96,6 +96,25 @@ class TestScalarCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: log10 LR = " + sign + "1501.50")
 
+    def test_curve_saturates_beyond_float_range(self, tmp_path):
+        priors = {
+            "H1": {"mu0": 5.0, "n_mu": 1000.0, "tau0": 1e4, "n_tau": 1000.0},
+            "H2": {"mu0": -5.0, "n_mu": 1000.0, "tau0": 1e4, "n_tau": 1000.0},
+        }
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps(priors))
+        out = tmp_path / "out"
+        assert run(["scalar", "--r", "0.3", "--priors", path, "--out", out]) == 0
+        rows = (out / "lr_curve.csv").read_text().splitlines()[2:]
+        lr_a = [float(row.split(",")[3]) for row in rows]
+        assert sum(v in (math.inf, 0.0) for v in lr_a) == 51
+
+    @pytest.mark.parametrize("grid", ["-1e308:1e308:3", "-inf:0:3", "0:1:10000000000000000000"])
+    def test_unusable_grid_exit_2(self, tmp_path, capsys, grid):
+        assert run(["scalar", "--r", "1", f"--grid={grid}", "--out", tmp_path / "out"]) == 2
+        assert "bad --grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCategoricalCommand:
     def test_prior_run_outputs(self, tmp_path):
@@ -143,6 +162,23 @@ class TestCategoricalCommand:
             ["categorical", "--validation", path, "--samples", 1000, "--out", tmp_path]
         ) == 2
         assert ":3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ([], "--sweep requires --validation counts"),
+        (["--validation", "COUNTS"], "size 5 leaves fewer than 3 comparisons"),
+    ])
+    def test_sweep_checked_before_sampling(self, tmp_path, capsys, monkeypatch, extra, message):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the inputs were checked")
+
+        monkeypatch.setattr(categorical, "sample_rate_pairs", no_sampling)
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps(STUDY_JSON))
+        extra = [counts if a == "COUNTS" else a for a in extra]
+        out = tmp_path / "out"
+        assert run(["categorical", "--sweep", "100,5", *extra, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_intractable_constraints_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mc, "INTRACTABLE_PROBE", 4 * mc.CHUNK_SIZE)
@@ -293,6 +329,17 @@ class TestIntervalCommand:
         )
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_width_beyond_rate_integral_range_exit_2(self, tmp_path, capsys):
+        # from w of about 7.5e305 the upper limit (q + w) * 60 of the rate
+        # integral leaves the range the continued fraction needs
+        assert run(
+            ["interval", "--lo", "1e8", "--hi", "1e10", "--w-grid", "1e306:3e306:2",
+             "--out", tmp_path]
+        ) == 2
+        assert "beyond which the rate integral leaves the float range" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTwoExpertCommand:

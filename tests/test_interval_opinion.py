@@ -139,12 +139,13 @@ def two_d_width_density(
 
 class TestSplitInterval:
     def test_hundred_million_to_ten_billion(self):
-        assert io.split_interval(io.LrInterval(1e8, 1e10)) == (9.0, 2.0)
+        iv = io.LrInterval(1e8, 1e10)
+        assert (iv.midpoint, iv.width) == (9.0, 2.0)
 
     def test_decade_interval(self):
-        m, w = io.split_interval(io.LrInterval(10.0, 100.0))
-        assert m == pytest.approx(1.5, rel=1e-12)
-        assert w == pytest.approx(1.0, rel=1e-12)
+        iv = io.LrInterval(10.0, 100.0)
+        assert iv.midpoint == pytest.approx(1.5, rel=1e-12)
+        assert iv.width == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_interval_rejected(self):
         with pytest.raises(DomainError):

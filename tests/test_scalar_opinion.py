@@ -1,6 +1,8 @@
 """Normal-Gamma conjugate updates and Student-t predictive behavior."""
 
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +264,21 @@ class TestCurve:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             so.lr_curve(PRIOR_H1, PRIOR_H2, [])
+
+    def test_rows_saturate_beyond_float_range(self):
+        # |log10 LR| reaches 1501.5 on this grid: the linear LR is inf above
+        # log10 of the largest float and 0.0 below that of half the smallest
+        # subnormal, without a RuntimeWarning
+        h1 = so.NormalGammaParams(5.0, 1000.0, 1e4, 1000.0)
+        h2 = so.NormalGammaParams(-5.0, 1000.0, 1e4, 1000.0)
+        curve = so.lr_curve(h1, h2, np.linspace(-30, 30, 121))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lr = np.array([row[3] for row in curve.rows()])
+        top = math.log10(sys.float_info.max)
+        bottom = math.log10(math.ulp(0.0)) - math.log10(2.0)
+        assert np.array_equal(lr == math.inf, curve.log10_lr > top)
+        assert np.array_equal(lr == 0.0, curve.log10_lr < bottom)
+        assert np.sum((lr == math.inf) | (lr == 0.0)) == 51
+        normal = np.abs(curve.log10_lr) < 307
+        np.testing.assert_allclose(np.log10(lr[normal]), curve.log10_lr[normal], rtol=1e-14)
