@@ -112,6 +112,14 @@ class RatePair:
             raise DomainError("rate pair violates the discriminating-expert constraints")
 
 
+def _json_count(value, where: str) -> int:
+    """A count read from JSON: an int, or a float that holds one, at least 0."""
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole or value < 0:
+        raise ValueError(f"{where} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ConclusionCounts:
     """Validation counts (n_ID, n_Inc, n_Exc) per scenario."""
@@ -158,12 +166,19 @@ class ConclusionCounts:
 
     @classmethod
     def from_json_obj(cls, obj: dict, path: str = "") -> "ConclusionCounts":
-        """Parse ``{"H1": {"id": ..., "inc": ..., "exc": ...}, "H2": {...}}``."""
+        """Parse ``{"H1": {"id": ..., "inc": ..., "exc": ...}, "H2": {...}}``.
+
+        Each count must be a JSON number holding a nonnegative integer (a
+        float such as ``3.0`` is accepted); anything else, a bool included,
+        is an input error, not truncated.
+        """
         try:
             triples = []
             for scen in ("H1", "H2"):
                 entry = obj[scen]
-                triples.append((int(entry["id"]), int(entry["inc"]), int(entry["exc"])))
+                triples.append(tuple(
+                    _json_count(entry[key], f"{scen}.{key}") for key in ("id", "inc", "exc")
+                ))
             return cls(triples[0], triples[1])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"bad conclusion-count JSON: {exc}", path=path) from exc

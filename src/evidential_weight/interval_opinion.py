@@ -18,7 +18,9 @@ the rate integral does: for k = s alpha + 1,
         = Gamma(k) c^-k [P(k, c b_hi) - P(k, c b_lo)],
 
 so each density is a 1-D integral over log alpha, evaluated by a
-localized, adaptive composite Gauss-Legendre ladder.
+localized, adaptive composite Gauss-Legendre ladder.  The incomplete gamma
+tails and log Gamma come from :mod:`special`, in numpy alone, which is
+imported when a width density is first evaluated.
 """
 
 from __future__ import annotations
@@ -60,20 +62,18 @@ DEFAULT_WIDTH_QUAD_SPEC = mc.QuadratureSpec(
 #: Outermost-cell mass fraction above which truncation is reported.
 BOUNDARY_MASS_LIMIT = 1e-6
 
+#: Between the limits the rate integral is Gamma(k) c^-k (1 - P - Q); a tail
+#: below e^-40 (under 2^-57) leaves the factor 1 - P - Q at 1 to float
+#: precision.
+_NEGLIGIBLE_LOG_TAIL = -40.0
+
 _SCAN_POINTS = 192
 _SCAN_LOG_DROP = 60.0
 _SCAN_PAD = 2
 
-#: Modified Lentz method for the upper incomplete gamma continued
-#: fraction: floor for vanishing partial denominators, stopping tolerance,
-#: and term budget (where it is used, x - k exceeds about 37 sqrt(k) and
-#: about ten terms suffice).
-_CF_TINY = 1e-300
-_CF_EPS = 2.0**-52
-_CF_MAX_TERMS = 200
-
 #: Largest upper limit c b_hi of the rate integral: beyond it the
-#: fraction's 1 / (x + 1 - k) is no longer a normal float.
+#: incomplete gamma continued fraction's 1 / (x + 1 - k) is no longer a
+#: normal float.
 _C_B_HI_MAX = 1.0 / np.finfo(float).tiny
 
 
@@ -175,78 +175,73 @@ def update_gamma_conj_stats(
     )
 
 
-def _log_upper_gamma(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log Gamma(k, x), the unregularized upper incomplete gamma, for x > k.
-
-    Legendre's continued fraction
-    Gamma(k, x) = e^-x x^k / (x + 1 - k - 1 (1 - k) / (x + 3 - k - 2 (2 - k) / ...))
-    is evaluated by the modified Lentz method and kept in log form: e^-x is
-    never formed, so the result stays finite where the regularized tail
-    underflows.
-
-    Raises
-    ------
-    QuadratureConvergenceError
-        If the fraction has not converged within ``_CF_MAX_TERMS`` terms.
-    """
-    b = x + 1.0 - k
-    c = np.full(b.shape, 1.0 / _CF_TINY)
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_TERMS + 1):
-        an = -i * (i - k)
-        b = b + 2.0
-        d = an * d + b
-        d = 1.0 / np.where(np.abs(d) < _CF_TINY, _CF_TINY, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _CF_TINY, _CF_TINY, c)
-        delta = c * d
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) <= _CF_EPS):
-            return k * np.log(x) - x + np.log(h)
-    raise QuadratureConvergenceError(
-        f"upper incomplete gamma continued fraction did not converge in {_CF_MAX_TERMS} terms",
-        last_two_estimates=(),
-    )
-
-
 def _log_rate_integral(k, c, b_lo, b_hi) -> np.ndarray:
     """log of the integral of beta^(k-1) exp(-c beta) over [b_lo, b_hi].
 
-    Closed form Gamma(k) c^-k [P(k, c b_hi) - P(k, c b_lo)] with P the
-    regularized lower incomplete gamma function.  Where c b_lo > k both
-    lower tails are near 1 and their difference cancels (to 0 once both
-    round to 1), so the upper tails are differenced instead.  Where that
-    difference falls below the normal float range (it underflows once
-    c b_lo exceeds about 700), the unregularized upper tails are
-    differenced in log space.
+    Closed form Gamma(k) c^-k [P(k, c b_hi) - P(k, c b_lo)], from the
+    smaller tail at each end (P below k, Q from k up) of
+    :func:`special.log_gamma_tails`, scaled by Gamma(k) c^-k, so nothing
+    underflows: the difference of the upper tails where c b_lo >= k, of the
+    lower tails where c b_hi < k, and 1 - P(k, c b_lo) - Q(k, c b_hi) in
+    between.  There a tail whose bound is below e^_NEGLIGIBLE_LOG_TAIL is
+    not evaluated: it would change the integrand by a factor that rounds
+    to 1.  -inf where the difference rounds to 0.
     """
-    from scipy.special import gammainc, gammaincc, gammaln
+    from . import special  # only the width model needs it; imported on first use
 
     k, c = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(c, dtype=float))
+    log_gamma_k = special.log_gamma(k)
+    log_scale = log_gamma_k - k * np.log(c)
     x_lo, x_hi = c * b_lo, c * b_hi
-    upper = x_lo > k
-    lower = ~upper
-    frac = np.empty(k.shape)
-    frac[upper] = gammaincc(k[upper], x_lo[upper]) - gammaincc(k[upper], x_hi[upper])
-    frac[lower] = gammainc(k[lower], x_hi[lower]) - gammainc(k[lower], x_lo[lower])
-    with np.errstate(divide="ignore"):
-        out = np.asarray(gammaln(k) - k * np.log(c) + np.log(np.maximum(frac, 0.0)))
-    tails = upper & (frac < np.finfo(float).tiny)
-    if np.any(tails):
-        kt = k[tails]
-        log_lo = _log_upper_gamma(kt, x_lo[tails])
-        log_hi = _log_upper_gamma(kt, x_hi[tails])
-        out[tails] = log_lo + np.log1p(-np.exp(log_hi - log_lo)) - kt * np.log(c[tails])
+    upper = x_lo >= k
+    lower = x_hi < k
+    ends = upper | lower
+    # In between, the tails that enter are P(k, x_lo) and Q(k, x_hi), with
+    # P <= x^k e^-x / Gamma(k + 1) (k + 1) / (k + 1 - x) for x < k, its
+    # series bounded by a geometric one, and
+    # Q <= x^k e^-x / Gamma(k) / (x + 1 - k) for x >= k >= 1, the fraction's
+    # first denominator (the rest of it adds (k - 1) / (a positive number)),
+    # or / x for k < 1 (DLMF 8.10.1).  Where ends, the bounds do not apply.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound_lo = (k * np.log(x_lo) - x_lo - log_gamma_k
+                    - np.log(k * (k + 1.0 - x_lo) / (k + 1.0)))
+        bound_hi = (k * np.log(x_hi) - x_hi - log_gamma_k
+                    - np.log(x_hi + 1.0 - np.maximum(k, 1.0)))
+    need_lo = ends | (bound_lo > _NEGLIGIBLE_LOG_TAIL)
+    need_hi = ends | (bound_hi > _NEGLIGIBLE_LOG_TAIL)
+    log_lo = np.full(k.shape, -np.inf)
+    log_hi = np.full(k.shape, -np.inf)
+    if need_lo.any() or need_hi.any():
+        # both ends in one call; at each, the smaller tail (P below k, Q from k up)
+        def both(lo, hi):
+            return np.concatenate((lo[need_lo], hi[need_hi]))
+
+        ks, xs = both(k, k), both(x_lo, x_hi)
+        log_p, log_q = special.log_gamma_tails(
+            ks, xs, both(log_gamma_k, log_gamma_k), both(log_scale, log_scale)
+        )
+        smaller = np.where(xs < ks, log_p, log_q)
+        n_lo = np.count_nonzero(need_lo)
+        log_lo[need_lo] = smaller[:n_lo]
+        log_hi[need_hi] = smaller[n_lo:]
+    # each formula is evaluated on the whole array and selected where it
+    # applies
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        outside = np.exp(log_lo - log_scale) + np.exp(log_hi - log_scale)
+        out = log_scale + np.log1p(-np.minimum(outside, 1.0))
+        if upper.any():
+            out = np.where(upper, log_lo + np.log1p(-np.exp(log_hi - log_lo)), out)
+        if lower.any():
+            out = np.where(lower, log_hi + np.log1p(-np.exp(log_lo - log_hi)), out)
     return out
 
 
 def _log_shape_factor(u: np.ndarray, log_p, r) -> np.ndarray:
     """Shape-only part of the hyperprior in log alpha = u, Jacobian included."""
-    from scipy.special import gammaln
+    from . import special
 
     alpha = np.exp(u)
-    return (alpha - 1.0) * log_p - r * gammaln(alpha) + u
+    return (alpha - 1.0) * log_p - r * special.log_gamma(alpha) + u
 
 
 def _scan_grid(spec: mc.QuadratureSpec) -> np.ndarray:

@@ -98,8 +98,10 @@ def pooled_summary(
     """Combine two summaries into the summary of the concatenated data."""
     n = a.n + b.n
     mean = (a.n * a.mean + b.n * b.mean) / n
-    second_moment = (a.n * (a.variance + a.mean**2) + b.n * (b.variance + b.mean**2)) / n
-    return ScalarValidationSummary(n=n, mean=mean, variance=max(second_moment - mean**2, 0.0))
+    # sums of squared deviations add, plus the spread of the two means
+    # (Chan et al. 1979); unlike E[x^2] - mean^2 nothing cancels
+    squares = a.n * a.variance + b.n * b.variance + (b.mean - a.mean) ** 2 * a.n * b.n / n
+    return ScalarValidationSummary(n=n, mean=mean, variance=squares / n)
 
 
 def update_normal_gamma(
@@ -175,16 +177,31 @@ def student_t_logpdf(x, df: float, loc, scale) -> np.ndarray:
     if np.ndim(scale) == 0:
         d = 1
         z = (x - loc) / scale
-        qf = z * z
         half_logdet = math.log(scale)
     else:
         chol = np.linalg.cholesky(scale)
         d = chol.shape[0]
         z = np.linalg.solve(chol, (x - loc)[..., None])[..., 0]
-        qf = (z * z).sum(axis=-1)
         half_logdet = float(np.log(chol.diagonal()).sum())
+    with np.errstate(over="ignore"):
+        qf = z * z if d == 1 else (z * z).sum(axis=-1)
+        ratio = qf / df
+    far = np.isinf(ratio)
+    if np.any(far):
+        # past the overflow the quadratic form stays in log form:
+        # log1p(qf / df) = log qf - log df, as df / qf is below the smallest
+        # float, and log qf = 2 log max|z| + log sum (z / max|z|)^2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if d == 1:
+                log_qf = 2.0 * np.log(np.abs(z))
+            else:
+                top = np.max(np.abs(z), axis=-1, keepdims=True)
+                log_qf = 2.0 * np.log(top[..., 0]) + np.log(((z / top) ** 2).sum(axis=-1))
+        log1p_ratio = np.where(far, log_qf - math.log(df), np.log1p(ratio))
+    else:
+        log1p_ratio = np.log1p(ratio)
     log_norm = _t_log_gamma_ratio(df, d) - 0.5 * d * math.log(df * math.pi) - half_logdet
-    return log_norm - 0.5 * (df + d) * np.log1p(qf / df)
+    return log_norm - 0.5 * (df + d) * log1p_ratio
 
 
 def predictive_density(params: NormalGammaParams, x) -> float | np.ndarray:

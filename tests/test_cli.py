@@ -109,6 +109,31 @@ class TestScalarCommand:
         lr_a = [float(row.split(",")[3]) for row in rows]
         assert sum(v in (math.inf, 0.0) for v in lr_a) == 51
 
+    def test_reports_past_the_overflow_of_z_squared(self, tmp_path):
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "grid"
+        assert run(["scalar", "--r", "0", "--grid=0:1e300:2", "--out", out]) == 0
+        assert (out / "lr_curve.csv").read_text().splitlines()[-1] == "1e+300,0.0,0.0,1.0"
+        priors = {
+            "H1": {"mu0": 2.0, "n_mu": 1.0, "tau0": 1.0, "n_tau": 3.0},
+            "H2": {"mu0": -2.0, "n_mu": 1.0, "tau0": 4.0, "n_tau": 3.0},
+        }
+        path = tmp_path / "priors.json"
+        path.write_text(json.dumps(priors))
+        assert run(["scalar", "--r", "1e300", "--priors", path, "--out", tmp_path]) == 0
+        got = read_json(tmp_path / "result.json")["lr_estimate"]["log10_lr"]
+        with mpmath.workdps(40):
+            def log_density(mu0, n_mu, tau0, n_tau):
+                scale2 = (n_mu + 1) / (n_mu * mpmath.mpf(tau0))
+                z2 = (mpmath.mpf("1e300") - mu0) ** 2 / scale2
+                return (mpmath.loggamma((n_tau + 1) / mpmath.mpf(2))
+                        - mpmath.loggamma(n_tau / mpmath.mpf(2))
+                        - mpmath.log(n_tau * mpmath.pi * scale2) / 2
+                        - (n_tau + 1) / mpmath.mpf(2) * mpmath.log1p(z2 / n_tau))
+            want = float((log_density(**priors["H1"]) - log_density(**priors["H2"]))
+                         / mpmath.log(10))
+        assert got == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("grid", ["-1e308:1e308:3", "-inf:0:3", "0:1:10000000000000000000"])
     def test_unusable_grid_exit_2(self, tmp_path, capsys, grid):
         assert run(["scalar", "--r", "1", f"--grid={grid}", "--out", tmp_path / "out"]) == 2
@@ -179,6 +204,30 @@ class TestCategoricalCommand:
         assert run(["categorical", "--sweep", "100,5", *extra, "--out", out]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    # JSON 1e400 parses as inf
+    @pytest.mark.parametrize("count", ["2.5", "true", "0.01", "-1", '"3"', "1e400"])
+    def test_non_integer_json_count_exit_2(self, tmp_path, capsys, count):
+        counts = tmp_path / "counts.json"
+        counts.write_text(
+            '{"H1": {"id": %s, "inc": 1, "exc": 0}, "H2": {"id": 0, "inc": 1, "exc": 2}}' % count
+        )
+        out = tmp_path / "out"
+        assert run(["categorical", "--validation", counts, "--samples", 1000, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert str(counts) in err and "H1.id must be a nonnegative integer" in err
+        assert not out.exists()
+
+    def test_integral_float_json_count_reads_as_its_integer(self, tmp_path):
+        estimates = []
+        for name, n_id in (("float", 2.0), ("int", 2)):
+            counts = tmp_path / f"{name}.json"
+            counts.write_text(json.dumps({"H1": {"id": n_id, "inc": 1, "exc": 0},
+                                          "H2": {"id": 0, "inc": 1, "exc": 2}}))
+            out = tmp_path / name
+            assert run(["categorical", "--validation", counts, "--samples", 1000, "--out", out]) == 0
+            estimates.append(read_json(out / "result.json")["lr_estimate"])
+        assert estimates[0] == estimates[1]
 
     def test_intractable_constraints_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mc, "INTRACTABLE_PROBE", 4 * mc.CHUNK_SIZE)
@@ -380,6 +429,11 @@ class TestTwoExpertCommand:
         result = read_json(out / "result.json")
         assert result["lr_estimate"]["lr"] > 4.0
 
+    def test_report_past_the_overflow_of_z_squared(self, tmp_path):
+        # the presets are symmetric, so the far report is equally unlikely
+        assert run(["two-expert", "--x", "1e300,0", "--out", tmp_path]) == 0
+        assert read_json(tmp_path / "result.json")["lr_estimate"]["log10_lr"] == 0.0
+
     def test_alt_preset_runs(self, tmp_path):
         assert run(
             ["two-expert", "--x", "2,1.4771", "--prior-preset", "alt",
@@ -435,10 +489,18 @@ class TestReproducibility:
 
 IMPORT_PROBE = """
 import sys
-from evidential_weight import cli
 
-def scipy_modules():
-    return sorted(m for m in ("scipy.stats", "scipy.special") if m in sys.modules)
+if sys.argv[2] == "blocked":
+    class NoScipy:
+        # stands in for an install without scipy: any scipy import fails
+        def find_spec(self, name, path=None, target=None):
+            if name == "scipy" or name.startswith("scipy."):
+                raise ImportError(f"no module named {name!r} (blocked)")
+            return None
+
+    sys.meta_path.insert(0, NoScipy())
+
+from evidential_weight import cli
 
 out = sys.argv[1]
 for i, argv in enumerate([
@@ -449,14 +511,15 @@ for i, argv in enumerate([
     ["interval", "--lo", "1e8", "--hi", "1e10", "--w-grid", "0.5:8:3"],
 ]):
     code = cli.main(argv + ["--out", f"{out}/{i}"])
-    print(argv[0], code, ",".join(scipy_modules()))
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(argv[0], code, ",".join(scipy))
 """
 
 
-def test_runtime_imports_no_scipy_stats(tmp_path):
+def run_import_probe(out: Path, mode: str) -> dict:
     # a fresh interpreter, so modules that other tests loaded do not count
     proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", IMPORT_PROBE, str(tmp_path)],
+        [sys.executable, "-W", "ignore", "-c", IMPORT_PROBE, str(out), mode],
         capture_output=True, text=True, timeout=120, check=True,
         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
     )
@@ -465,7 +528,19 @@ def test_runtime_imports_no_scipy_stats(tmp_path):
         command, code, modules = line.split(" ")
         assert code == "0", line
         loaded[command] = modules
-    assert loaded == {
-        "scalar": "", "two-expert": "", "coin": "", "categorical": "",
-        "interval": "scipy.special",
-    }
+    return loaded
+
+
+def test_runtime_imports_no_scipy(tmp_path):
+    loaded = run_import_probe(tmp_path, "normal")
+    assert loaded == dict.fromkeys(["scalar", "two-expert", "coin", "categorical", "interval"], "")
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    normal = run_import_probe(tmp_path / "normal", "normal")
+    blocked = run_import_probe(tmp_path / "blocked", "blocked")
+    assert list(blocked) == list(normal)
+    for i in range(len(normal)):
+        assert (tmp_path / "blocked" / str(i) / "result.json").read_bytes() == (
+            tmp_path / "normal" / str(i) / "result.json"
+        ).read_bytes()

@@ -250,6 +250,16 @@ class TestWidthDensity:
         module = io.width_predictive_density(params, w)
         assert module == pytest.approx(two_d_width_density(params, w, log_box), rel=1e-6)
 
+    def test_skipped_negligible_tails_change_nothing(self, monkeypatch):
+        grid = np.concatenate([np.linspace(0.2, 10.0, 25), [1e5, 1e7]])
+        pruned = io.width_curve(POST_H1, PRIOR_WIDTH, grid)
+        monkeypatch.setattr(io, "_NEGLIGIBLE_LOG_TAIL", -np.inf)
+        monkeypatch.setattr(io, "_normalizer_cache", {})
+        full = io.width_curve(POST_H1, PRIOR_WIDTH, grid)
+        for a, b in ((pruned.log_density_h1, full.log_density_h1),
+                     (pruned.log_density_h2, full.log_density_h2)):
+            np.testing.assert_allclose(a, b, rtol=1e-15, atol=0)
+
     def test_curve_matches_pointwise_densities(self):
         grid = np.linspace(0.2, 10.0, 50)
         curve = io.width_curve(POST_H1, PRIOR_WIDTH, grid)

@@ -188,6 +188,27 @@ class TestStudentTCore:
             assert so._t_log_gamma_ratio(df, 1) == pytest.approx(want, rel=1e-15, abs=1e-15)
 
     @pytest.mark.parametrize("df", [0.5, 3.7, 120.0, 1e12])
+    def test_reports_past_the_overflow_of_z_squared(self, df):
+        # z^2 overflows from |z| of about 1.3e154; the log density does not
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.array([1e150, -2e154, 1e200, 1e300, -1e306])
+        pts = np.array([[1e300, 0.0], [0.0, -1e300], [1e200, 3e200], [5e155, 5e155]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got_1d = so.student_t_logpdf(xs, df, 0.3, 7.0)
+            got_2d = so.student_t_logpdf(pts, df, LOC_2D, SHAPE_2D)
+        with mpmath.workdps(40):
+            for x, value in zip(xs, got_1d):
+                z = (mpmath.mpf(x) - mpmath.mpf(0.3)) / 7
+                want = mp_t_logpdf(mpmath, z * z, df, 1, mpmath.log(7))
+                assert value == pytest.approx(want, rel=1e-12)
+            precision = mpmath.matrix(SHAPE_2D.tolist()) ** -1
+            half_logdet = mpmath.log(mpmath.det(mpmath.matrix(SHAPE_2D.tolist()))) / 2
+            for x, value in zip(pts, got_2d):
+                dev = mpmath.matrix((mpmath.matrix(x.tolist()) - mpmath.matrix(LOC_2D.tolist())))
+                want = mp_t_logpdf(mpmath, (dev.T * precision * dev)[0], df, 2, half_logdet)
+                assert value == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("df", [0.5, 3.7, 120.0, 1e12])
     def test_vector_matches_pointwise(self, df):
         vector = so.student_t_logpdf(T_XS, df, 0.3, 30.0)
         pointwise = [float(so.student_t_logpdf(x, df, 0.3, 30.0)) for x in T_XS]
