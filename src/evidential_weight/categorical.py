@@ -6,7 +6,9 @@ validation counts) but truncated to an ordering region expressing that
 the expert discriminates: identifications dominate among mated
 comparisons, exclusions dominate among non-mated ones, and the
 mated/non-mated rate ratio decreases from ID to Inconclusive to
-Exclusion.  Sampling is by rejection from the untruncated Dirichlet pair.
+Exclusion.  Sampling is by rejection from the Dirichlet pair, with each
+factor that is symmetric under reversing its rates reflected into the
+region's half-space first (see :func:`sample_rate_pairs`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import mc
 from .core import LrEstimate, Scenario, read_scenario_rows
-from .errors import DomainError, InputFormatError
+from .errors import ConstraintIntractableError, DomainError, InputFormatError
 
 __all__ = [
     "Conclusion",
@@ -202,7 +204,10 @@ class RatePairSamples:
     """Accepted rate-pair draws held as two (n, 3) arrays.
 
     From :func:`sample_rate_pairs` they are read-only views of one sample
-    buffer in which each rate column is contiguous.
+    buffer in which each rate column is contiguous, and
+    ``acceptance_rate`` estimates the prior mass of the admissible region
+    under the untruncated Dirichlet pair (the share of reflected
+    proposals accepted, times the reflected proposals' mass).
     """
 
     def __init__(self, p: np.ndarray, q: np.ndarray, acceptance_rate: float,
@@ -243,30 +248,63 @@ def sample_rate_pairs(
     uniform pair Dir(1,1,1) x Dir(1,1,1); otherwise from the conjugate
     Dirichlet posterior pair with concentrations counts + 1, truncated to
     the same region.
+
+    The region lies inside the half-spaces p_ID > p_Exc and q_Exc > q_ID.
+    Where a Dirichlet factor has equal outer concentrations, reversing its
+    rates leaves its density unchanged, so each proposal of that factor is
+    reflected into its half-space: an exact draw from the factor
+    conditioned on the half-space, at half the proposal mass.  The
+    accepted draws keep the truncated distribution, and the reported
+    acceptance rate (and the intractability floor it is held to) is the
+    prior mass of the region under the untruncated pair: the rate among
+    reflected proposals times their mass.
     """
     if n_accepted < 1:
         raise DomainError(f"n_accepted must be >= 1, got {n_accepted!r}")
     if counts is None:
         counts = ConclusionCounts((0, 0, 0), (0, 0, 0))
-    alpha_p, alpha_q = counts.alphas()
+    alphas = np.concatenate(counts.alphas())
+    # (high, low) column of each reflected factor: p_ID over p_Exc, q_Exc over q_ID
+    folds = [(hi, lo) for hi, lo in ((0, 2), (5, 3)) if alphas[hi] == alphas[lo]]
+    fold_mass = 0.5 ** len(folds)
 
     def proposal(gen: np.random.Generator, n: int) -> np.ndarray:
-        # column-major, so the constraint checks read contiguous columns
+        # column-major, so the constraint checks read contiguous columns;
+        # every concentration is at least 1, so normalized gammas are exact
         draws = np.empty((n, 6), order="F")
-        draws[:, :3] = gen.dirichlet(alpha_p, size=n)
-        draws[:, 3:] = gen.dirichlet(alpha_q, size=n)
+        for j, alpha in enumerate(alphas):
+            gen.standard_gamma(alpha, size=n, out=draws[:, j])
+        for first in (0, 3):
+            total = draws[:, first] + draws[:, first + 1]
+            total += draws[:, first + 2]
+            for j in range(first, first + 3):
+                draws[:, j] /= total
+        for hi, lo in folds:
+            high = np.maximum(draws[:, hi], draws[:, lo])
+            np.minimum(draws[:, hi], draws[:, lo], out=draws[:, lo])
+            draws[:, hi] = high
         return draws
 
     def accept(draws: np.ndarray) -> np.ndarray:
         return admissible_mask(draws[:, :3], draws[:, 3:])
 
-    result = mc.rejection_sample(
-        proposal, accept, n_accepted, rng, threads=threads
-    )
+    floor = mc.INTRACTABLE_FLOOR
+    try:
+        result = mc.rejection_sample(
+            proposal, accept, n_accepted, rng, floor=floor / fold_mass, threads=threads
+        )
+    except ConstraintIntractableError as exc:
+        rate = exc.acceptance_rate * fold_mass
+        raise ConstraintIntractableError(
+            f"acceptance rate {rate:.3g} below floor {floor:g} "
+            f"after {exc.n_proposed} proposals",
+            acceptance_rate=rate,
+            n_proposed=exc.n_proposed,
+        ) from None
     return RatePairSamples(
         p=result.samples[:, :3],
         q=result.samples[:, 3:],
-        acceptance_rate=result.acceptance_rate,
+        acceptance_rate=result.acceptance_rate * fold_mass,
         seed=rng.seed,
     )
 

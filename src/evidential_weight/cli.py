@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -38,6 +39,9 @@ from .errors import (
 
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 1_000_000
+
+#: Rows formatted per write of a figure CSV.
+_CSV_BLOCK_ROWS = 1 << 12
 
 DEFAULT_SCALAR_PRIORS = {
     Scenario.H1: scalar_opinion.NormalGammaParams(5.0, 1.0, 0.01, 1.0),
@@ -98,11 +102,13 @@ class RunWriter:
             (self.out_dir / "result.csv").write_text("\n".join(lines) + "\n")
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
+        """Write a figure CSV, streaming ``rows`` to the file a block at a time."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        lines = [f"# manifest={self.digest}", ",".join(header)]
-        for row in rows:
-            lines.append(",".join(str(v) for v in row))
-        (self.out_dir / name).write_text("\n".join(lines) + "\n")
+        rows = iter(rows)
+        with open(self.out_dir / name, "w") as fh:
+            fh.write(f"# manifest={self.digest}\n{','.join(header)}\n")
+            while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
+                fh.write("".join([",".join(map(str, row)) + "\n" for row in block]))
 
     def write_manifest(self, diagnostics: dict | None = None) -> None:
         """Write ``manifest.json``; ``diagnostics`` entries join it outside the digest."""
@@ -295,10 +301,11 @@ def _cmd_categorical(args) -> Run:
 
 
 def _grid_rows(centers: np.ndarray, grid: np.ndarray):
+    centers = centers.tolist()
     return (
-        (centers[i], centers[j], grid[i, j])
-        for i in range(centers.size)
-        for j in range(centers.size)
+        (p_bin, q_bin, density)
+        for p_bin, densities in zip(centers, grid.tolist())
+        for q_bin, density in zip(centers, densities)
     )
 
 

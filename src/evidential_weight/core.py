@@ -25,6 +25,7 @@ __all__ = [
     "odds_to_probability",
     "lr_from_counts",
     "read_scenario_rows",
+    "float_rows",
 ]
 
 #: Relative tolerance tying ``log10_lr`` to ``log10(lr)`` in LrEstimate.
@@ -88,6 +89,21 @@ def read_scenario_rows(
         yield values[0], tuple(values[1:])
     if not saw_row:
         raise InputFormatError("no data rows found", path=path)
+
+
+#: Values per column converted at a time by :func:`float_rows`.
+_ROW_BLOCK = 1 << 14
+
+
+def float_rows(*columns) -> Iterator[tuple]:
+    """Rows of Python floats across equal-length 1-D arrays, for CSV emission.
+
+    Each column is converted a block at a time, so a long curve never
+    exists as one list of Python floats.
+    """
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        block = slice(start, start + _ROW_BLOCK)
+        yield from zip(*(column[block].tolist() for column in columns))
 
 
 def _require_positive_finite(name: str, value: float) -> float:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc, scalar_opinion
-from .core import LrEstimate
+from .core import LrEstimate, float_rows
 from .errors import DomainError, QuadratureConvergenceError
 from .scalar_opinion import NormalGammaParams
 
@@ -494,8 +494,7 @@ class WidthCurve:
             return np.exp(self.log_density_h1 - self.log_density_h2)
 
     def rows(self):
-        for row in zip(self.w, self.density_h1, self.density_h2, self.lr_w):
-            yield tuple(float(v) for v in row)
+        return float_rows(self.w, self.density_h1, self.density_h2, self.lr_w)
 
 
 def width_curve(

@@ -1,10 +1,15 @@
 """Deterministic seeded sampling, rejection sampling, and 2-D quadrature.
 
 Every sampler is a pure function of an :class:`RngStream` value, so results
-are reproducible bit-for-bit across runs.  Rejection sampling consumes
-randomness in fixed-size chunks, one child stream per chunk index, which
-makes the output independent of how many worker threads evaluate the
-chunks.
+are reproducible bit-for-bit across runs.  Each stream and each chunk of a
+stream draws from its own SFC64 bit generator, seeded by a
+``SeedSequence`` keyed on (seed, stream_id[, chunk index]).  Rejection
+sampling consumes randomness in fixed-size chunks, one child stream per
+chunk index, which makes the output independent of how many worker threads
+evaluate the chunks.  The acceptance rate it reports is that of the
+proposal it is given; a caller whose proposal covers only part of the
+untruncated distribution (see :func:`categorical.sample_rate_pairs`)
+scales the rate, and the floor, by that part's mass.
 """
 
 from __future__ import annotations
@@ -53,7 +58,10 @@ def resolve_threads(threads: int | None = None) -> int:
     number of CPUs this process may run on."""
     if threads is None:
         raw = os.environ.get(_THREADS_ENV_VAR, "")
-        threads = int(raw) if raw.strip() else _available_cpus()
+        try:
+            threads = int(raw) if raw.strip() else _available_cpus()
+        except ValueError:
+            raise DomainError(f"{_THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
     if threads < 1:
         raise DomainError(f"thread count must be >= 1, got {threads!r}")
     return threads
@@ -75,14 +83,14 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """Generator for direct (unchunked) sampling from this stream."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.SFC64(ss))
 
     def chunk_generator(self, chunk_index: int) -> np.random.Generator:
         """Generator for one rejection-sampling chunk of this stream."""
         ss = np.random.SeedSequence(
             entropy=self.seed, spawn_key=(self.stream_id, int(chunk_index))
         )
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.SFC64(ss))
 
     def substream(self, offset: int) -> "RngStream":
         """The stream ``offset`` positions after this one (offset >= 1)."""
@@ -151,7 +159,9 @@ def rejection_sample(
     calling thread, one chunk at a time in chunk-index order, and the
     accepted rows go straight into one buffer of ``target_accepted`` rows
     whose columns are each contiguous (Fortran order).  The result and
-    every counter are identical for any ``threads`` value.
+    every counter are identical for any ``threads`` value.  A chunk
+    whose kept rows are its first ones (every chunk where nearly all
+    proposals pass) is copied as one block.
 
     Raises
     ------
@@ -197,9 +207,13 @@ def rejection_sample(
             n_accepted += rows.size
             rows = rows[: target_accepted - n_kept]
             kept = slice(n_kept, n_kept + rows.size)
-            for j in range(draws.shape[1]):
-                # "clip" skips the bounds check, which would copy via a temporary
-                np.take(draws[:, j], rows, out=samples[kept, j], mode="clip")
+            if rows.size and rows[-1] == rows.size - 1:
+                # the kept rows are the chunk's first ones: one block copy
+                samples[kept] = draws[: rows.size]
+            else:
+                for j in range(draws.shape[1]):
+                    # "clip" skips the bounds check, which would copy via a temporary
+                    np.take(draws[:, j], rows, out=samples[kept, j], mode="clip")
             n_kept += rows.size
             n_proposed = n_chunks * chunk_size
             if n_proposed >= probe and n_accepted < floor * n_proposed:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LrEstimate
+from .core import LrEstimate, float_rows
 from .errors import DomainError
 
 __all__ = [
@@ -246,8 +246,7 @@ class ScalarCurve:
 
     def rows(self):
         """Yield (r, density_h1, density_h2, lr) rows for CSV emission."""
-        for row in zip(self.r, self.density_h1, self.density_h2, self.lr):
-            yield tuple(float(v) for v in row)
+        return float_rows(self.r, self.density_h1, self.density_h2, self.lr)
 
 
 def lr_curve(

@@ -1,8 +1,17 @@
-"""Shared fixtures: the expensive million-draw samples are built once."""
+"""Shared fixtures: the expensive million-draw samples are built once.
+
+Every hypothesis property test runs under one derandomized profile with no
+example database, so a verdict depends on neither the random search nor
+on earlier local runs.  Per-test ``settings`` still set ``max_examples``.
+"""
 
 import pytest
+from hypothesis import settings
 
 from evidential_weight import categorical, mc
+
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 #: The black-box study counts used throughout: mated (ID, Inc, Exc) and
 #: non-mated (ID, Inc, Exc) conclusion tallies.

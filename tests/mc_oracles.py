@@ -2,7 +2,9 @@
 
 The Monte Carlo oracles draw the conjugate state's parameters and average
 the sampling density of the report, sharing no code with the Student-t
-closed forms they check.  ``integrate_2d`` is a plain tensor-product
+closed forms they check.  ``plain_rate_pairs`` is rejection sampling of
+categorical rate pairs from the untruncated Dirichlet pair, with neither
+reflection nor chunked streams.  ``integrate_2d`` is a plain tensor-product
 Gauss-Legendre rule for checking densities by integration.
 """
 
@@ -11,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from evidential_weight import mc
+from evidential_weight import categorical, mc
 from evidential_weight.errors import DomainError, QuadratureConvergenceError
 from evidential_weight.multi_expert import (
     DEFAULT_WISHART_MATRIX,
@@ -72,6 +74,40 @@ def mc_predictive_logdensity(
     mean = float(dens.mean())
     se = float(dens.std(ddof=1) / math.sqrt(n_draws))
     return math.log(mean), se / mean
+
+
+def plain_rate_pairs(
+    counts: categorical.ConclusionCounts | None,
+    n_accepted: int,
+    rng: mc.RngStream,
+) -> tuple[categorical.RatePairSamples, int]:
+    """Admissible rate pairs by plain rejection from numpy's Dirichlet sampler.
+
+    Every proposal comes from the untruncated pair, so the acceptance rate
+    estimates the prior mass of the region directly.  Returns the first
+    ``n_accepted`` accepted pairs and the number of proposals drawn.
+    """
+    if counts is None:
+        counts = categorical.ConclusionCounts((0, 0, 0), (0, 0, 0))
+    alpha_p, alpha_q = counts.alphas()
+    gen = rng.generator()
+    batch = 1 << 16
+    kept_p, kept_q = [], []
+    n_kept = n_proposed = 0
+    while n_kept < n_accepted:
+        p = gen.dirichlet(alpha_p, size=batch)
+        q = gen.dirichlet(alpha_q, size=batch)
+        mask = categorical.admissible_mask(p, q)
+        kept_p.append(p[mask])
+        kept_q.append(q[mask])
+        n_kept += int(mask.sum())
+        n_proposed += batch
+    samples = categorical.RatePairSamples(
+        np.concatenate(kept_p)[:n_accepted],
+        np.concatenate(kept_q)[:n_accepted],
+        acceptance_rate=n_kept / n_proposed,
+    )
+    return samples, n_proposed
 
 
 def sample_wishart(

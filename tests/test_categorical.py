@@ -9,7 +9,8 @@ from scipy import stats
 from evidential_weight import categorical as cat
 from evidential_weight import mc
 from evidential_weight.core import LrEstimate
-from evidential_weight.errors import DomainError, InputFormatError
+from evidential_weight.errors import ConstraintIntractableError, DomainError, InputFormatError
+from mc_oracles import plain_rate_pairs
 
 ID, INC, EXC = cat.Conclusion.ID, cat.Conclusion.INC, cat.Conclusion.EXC
 
@@ -87,9 +88,64 @@ class TestPriorSampling:
         # untruncated Dirichlet pairs satisfy the six constraints ~11.4% of the time
         assert 0.10 < prior_samples.acceptance_rate < 0.13
 
+    def test_prior_acceptance_rate_is_region_mass(self, prior_samples):
+        # P(A) under the flat pair, by cubature; both factors are reflected,
+        # so a quarter of the proposal mass is drawn and the raw rate is 4 P(A)
+        mass, fold = 0.113710, 0.25
+        raw = prior_samples.acceptance_rate / fold
+        n_proposed = len(prior_samples) / raw  # at most the number drawn: SE errs high
+        se = fold * math.sqrt(raw * (1 - raw) / n_proposed)
+        assert abs(prior_samples.acceptance_rate - mass) < 5 * se
+
     def test_getitem_returns_valid_pair(self, prior_samples):
         pair = prior_samples[123]
         assert isinstance(pair, cat.RatePair)
+
+
+#: Count tables by the factors they reflect, with the proposal mass drawn.
+REFLECTION_CASES = {
+    "flat prior": (None, 0.25),
+    "p symmetric": (cat.ConclusionCounts((5, 3, 5), (1, 4, 9)), 0.5),
+    "q symmetric": (cat.ConclusionCounts((2, 7, 1), (4, 4, 4)), 0.5),
+    "neither": (cat.ConclusionCounts((10, 5, 3), (1, 4, 9)), 1.0),
+}
+
+
+class TestReflectedProposal:
+    @pytest.mark.parametrize("case", sorted(REFLECTION_CASES))
+    def test_matches_plain_rejection(self, case):
+        counts, fold = REFLECTION_CASES[case]
+        n = 200_000
+        samples = cat.sample_rate_pairs(counts, n, mc.RngStream(91))
+        plain, plain_proposed = plain_rate_pairs(counts, n, mc.RngStream(92))
+        assert cat.admissible_mask(samples.p, samples.q).all()
+        for ours, theirs in ((samples.p, plain.p), (samples.q, plain.q)):
+            for j in range(3):
+                m1, se1 = mean_and_se(ours[:, j])
+                m2, se2 = mean_and_se(theirs[:, j])
+                assert abs(m1 - m2) < 5 * math.hypot(se1, se2)
+        for conclusion in cat.Conclusion:
+            ours = cat.lr_from_samples(samples, conclusion)
+            theirs = cat.lr_from_samples(plain, conclusion)
+            assert abs(ours.lr - theirs.lr) < 5 * math.hypot(ours.mc_std_err, theirs.mc_std_err)
+        # both rates estimate the prior mass of the region
+        raw = samples.acceptance_rate / fold
+        var_ours = fold**2 * raw * (1 - raw) * raw / n  # from n / raw <= proposals drawn
+        rate = plain.acceptance_rate
+        var_plain = rate * (1 - rate) / plain_proposed
+        assert abs(samples.acceptance_rate - rate) < 5 * math.sqrt(var_ours + var_plain)
+
+    def test_floor_applies_to_region_mass(self, monkeypatch):
+        # the flat prior's raw rate is about 0.455 but its region mass 0.114
+        monkeypatch.setattr(mc, "INTRACTABLE_PROBE", mc.CHUNK_SIZE)
+        monkeypatch.setattr(mc, "INTRACTABLE_FLOOR", 0.2)
+        with pytest.raises(ConstraintIntractableError) as err:
+            cat.sample_rate_pairs(None, 1_000_000, mc.RngStream(93))
+        assert err.value.n_proposed == mc.CHUNK_SIZE
+        assert 0.10 < err.value.acceptance_rate < 0.13
+        assert "below floor 0.2 " in str(err.value)
+        monkeypatch.setattr(mc, "INTRACTABLE_FLOOR", 0.1)
+        assert len(cat.sample_rate_pairs(None, 100_000, mc.RngStream(93))) == 100_000
 
 
 class TestPosteriorSampling:

@@ -246,23 +246,35 @@ class TestCategoricalCommand:
     def test_outputs_independent_of_thread_count(self, tmp_path, monkeypatch):
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps(STUDY_JSON))
-        outputs = []
-        for threads in ("1", "2", "3"):
-            monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
-            out = tmp_path / threads
-            assert run(
-                ["categorical", "--validation", counts, "--sweep", "100,1000",
-                 "--samples", 20_000, "--out", out]
-            ) == 0
-            files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
-            manifest = read_json(out / "manifest.json")
-            del manifest["wall_time_s"], manifest["command"]
-            outputs.append((files, manifest))
-        assert sorted(outputs[0][0]) == sorted(
-            ["result.json", "sweep.csv"] + [f"density_grid_{c}.csv" for c in ("id", "inc", "exc")]
-        )
-        assert outputs[1] == outputs[0]
-        assert outputs[2] == outputs[0]
+        grids = [f"density_grid_{c}.csv" for c in ("id", "inc", "exc")]
+        cases = {
+            "study": (["--validation", counts, "--sweep", "100,1000"], ["sweep.csv"]),
+            "prior": ([], []),  # both proposal factors reflected
+        }
+        for case, (extra, tables) in cases.items():
+            outputs = []
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
+                out = tmp_path / case / threads
+                assert run(["categorical", *extra, "--samples", 20_000, "--out", out]) == 0
+                files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+                manifest = read_json(out / "manifest.json")
+                del manifest["wall_time_s"], manifest["command"]
+                outputs.append((files, manifest))
+            assert sorted(outputs[0][0]) == sorted(["result.json"] + grids + tables)
+            assert outputs[1] == outputs[0]
+            assert outputs[2] == outputs[0]
+
+    # the empty string means the default, as when the variable is unset
+    @pytest.mark.parametrize("value, code", [("abc", 2), ("1.5", 2), ("", 0)])
+    def test_thread_count_variable(self, tmp_path, capsys, monkeypatch, value, code):
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", value)
+        out = tmp_path / "out"
+        assert run(["categorical", "--samples", 2000, "--out", out]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert f"EVIDENTIAL_WEIGHT_THREADS must be an integer, got {value!r}" in err
+        assert out.exists() == (code == 0)
 
     def test_too_many_samples_exit_3(self, tmp_path, capsys):
         # 1e13 draws of six rates need 437 TiB: the buffer allocation is

@@ -42,6 +42,15 @@ class TestRngStream:
         with pytest.raises(DomainError):
             mc.RngStream(-1)
 
+    def test_sfc64_seeded_by_spawn_key(self):
+        stream = mc.RngStream(42, 3)
+        for gen, key in ((stream.generator(), (3,)), (stream.chunk_generator(5), (3, 5))):
+            expected = np.random.Generator(
+                np.random.SFC64(np.random.SeedSequence(entropy=42, spawn_key=key))
+            )
+            assert isinstance(gen.bit_generator, np.random.SFC64)
+            assert np.array_equal(gen.random(8), expected.random(8))
+
 
 class TestRejectionSample:
     def test_always_accept_rate_one(self):
@@ -81,6 +90,8 @@ class TestRejectionSample:
         monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "3")
         assert mc.resolve_threads() == 3
         monkeypatch.delenv("EVIDENTIAL_WEIGHT_THREADS")
+        assert mc.resolve_threads() == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", " ")
         assert mc.resolve_threads() == len(os.sched_getaffinity(0))
 
     def test_intractable_constraint_raises(self):
@@ -126,6 +137,27 @@ class TestRejectionSample:
         assert result.acceptance_rate * result.n_proposed > target
         assert result.samples.flags.f_contiguous
         assert result.samples.shape == (target, 2)
+
+    def test_kept_rows_equal_filtered_proposals(self):
+        # chunks drawn above the threshold are accepted whole (one block
+        # copy); the others are gathered row by row
+        def proposal(gen, n):
+            low = 0.6 if gen.random() < 0.5 else 0.0
+            return gen.uniform(low, 1.0, size=(n, 3))
+
+        def accept(d):
+            return d[:, 0] > 0.55
+
+        rng, chunk, target = mc.RngStream(9), 1000, 9_500
+        result = mc.rejection_sample(
+            proposal, accept, target, rng, chunk_size=chunk, threads=2
+        )
+        chunks = [proposal(rng.chunk_generator(i), chunk) for i in range(result.n_chunks)]
+        whole = [accept(d).all() for d in chunks]
+        assert not all(whole)
+        assert whole[-1]  # the target ends part way into a chunk accepted whole
+        expected = np.concatenate([d[accept(d)] for d in chunks])[:target]
+        assert np.array_equal(result.samples, expected)
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(DomainError):
