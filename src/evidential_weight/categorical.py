@@ -14,15 +14,16 @@ region's half-space first (see :func:`sample_rate_pairs`).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import mc
 from .core import LrEstimate, Scenario, read_scenario_rows
-from .errors import ConstraintIntractableError, DomainError, InputFormatError
+from .errors import DomainError, InputFormatError
 
 __all__ = [
     "Conclusion",
@@ -235,38 +236,20 @@ class RatePairSamples:
         return self.p[:, j], self.q[:, j]
 
 
-def sample_rate_pairs(
-    counts: ConclusionCounts | None,
-    n_accepted: int = DEFAULT_N_ACCEPTED,
-    rng: mc.RngStream = mc.RngStream(0),
-    *,
-    threads: int | None = None,
-) -> RatePairSamples:
-    """Sample admissible rate pairs from the prior or a count posterior.
-
-    With ``counts`` absent (or all zero) this draws from the truncated
-    uniform pair Dir(1,1,1) x Dir(1,1,1); otherwise from the conjugate
-    Dirichlet posterior pair with concentrations counts + 1, truncated to
-    the same region.
+def _rate_pair_proposal(counts: ConclusionCounts | None):
+    """Chunk proposal for the Dirichlet pair of ``counts``, and the mass it covers.
 
     The region lies inside the half-spaces p_ID > p_Exc and q_Exc > q_ID.
     Where a Dirichlet factor has equal outer concentrations, reversing its
     rates leaves its density unchanged, so each proposal of that factor is
     reflected into its half-space: an exact draw from the factor
-    conditioned on the half-space, at half the proposal mass.  The
-    accepted draws keep the truncated distribution, and the reported
-    acceptance rate (and the intractability floor it is held to) is the
-    prior mass of the region under the untruncated pair: the rate among
-    reflected proposals times their mass.
+    conditioned on the half-space, at half the proposal mass.
     """
-    if n_accepted < 1:
-        raise DomainError(f"n_accepted must be >= 1, got {n_accepted!r}")
     if counts is None:
         counts = ConclusionCounts((0, 0, 0), (0, 0, 0))
     alphas = np.concatenate(counts.alphas())
     # (high, low) column of each reflected factor: p_ID over p_Exc, q_Exc over q_ID
     folds = [(hi, lo) for hi, lo in ((0, 2), (5, 3)) if alphas[hi] == alphas[lo]]
-    fold_mass = 0.5 ** len(folds)
 
     def proposal(gen: np.random.Generator, n: int) -> np.ndarray:
         # column-major, so the constraint checks read contiguous columns;
@@ -285,26 +268,44 @@ def sample_rate_pairs(
             draws[:, hi] = high
         return draws
 
-    def accept(draws: np.ndarray) -> np.ndarray:
-        return admissible_mask(draws[:, :3], draws[:, 3:])
+    return proposal, 0.5 ** len(folds)
 
-    floor = mc.INTRACTABLE_FLOOR
-    try:
-        result = mc.rejection_sample(
-            proposal, accept, n_accepted, rng, floor=floor / fold_mass, threads=threads
-        )
-    except ConstraintIntractableError as exc:
-        rate = exc.acceptance_rate * fold_mass
-        raise ConstraintIntractableError(
-            f"acceptance rate {rate:.3g} below floor {floor:g} "
-            f"after {exc.n_proposed} proposals",
-            acceptance_rate=rate,
-            n_proposed=exc.n_proposed,
-        ) from None
+
+def _admissible_draws(draws: np.ndarray) -> np.ndarray:
+    return admissible_mask(draws[:, :3], draws[:, 3:])
+
+
+def sample_rate_pairs(
+    counts: ConclusionCounts | None,
+    n_accepted: int = DEFAULT_N_ACCEPTED,
+    rng: mc.RngStream = mc.RngStream(0),
+    *,
+    threads: int | None = None,
+) -> RatePairSamples:
+    """Sample admissible rate pairs from the prior or a count posterior.
+
+    With ``counts`` absent (or all zero) this draws from the truncated
+    uniform pair Dir(1,1,1) x Dir(1,1,1); otherwise from the conjugate
+    Dirichlet posterior pair with concentrations counts + 1, truncated to
+    the same region.
+
+    Factors with equal outer concentrations are proposed reflected into
+    the region's half-spaces (see :func:`_rate_pair_proposal`).  The
+    accepted draws keep the truncated distribution, and the reported
+    acceptance rate (and the intractability floor it is held to) is the
+    prior mass of the region under the untruncated pair: the rate among
+    reflected proposals times their mass.
+    """
+    if n_accepted < 1:
+        raise DomainError(f"n_accepted must be >= 1, got {n_accepted!r}")
+    proposal, mass = _rate_pair_proposal(counts)
+    result = mc.rejection_sample(
+        proposal, _admissible_draws, n_accepted, rng, threads=threads, proposal_mass=mass
+    )
     return RatePairSamples(
         p=result.samples[:, :3],
         q=result.samples[:, 3:],
-        acceptance_rate=result.acceptance_rate * fold_mass,
+        acceptance_rate=result.acceptance_rate,
         seed=rng.seed,
     )
 
@@ -318,41 +319,94 @@ def _blocks(n: int):
     return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
 
 
+def _require_two(n: int) -> None:
+    if n < 2:
+        raise DomainError(f"a Monte Carlo standard error needs at least 2 draws, got {n}")
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Count, means and centred second moments of paired rate columns.
+
+    Column j of ``p`` pairs with column j of ``q`` (one conclusion each).
+    ``spp``, ``sqq`` and ``spq`` are the sums of squares and of
+    cross-products of the deviations from the means.  Blocks of draws
+    combine with the pairwise update of Chan, Golub and LeVeque, so a
+    stream of blocks gives the moments of all its draws.
+    """
+
+    n: int
+    mp: np.ndarray
+    mq: np.ndarray
+    spp: np.ndarray
+    sqq: np.ndarray
+    spq: np.ndarray
+
+    @classmethod
+    def of(cls, p: np.ndarray, q: np.ndarray) -> "_Moments":
+        """Moments of one block: (n, k) arrays whose columns are each contiguous."""
+        mp = p.mean(axis=0)
+        mq = q.mean(axis=0)
+        spp, sqq, spq = (np.zeros(p.shape[1]) for _ in range(3))
+        # element-wise sums rather than ``@``, which would wake BLAS threads
+        # that then spin on the cores the sampler's workers draw on
+        for block in _blocks(p.shape[0]):
+            dp = p[block] - mp
+            dq = q[block] - mq
+            spp += np.einsum("ij,ij->j", dp, dp)
+            sqq += np.einsum("ij,ij->j", dq, dq)
+            spq += np.einsum("ij,ij->j", dp, dq)
+        return cls(p.shape[0], mp, mq, spp, sqq, spq)
+
+    def merge(self, other: "_Moments") -> "_Moments":
+        n = self.n + other.n
+        dp = other.mp - self.mp
+        dq = other.mq - self.mq
+        share = other.n / n
+        weight = self.n * share
+        return _Moments(
+            n,
+            self.mp + dp * share,
+            self.mq + dq * share,
+            self.spp + other.spp + dp * dp * weight,
+            self.sqq + other.sqq + dq * dq * weight,
+            self.spq + other.spq + dp * dq * weight,
+        )
+
+    def estimate(self, j: int, acceptance_rate: float, seed: int | None) -> LrEstimate:
+        """Ratio of the means of column pair ``j``, with its delta-method SE."""
+        n = self.n
+        mp = float(self.mp[j])
+        mq = float(self.mq[j])
+        log10_lr = math.log10(mp) - math.log10(mq)
+        scale = 1.0 / ((n - 1) * n)
+        var_mp = float(self.spp[j]) * scale
+        var_mq = float(self.sqq[j]) * scale
+        cov = float(self.spq[j]) * scale
+        lr = mp / mq
+        rel_var = var_mp / mp**2 + var_mq / mq**2 - 2.0 * cov / (mp * mq)
+        se = lr * math.sqrt(max(rel_var, 0.0))
+        return LrEstimate.from_log10(
+            log10_lr,
+            mc_std_err=se,
+            n_samples=n,
+            acceptance_rate=acceptance_rate,
+            seed=seed,
+        )
+
+
 def lr_from_samples(samples: RatePairSamples, conclusion: Conclusion) -> LrEstimate:
     """Ratio of posterior-mean conclusion rates, H1 over H2.
 
     The Monte Carlo standard error comes from the delta method for a ratio
-    of two (correlated) sample means.
+    of two (correlated) sample means.  The draws are one block of the
+    moment accumulator that :func:`lr_sweep` folds chunk by chunk; the
+    means are the columns' own ``mean()``.
     """
+    _require_two(len(samples))
     pc, qc = samples.rate_columns(conclusion)
-    n = len(samples)
-    if n < 2:
-        raise DomainError(f"a Monte Carlo standard error needs at least 2 draws, got {n}")
-    mp = float(pc.mean())
-    mq = float(qc.mean())
-    log10_lr = math.log10(mp) - math.log10(mq)
-    # sample (co)variances of the means, from centered dot products
-    spp = sqq = spq = 0.0
-    for block in _blocks(n):
-        dp = pc[block] - mp
-        dq = qc[block] - mq
-        spp += float(dp @ dp)
-        sqq += float(dq @ dq)
-        spq += float(dp @ dq)
-    scale = 1.0 / ((n - 1) * n)
-    var_mp = spp * scale
-    var_mq = sqq * scale
-    cov = spq * scale
-    lr = mp / mq
-    rel_var = var_mp / mp**2 + var_mq / mq**2 - 2.0 * cov / (mp * mq)
-    se = lr * math.sqrt(max(rel_var, 0.0))
-    return LrEstimate.from_log10(
-        log10_lr,
-        mc_std_err=se,
-        n_samples=n,
-        acceptance_rate=samples.acceptance_rate,
-        seed=samples.seed,
-    )
+    moments = _Moments.of(pc[:, None], qc[:, None])
+    return moments.estimate(0, samples.acceptance_rate, samples.seed)
 
 
 def lr_for_conclusion(
@@ -431,23 +485,45 @@ def lr_sweep(
     rng: mc.RngStream = mc.RngStream(0),
     *,
     threads: int | None = None,
+    meanwhile: Callable[[], object] | None = None,
 ) -> SweepResult:
     """LR for each conclusion across rescaled validation-study sizes.
 
     Study size ``sizes[i]`` consumes the caller's stream offset by
-    ``i + 1``, so individual sizes are reproducible in isolation.
+    ``i + 1``, so individual sizes are reproducible in isolation: each row
+    is the estimate :func:`lr_from_samples` makes from
+    ``sample_rate_pairs(scaled_counts(base_counts, size), n_accepted,
+    rng.substream(i + 1))``, up to float rounding.  The draws are not kept.
+    One pool draws every size in turn (:func:`mc.rejection_pipeline`), each
+    accepted chunk is folded into its size's moments as it arrives, and
+    memory stays that of a few chunks whatever ``n_accepted`` is.
+    ``meanwhile()``, if given, runs on the calling thread while the first
+    chunks are drawn.
     """
     if len(sizes) == 0:
         raise DomainError("sizes must be nonempty")
-    rows: list[SweepRow] = []
-    for i, size in enumerate(sizes):
-        counts = scaled_counts(base_counts, int(size))
-        samples = sample_rate_pairs(
-            counts, n_accepted, rng.substream(i + 1), threads=threads
-        )
-        for conclusion in Conclusion:
-            rows.append(SweepRow(int(size), conclusion, lr_from_samples(samples, conclusion)))
-        del samples  # before the next size draws its own
+    _require_two(n_accepted)
+    tables = [scaled_counts(base_counts, int(size)) for size in sizes]
+    moments: list[_Moments | None] = [None] * len(tables)
+
+    def fold(i: int, draws: np.ndarray, rows: np.ndarray) -> None:
+        kept = mc.kept_rows(draws, rows)
+        block = _Moments.of(kept[:, :3], kept[:, 3:])
+        moments[i] = block if moments[i] is None else moments[i].merge(block)
+
+    runs = []
+    for i, counts in enumerate(tables):
+        proposal, mass = _rate_pair_proposal(counts)
+        runs.append(mc.RejectionRun(
+            proposal, _admissible_draws, n_accepted, rng.substream(i + 1),
+            functools.partial(fold, i), mass,
+        ))
+    counters = mc.rejection_pipeline(runs, threads=threads, meanwhile=meanwhile)
+    rows = [
+        SweepRow(int(size), conclusion, block.estimate(conclusion.value, rate, rng.seed))
+        for size, block, (rate, _, _) in zip(sizes, moments, counters)
+        for conclusion in Conclusion
+    ]
     asymptotes = {c: base_counts.observed_rate_ratio(c) for c in Conclusion}
     return SweepResult(rows=tuple(rows), asymptotes=asymptotes)
 

@@ -270,16 +270,26 @@ def _cmd_categorical(args) -> Run:
 
     rng = mc.RngStream(args.seed)
     samples = categorical.sample_rate_pairs(counts, args.samples, rng)
-    estimate = categorical.lr_from_samples(samples, conclusion)
-    tables = [
-        (f"density_grid_{c.name.lower()}.csv", ["p_bin", "q_bin", "density"],
-         _grid_rows(*categorical.density_grid(samples, c)))
-        for c in categorical.Conclusion
-    ]
-    del samples  # the sweep draws its own
 
-    if sweep_sizes:
-        sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng)
+    def summarize():
+        nonlocal samples
+        estimate = categorical.lr_from_samples(samples, conclusion)
+        grids = [
+            (f"density_grid_{c.name.lower()}.csv", ["p_bin", "q_bin", "density"],
+             _grid_rows(*categorical.density_grid(samples, c)))
+            for c in categorical.Conclusion
+        ]
+        samples = None  # the main draw's buffer is not needed again
+        return estimate, grids
+
+    if not sweep_sizes:
+        estimate, tables = summarize()
+    else:
+        # the main draw is summarized while the sweep's first chunks are drawn
+        summary = []
+        sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng,
+                                     meanwhile=lambda: summary.append(summarize()))
+        [(estimate, tables)] = summary
         rows = [
             (row.size, row.conclusion.name.lower(), row.estimate.lr,
              row.estimate.mc_std_err, sweep.asymptotes[row.conclusion])
@@ -301,11 +311,15 @@ def _cmd_categorical(args) -> Run:
 
 
 def _grid_rows(centers: np.ndarray, grid: np.ndarray):
-    centers = centers.tolist()
+    """Rows of a density grid as text: each center and each distinct density formatted once."""
+    labels = [str(c) for c in centers.tolist()]
+    values, index = np.unique(grid, return_inverse=True)
+    texts = [str(v) for v in values.tolist()]
+    index = index.reshape(grid.shape).tolist()
     return (
-        (p_bin, q_bin, density)
-        for p_bin, densities in zip(centers, grid.tolist())
-        for q_bin, density in zip(centers, densities)
+        (p_bin, q_bin, texts[k])
+        for p_bin, row in zip(labels, index)
+        for q_bin, k in zip(labels, row)
     )
 
 

@@ -6,10 +6,15 @@ stream draws from its own SFC64 bit generator, seeded by a
 ``SeedSequence`` keyed on (seed, stream_id[, chunk index]).  Rejection
 sampling consumes randomness in fixed-size chunks, one child stream per
 chunk index, which makes the output independent of how many worker threads
-evaluate the chunks.  The acceptance rate it reports is that of the
-proposal it is given; a caller whose proposal covers only part of the
-untruncated distribution (see :func:`categorical.sample_rate_pairs`)
-scales the rate, and the floor, by that part's mass.
+evaluate the chunks.  :func:`rejection_pipeline` runs a sequence of
+rejection targets on one pool, handing each chunk's accepted rows to the
+target's consumer in chunk-index order: :func:`rejection_sample` collects
+them into one buffer, and a consumer that folds them into a running
+estimate needs memory for a few chunks only.  The acceptance rate
+reported is the share of proposals accepted times the proposal's mass, so
+a caller whose proposal covers only part of the untruncated distribution
+(see :func:`categorical.sample_rate_pairs`) gets that distribution's rate,
+held to the floor.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +33,10 @@ __all__ = [
     "RngStream",
     "QuadratureSpec",
     "RejectionResult",
+    "RejectionRun",
+    "rejection_pipeline",
     "rejection_sample",
+    "kept_rows",
     "gauss_nodes",
     "log_integrate_2d",
     "resolve_threads",
@@ -138,6 +146,194 @@ class RejectionResult:
     n_chunks: int
 
 
+@dataclass(frozen=True)
+class RejectionRun:
+    """One rejection-sampling target for :func:`rejection_pipeline`.
+
+    ``proposal(generator, n)`` returns ``n`` draws (the rows of a 2-D
+    array); ``accept`` maps those rows to a boolean mask and must be pure.
+    ``consume(draws, rows)`` receives each chunk with the ascending indices
+    of its kept rows (see :func:`kept_rows`).  ``proposal_mass`` is the
+    share of the untruncated distribution the proposal covers: the
+    acceptance rate reported, and the one held to the floor, is the share
+    of proposals accepted times that mass.
+    """
+
+    proposal: Callable[[np.random.Generator, int], np.ndarray]
+    accept: Callable[[np.ndarray], np.ndarray]
+    target_accepted: int
+    rng: RngStream
+    consume: Callable[[np.ndarray, np.ndarray], None]
+    proposal_mass: float = 1.0
+
+
+class _Progress:
+    """Counters of one run inside :func:`rejection_pipeline`, and its chunks in flight."""
+
+    def __init__(self, run: RejectionRun):
+        self.run = run
+        self.n_chunks = 0
+        self.n_accepted = 0  # every accepted proposal, including the last chunk's surplus
+        self.n_kept = 0
+        self.pending: deque = deque()  # futures of this run's chunks, in index order
+
+    def done(self) -> bool:
+        return self.n_kept >= self.run.target_accepted
+
+    def wants_chunk(self) -> bool:
+        # skip chunks that those in flight, at the acceptance rate so far,
+        # are expected to make unnecessary
+        return not self.done() and (
+            self.n_chunks == 0
+            or self.n_accepted * (self.n_chunks + len(self.pending))
+            < self.run.target_accepted * self.n_chunks
+        )
+
+    def take(self, draws: np.ndarray, chunk_size: int, floor: float, probe: int) -> None:
+        """Accept one chunk, hand its kept rows on, and hold the rate to the floor."""
+        run = self.run
+        mask = np.asarray(run.accept(draws), dtype=bool)
+        self.n_chunks += 1
+        rows = np.flatnonzero(mask)
+        self.n_accepted += rows.size
+        rows = rows[: run.target_accepted - self.n_kept]
+        if rows.size:
+            run.consume(draws, rows)
+        self.n_kept += rows.size
+        n_proposed = self.n_chunks * chunk_size
+        if n_proposed >= probe and self.n_accepted * run.proposal_mass < floor * n_proposed:
+            rate = self.acceptance_rate(chunk_size)
+            raise ConstraintIntractableError(
+                f"acceptance rate {rate:.3g} below floor {floor:g} "
+                f"after {n_proposed} proposals",
+                acceptance_rate=rate,
+                n_proposed=n_proposed,
+            )
+
+    def acceptance_rate(self, chunk_size: int) -> float:
+        return self.n_accepted / (self.n_chunks * chunk_size) * self.run.proposal_mass
+
+
+def rejection_pipeline(
+    runs: Sequence[RejectionRun],
+    *,
+    chunk_size: int = CHUNK_SIZE,
+    floor: float | None = None,
+    probe: int | None = None,
+    threads: int | None = None,
+    meanwhile: Callable[[], object] | None = None,
+) -> list[tuple[float, int, int]]:
+    """Draw each run to its target, in order, on one pool of worker threads.
+
+    Workers keep up to ``threads`` proposal chunks in flight across all the
+    runs.  Each run gets the chunks it is expected to need at its
+    acceptance rate so far (fewer near the end of a run); once it has them,
+    free workers draw the next run's first chunks.  Chunks a finished run
+    turns out not to need are dropped, and none outlives the call.
+    ``accept`` and ``consume`` run on the calling thread, one chunk at a
+    time in chunk-index order, so the consumed rows and every counter are
+    identical for any ``threads`` value; with one thread there is no pool.
+    ``meanwhile()``, if given, runs on the calling thread once the first
+    chunks are being drawn.
+
+    Returns each run's (acceptance rate, proposals drawn, chunks drawn).
+
+    Raises
+    ------
+    ConstraintIntractableError
+        If a run's acceptance rate is below ``floor`` (``INTRACTABLE_FLOOR``
+        when None) once ``probe`` proposals (``INTRACTABLE_PROBE`` when None)
+        have been spent on it.
+    """
+    threads = resolve_threads(threads)
+    floor = INTRACTABLE_FLOOR if floor is None else floor
+    probe = INTRACTABLE_PROBE if probe is None else probe
+    for run in runs:
+        if run.target_accepted < 1:
+            raise DomainError(f"target_accepted must be >= 1, got {run.target_accepted!r}")
+    states = [_Progress(run) for run in runs]
+
+    def propose(run: RejectionRun, index: int) -> np.ndarray:
+        return run.proposal(run.rng.chunk_generator(index), chunk_size)
+
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    dropped: list = []  # chunks of finished runs that may still be drawing
+
+    def top_up(ahead: list[_Progress]) -> None:
+        # a chunk is in flight from its submission until it is taken or
+        # has finished after being dropped; one was taken since the last
+        # top-up, so the current run always finds room
+        dropped[:] = [future for future in dropped if not future.done()]
+        in_flight = len(dropped) + sum(len(state.pending) for state in ahead)
+        for state in ahead:
+            while in_flight < threads and state.wants_chunk():
+                index = state.n_chunks + len(state.pending)
+                state.pending.append(pool.submit(propose, state.run, index))
+                in_flight += 1
+
+    try:
+        if pool is not None:
+            top_up(states)
+        if meanwhile is not None:
+            meanwhile()
+        for i, state in enumerate(states):
+            while not state.done():
+                if pool is None:
+                    draws = propose(state.run, state.n_chunks)
+                else:
+                    top_up(states[i:])
+                    draws = state.pending.popleft().result()
+                state.take(draws, chunk_size, floor, probe)
+                del draws  # freed before the next top-up draws another chunk
+            for future in state.pending:
+                future.cancel()
+            dropped.extend(state.pending)
+            state.pending.clear()
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return [
+        (state.acceptance_rate(chunk_size), state.n_chunks * chunk_size, state.n_chunks)
+        for state in states
+    ]
+
+
+def kept_rows(draws: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``draws[rows]`` for ascending ``rows``, in ``out`` if given, columns contiguous.
+
+    Rows that are the chunk's first ones (every chunk where nearly all
+    proposals pass) are a view of ``draws``, or one block copy into
+    ``out``; other rows are gathered column by column.
+    """
+    n = rows.size
+    if rows[-1] == n - 1:
+        if out is None:
+            return draws[:n]
+        out[...] = draws[:n]
+        return out
+    if out is None:
+        out = np.empty((n, draws.shape[1]), dtype=draws.dtype, order="F")
+    for j in range(draws.shape[1]):
+        # "clip" skips the bounds check, which would copy via a temporary
+        np.take(draws[:, j], rows, out=out[:, j], mode="clip")
+    return out
+
+
+class _RowBuffer:
+    """Consumer that copies the kept rows into one buffer of ``n_rows`` rows."""
+
+    def __init__(self, n_rows: int):
+        self.n_rows = n_rows
+        self.samples = None
+        self.n_kept = 0
+
+    def __call__(self, draws: np.ndarray, rows: np.ndarray) -> None:
+        if self.samples is None:
+            self.samples = _row_buffer(self.n_rows, draws)
+        kept_rows(draws, rows, out=self.samples[self.n_kept:self.n_kept + rows.size])
+        self.n_kept += rows.size
+
+
 def rejection_sample(
     proposal: Callable[[np.random.Generator, int], np.ndarray],
     accept: Callable[[np.ndarray], np.ndarray],
@@ -145,92 +341,33 @@ def rejection_sample(
     rng: RngStream,
     *,
     chunk_size: int = CHUNK_SIZE,
-    floor: float = INTRACTABLE_FLOOR,
+    floor: float | None = None,
     probe: int | None = None,
     threads: int | None = None,
+    proposal_mass: float = 1.0,
 ) -> RejectionResult:
     """Draw until ``target_accepted`` proposals satisfy the predicate.
 
-    ``proposal(generator, n)`` must return ``n`` draws (the rows of a 2-D
-    array); ``accept`` maps those rows to a boolean mask and must be pure.
-    Worker threads keep up to ``threads`` proposal chunks in flight (fewer
-    near the end, where the acceptance rate so far puts the target in
-    reach), and none is left running on return.  ``accept`` runs on the
-    calling thread, one chunk at a time in chunk-index order, and the
-    accepted rows go straight into one buffer of ``target_accepted`` rows
-    whose columns are each contiguous (Fortran order).  The result and
-    every counter are identical for any ``threads`` value.  A chunk
-    whose kept rows are its first ones (every chunk where nearly all
-    proposals pass) is copied as one block.
+    One :class:`RejectionRun` of :func:`rejection_pipeline` whose accepted
+    rows go straight into one buffer of ``target_accepted`` rows, each
+    column contiguous (Fortran order).  The result and every counter are
+    identical for any ``threads`` value.
 
     Raises
     ------
     ConstraintIntractableError
-        If the empirical acceptance rate is below ``floor`` once ``probe``
-        proposals (``INTRACTABLE_PROBE`` when None) have been spent.
+        As :func:`rejection_pipeline`.
     MemoryError
         If the buffer for ``target_accepted`` rows cannot be allocated.
     """
-    if target_accepted < 1:
-        raise DomainError(f"target_accepted must be >= 1, got {target_accepted!r}")
-    threads = resolve_threads(threads)
-    if probe is None:
-        probe = INTRACTABLE_PROBE
-
-    def propose(index: int) -> np.ndarray:
-        return proposal(rng.chunk_generator(index), chunk_size)
-
-    samples = None
-    n_accepted = 0  # every accepted proposal, including the last chunk's surplus
-    n_kept = 0
-    n_chunks = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    in_flight: deque = deque()
-    try:
-        while n_kept < target_accepted:
-            if pool is None:
-                draws = propose(n_chunks)
-            else:
-                # top up, but skip chunks that those in flight, at the
-                # acceptance rate so far, are expected to make unnecessary
-                while len(in_flight) < threads and (
-                    n_chunks == 0
-                    or n_accepted * (n_chunks + len(in_flight)) < target_accepted * n_chunks
-                ):
-                    in_flight.append(pool.submit(propose, n_chunks + len(in_flight)))
-                draws = in_flight.popleft().result()
-            mask = np.asarray(accept(draws), dtype=bool)
-            n_chunks += 1
-            if samples is None:
-                samples = _row_buffer(target_accepted, draws)
-            rows = np.flatnonzero(mask)
-            n_accepted += rows.size
-            rows = rows[: target_accepted - n_kept]
-            kept = slice(n_kept, n_kept + rows.size)
-            if rows.size and rows[-1] == rows.size - 1:
-                # the kept rows are the chunk's first ones: one block copy
-                samples[kept] = draws[: rows.size]
-            else:
-                for j in range(draws.shape[1]):
-                    # "clip" skips the bounds check, which would copy via a temporary
-                    np.take(draws[:, j], rows, out=samples[kept, j], mode="clip")
-            n_kept += rows.size
-            n_proposed = n_chunks * chunk_size
-            if n_proposed >= probe and n_accepted < floor * n_proposed:
-                raise ConstraintIntractableError(
-                    f"acceptance rate {n_accepted / n_proposed:.3g} below floor "
-                    f"{floor:g} after {n_proposed} proposals",
-                    acceptance_rate=n_accepted / n_proposed,
-                    n_proposed=n_proposed,
-                )
-    finally:
-        if pool is not None:
-            # no proposal outlives the call
-            pool.shutdown(wait=True, cancel_futures=True)
-
+    buffer = _RowBuffer(target_accepted)
+    run = RejectionRun(proposal, accept, target_accepted, rng, buffer, proposal_mass)
+    [(acceptance_rate, n_proposed, n_chunks)] = rejection_pipeline(
+        [run], chunk_size=chunk_size, floor=floor, probe=probe, threads=threads
+    )
     return RejectionResult(
-        samples=samples,
-        acceptance_rate=n_accepted / n_proposed,
+        samples=buffer.samples,
+        acceptance_rate=acceptance_rate,
         n_proposed=n_proposed,
         n_chunks=n_chunks,
     )

@@ -1,9 +1,12 @@
 """Categorical-conclusion module: constraints, LRs, sweep, and grids."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from evidential_weight import categorical as cat
@@ -288,6 +291,66 @@ class TestSweep:
     def test_sweep_requires_sizes(self, study_counts):
         with pytest.raises(DomainError):
             cat.lr_sweep(study_counts, [], 1000, mc.RngStream(0))
+
+    def test_rows_equal_estimates_from_each_sizes_own_draws(self, study_counts):
+        # 300,000 draws take three chunks and end part way into the third;
+        # at size 100 about one proposal in 500 is rejected, so its kept
+        # rows are gathered, while at size 1000 each chunk is kept whole
+        n, rng, sizes = 300_000, mc.RngStream(84), [100, 1000]
+        assert 2 * mc.CHUNK_SIZE < n < 3 * mc.CHUNK_SIZE
+        threads_before = threading.active_count()
+        sweep = cat.lr_sweep(study_counts, sizes, n, rng, threads=3)
+        assert threading.active_count() == threads_before
+        for i, size in enumerate(sizes):
+            samples = cat.sample_rate_pairs(
+                cat.scaled_counts(study_counts, size), n, rng.substream(i + 1)
+            )
+            for conclusion in cat.Conclusion:
+                row = sweep.estimate(size, conclusion)
+                alone = cat.lr_from_samples(samples, conclusion)
+                assert row.lr == pytest.approx(alone.lr, rel=1e-13, abs=0)
+                assert row.mc_std_err == pytest.approx(alone.mc_std_err, rel=1e-12, abs=0)
+                assert (row.n_samples, row.acceptance_rate, row.seed) == (
+                    alone.n_samples, alone.acceptance_rate, alone.seed)
+
+    def test_intractable_size_raises_at_any_thread_count(self, study_counts, monkeypatch):
+        # size 100 accepts about 0.998 of its proposals, size 1000 all of them
+        monkeypatch.setattr(mc, "INTRACTABLE_PROBE", mc.CHUNK_SIZE)
+        monkeypatch.setattr(mc, "INTRACTABLE_FLOOR", 0.999)
+        threads_before = threading.active_count()
+        errors = []
+        for threads in (1, 3):
+            with pytest.raises(ConstraintIntractableError) as err:
+                cat.lr_sweep(study_counts, [1000, 100], 400_000, mc.RngStream(85),
+                             threads=threads)
+            errors.append((err.value.n_proposed, err.value.acceptance_rate))
+            assert threading.active_count() == threads_before
+        assert errors[0] == errors[1]
+        assert errors[0][0] == mc.CHUNK_SIZE
+        assert 0.99 < errors[0][1] < 0.999
+
+
+class TestMoments:
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1),
+           cuts=st.lists(st.integers(1, 3000), min_size=1, max_size=6))
+    def test_merged_blocks_equal_one_block(self, seed, cuts):
+        gen = np.random.default_rng(seed)
+        n = sum(cuts)
+        # columns of different spreads and correlations
+        p = np.asfortranarray(gen.dirichlet([2.0, 5.0, 0.5], size=n))
+        q = np.asfortranarray(0.3 * p + 0.7 * gen.dirichlet([1.0, 1.0, 9.0], size=n))
+        whole = cat._Moments.of(p, q)
+        merged = None
+        for start, stop in zip(np.cumsum([0] + cuts[:-1]), np.cumsum(cuts)):
+            block = cat._Moments.of(p[start:stop], q[start:stop])
+            merged = block if merged is None else merged.merge(block)
+        assert merged.n == whole.n == n
+        for field in ("mp", "mq", "spp", "sqq"):
+            np.testing.assert_allclose(getattr(merged, field), getattr(whole, field),
+                                       rtol=1e-13, atol=0)
+        scale = np.sqrt(whole.spp * whole.sqq)
+        np.testing.assert_allclose(merged.spq, whole.spq, rtol=1e-13, atol=1e-13 * scale.max())
 
 
 class TestDensityGrid:

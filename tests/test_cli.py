@@ -196,7 +196,9 @@ class TestCategoricalCommand:
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before the inputs were checked")
 
+        # the main draw, and every draw of the main draw or a sweep
         monkeypatch.setattr(categorical, "sample_rate_pairs", no_sampling)
+        monkeypatch.setattr(mc, "rejection_pipeline", no_sampling)
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps(STUDY_JSON))
         extra = [counts if a == "COUNTS" else a for a in extra]
@@ -247,16 +249,19 @@ class TestCategoricalCommand:
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps(STUDY_JSON))
         grids = [f"density_grid_{c}.csv" for c in ("id", "inc", "exc")]
+        study = ["--validation", counts, "--sweep"]
         cases = {
-            "study": (["--validation", counts, "--sweep", "100,1000"], ["sweep.csv"]),
-            "prior": ([], []),  # both proposal factors reflected
+            "study": ([*study, "100,1000", "--samples", 20_000], ["sweep.csv"]),
+            # three sizes of three chunks each, drawn ahead on two or three workers
+            "sweep3": ([*study, "100,500,1000", "--samples", 300_000], ["sweep.csv"]),
+            "prior": (["--samples", 20_000], []),  # both proposal factors reflected
         }
         for case, (extra, tables) in cases.items():
             outputs = []
             for threads in ("1", "2", "3"):
                 monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
                 out = tmp_path / case / threads
-                assert run(["categorical", *extra, "--samples", 20_000, "--out", out]) == 0
+                assert run(["categorical", *extra, "--out", out]) == 0
                 files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
                 manifest = read_json(out / "manifest.json")
                 del manifest["wall_time_s"], manifest["command"]
@@ -286,6 +291,17 @@ class TestCategoricalCommand:
         assert err.startswith("numerical failure: 10000000000000 draws need ")
         assert "GiB" in err
         assert not (tmp_path / "result.json").exists()
+
+    def test_grid_rows_format_each_value_as_its_float(self):
+        # each distinct density is formatted once; the text must be that
+        # of formatting every cell on its own
+        samples = categorical.sample_rate_pairs(None, 5_000, mc.RngStream(12))
+        for conclusion in categorical.Conclusion:
+            centers, grid = categorical.density_grid(samples, conclusion)
+            grid[0, :3] = [1e-300, 2.5e-17, 123456789.125]
+            expected = [(str(p), str(q), str(d)) for p, row in zip(centers.tolist(), grid.tolist())
+                        for q, d in zip(centers.tolist(), row)]
+            assert list(cli._grid_rows(centers, grid)) == expected
 
 
 @pytest.mark.filterwarnings("ignore:width hyperprior")

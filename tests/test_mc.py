@@ -2,6 +2,7 @@
 
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -158,6 +159,37 @@ class TestRejectionSample:
         assert whole[-1]  # the target ends part way into a chunk accepted whole
         expected = np.concatenate([d[accept(d)] for d in chunks])[:target]
         assert np.array_equal(result.samples, expected)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_pipeline_hands_each_run_its_rows_in_order(self, threads):
+        # three runs on one pool: the first needs one chunk of the two
+        # it starts with, so one chunk is dropped; the others draw ahead
+        def accept(d):
+            return d[:, 0] > d[:, 1]
+
+        chunk, targets = 1000, (300, 5_500, 2_345)
+        runs, consumed = [], []
+        for i, target in enumerate(targets):
+            consumed.append([])
+            runs.append(mc.RejectionRun(
+                uniform_pair_proposal, accept, target, mc.RngStream(11, i),
+                lambda d, rows, out=consumed[-1]: out.append(mc.kept_rows(d, rows).copy()),
+            ))
+        calls = []
+        threads_before = threading.active_count()
+        counters = mc.rejection_pipeline(
+            runs, chunk_size=chunk, threads=threads, meanwhile=lambda: calls.append(1)
+        )
+        assert threading.active_count() == threads_before
+        assert calls == [1]
+        for run, rows, (rate, n_proposed, n_chunks) in zip(runs, consumed, counters):
+            alone = mc.rejection_sample(
+                uniform_pair_proposal, accept, run.target_accepted, run.rng,
+                chunk_size=chunk, threads=1,
+            )
+            assert np.array_equal(np.concatenate(rows), alone.samples)
+            assert (rate, n_proposed, n_chunks) == (
+                alone.acceptance_rate, alone.n_proposed, alone.n_chunks)
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(DomainError):
