@@ -14,10 +14,9 @@ region's half-space first (see :func:`sample_rate_pairs`).
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,6 +32,8 @@ __all__ = [
     "RatePairSamples",
     "sample_rate_pairs",
     "lr_from_samples",
+    "DrawSummary",
+    "summarize_draws",
     "lr_for_conclusion",
     "lr_sweep",
     "SweepResult",
@@ -400,13 +401,61 @@ def lr_from_samples(samples: RatePairSamples, conclusion: Conclusion) -> LrEstim
 
     The Monte Carlo standard error comes from the delta method for a ratio
     of two (correlated) sample means.  The draws are one block of the
-    moment accumulator that :func:`lr_sweep` folds chunk by chunk; the
+    moment accumulator that :class:`DrawSummary` folds chunk by chunk; the
     means are the columns' own ``mean()``.
     """
     _require_two(len(samples))
     pc, qc = samples.rate_columns(conclusion)
     moments = _Moments.of(pc[:, None], qc[:, None])
     return moments.estimate(0, samples.acceptance_rate, samples.seed)
+
+
+class DrawSummary:
+    """Moments, and with ``bins`` each conclusion's grid cell counts, of one run's draws.
+
+    It keeps no draw; its estimates and grids are those :func:`lr_from_samples`
+    and :func:`density_grid` make from the same draws, up to float rounding.
+    """
+
+    def __init__(self, seed: int, bins: int = 0):
+        self.seed = seed
+        self.moments: _Moments | None = None
+        self.acceptance_rate = math.nan
+        self.bins = bins
+        self.cells = np.zeros((len(Conclusion) if bins else 0, bins * bins), dtype=np.intp)
+
+    def __call__(self, draws: np.ndarray, rows: np.ndarray) -> None:
+        kept = mc.kept_rows(draws, rows)
+        block = _Moments.of(kept[:, :3], kept[:, 3:])
+        self.moments = block if self.moments is None else self.moments.merge(block)
+        for j, cells in enumerate(self.cells):
+            _count_cells(cells, kept[:, j], kept[:, 3 + j], self.bins)
+
+    def estimate(self, conclusion: Conclusion) -> LrEstimate:
+        return self.moments.estimate(conclusion.value, self.acceptance_rate, self.seed)
+
+    def density_grid(self, conclusion: Conclusion) -> tuple[np.ndarray, np.ndarray]:
+        return _density(self.cells[conclusion.value], self.moments.n, self.bins)
+
+
+def summarize_draws(tables: Sequence[ConclusionCounts | None], n_accepted: int,
+                    rng: mc.RngStream, *, bins: int = 0,
+                    threads: int | None = None) -> list[DrawSummary]:
+    """Summaries of ``n_accepted`` admissible pairs from each count table, in one pipeline.
+
+    Table ``i`` draws on ``rng.substream(i)``, as :func:`sample_rate_pairs` would;
+    the first table's summary also counts grid cells, ``bins`` per axis.
+    """
+    _require_two(n_accepted)
+    summaries = [DrawSummary(rng.seed, bins if i == 0 else 0) for i in range(len(tables))]
+    runs = []
+    for i, (counts, summary) in enumerate(zip(tables, summaries)):
+        proposal, mass = _rate_pair_proposal(counts)
+        runs.append(mc.RejectionRun(proposal, _admissible_draws, n_accepted,
+                                    rng.substream(i), summary, mass))
+    for summary, (rate, _, _) in zip(summaries, mc.rejection_pipeline(runs, threads=threads)):
+        summary.acceptance_rate = rate
+    return summaries
 
 
 def lr_for_conclusion(
@@ -420,8 +469,8 @@ def lr_for_conclusion(
     """Recipient LR for hearing one conclusion, given optional validation counts."""
     if isinstance(conclusion, str):
         conclusion = Conclusion.parse(conclusion)
-    samples = sample_rate_pairs(counts, n_accepted, rng, threads=threads)
-    return lr_from_samples(samples, conclusion)
+    [summary] = summarize_draws([counts], n_accepted, rng, threads=threads)
+    return summary.estimate(conclusion)
 
 
 def _largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
@@ -471,6 +520,14 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     asymptotes: dict
 
+    @classmethod
+    def of(cls, base_counts: ConclusionCounts, sizes: Sequence[int],
+           summaries: Sequence[DrawSummary]) -> "SweepResult":
+        """The sweep whose size ``sizes[i]`` :func:`summarize_draws` drew into ``summaries[i]``."""
+        rows = tuple(SweepRow(int(size), c, summary.estimate(c))
+                     for size, summary in zip(sizes, summaries) for c in Conclusion)
+        return cls(rows, {c: base_counts.observed_rate_ratio(c) for c in Conclusion})
+
     def estimate(self, size: int, conclusion: Conclusion) -> LrEstimate:
         for row in self.rows:
             if row.size == size and row.conclusion is conclusion:
@@ -485,7 +542,6 @@ def lr_sweep(
     rng: mc.RngStream = mc.RngStream(0),
     *,
     threads: int | None = None,
-    meanwhile: Callable[[], object] | None = None,
 ) -> SweepResult:
     """LR for each conclusion across rescaled validation-study sizes.
 
@@ -493,39 +549,14 @@ def lr_sweep(
     ``i + 1``, so individual sizes are reproducible in isolation: each row
     is the estimate :func:`lr_from_samples` makes from
     ``sample_rate_pairs(scaled_counts(base_counts, size), n_accepted,
-    rng.substream(i + 1))``, up to float rounding.  The draws are not kept.
-    One pool draws every size in turn (:func:`mc.rejection_pipeline`), each
-    accepted chunk is folded into its size's moments as it arrives, and
-    memory stays that of a few chunks whatever ``n_accepted`` is.
-    ``meanwhile()``, if given, runs on the calling thread while the first
-    chunks are drawn.
+    rng.substream(i + 1))``, up to float rounding, with no draw kept.
     """
     if len(sizes) == 0:
         raise DomainError("sizes must be nonempty")
-    _require_two(n_accepted)
     tables = [scaled_counts(base_counts, int(size)) for size in sizes]
-    moments: list[_Moments | None] = [None] * len(tables)
-
-    def fold(i: int, draws: np.ndarray, rows: np.ndarray) -> None:
-        kept = mc.kept_rows(draws, rows)
-        block = _Moments.of(kept[:, :3], kept[:, 3:])
-        moments[i] = block if moments[i] is None else moments[i].merge(block)
-
-    runs = []
-    for i, counts in enumerate(tables):
-        proposal, mass = _rate_pair_proposal(counts)
-        runs.append(mc.RejectionRun(
-            proposal, _admissible_draws, n_accepted, rng.substream(i + 1),
-            functools.partial(fold, i), mass,
-        ))
-    counters = mc.rejection_pipeline(runs, threads=threads, meanwhile=meanwhile)
-    rows = [
-        SweepRow(int(size), conclusion, block.estimate(conclusion.value, rate, rng.seed))
-        for size, block, (rate, _, _) in zip(sizes, moments, counters)
-        for conclusion in Conclusion
-    ]
-    asymptotes = {c: base_counts.observed_rate_ratio(c) for c in Conclusion}
-    return SweepResult(rows=tuple(rows), asymptotes=asymptotes)
+    # substream i of substream 1 is substream i + 1
+    summaries = summarize_draws(tables, n_accepted, rng.substream(1), threads=threads)
+    return SweepResult.of(base_counts, sizes, summaries)
 
 
 def density_grid(
@@ -541,15 +572,25 @@ def density_grid(
     for rates in (pc, qc):
         if not (0.0 <= rates.min() and rates.max() <= 1.0):
             raise DomainError("rates must lie in [0, 1] for the density grid")
+    cells = np.zeros(bins * bins, dtype=np.intp)
+    _count_cells(cells, pc, qc, bins)
+    return _density(cells, len(samples), bins)
+
+
+def _count_cells(cells: np.ndarray, pc: np.ndarray, qc: np.ndarray, bins: int) -> None:
+    """Add the cell of each (mated, non-mated) rate pair to the flat ``cells`` of a grid."""
     edges = np.linspace(0.0, 1.0, bins + 1)
-    counts = np.zeros(bins * bins, dtype=np.intp)
-    for block in _blocks(len(samples)):
-        cells = _bin_index(pc[block], edges) * bins + _bin_index(qc[block], edges)
-        counts += np.bincount(cells, minlength=bins * bins)
-    grid = counts.reshape(bins, bins).astype(float)
-    grid /= len(samples) * (1.0 / bins) ** 2
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return centers, grid
+    for block in _blocks(pc.size):
+        index = _bin_index(pc[block], edges) * bins + _bin_index(qc[block], edges)
+        cells += np.bincount(index, minlength=bins * bins)
+
+
+def _density(cells: np.ndarray, n: int, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bin centers and the (bins, bins) density of the flat cell counts of ``n`` draws."""
+    edges = np.linspace(0.0, 1.0, bins + 1)
+    grid = cells.reshape(bins, bins).astype(float)
+    grid /= n * (1.0 / bins) ** 2
+    return 0.5 * (edges[:-1] + edges[1:]), grid
 
 
 def _bin_index(x: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -9,8 +9,7 @@ manifest digest.  A command that fails writes no files.
 
 Exit codes: 0 on success, 2 on input errors, 3 on numerical failures
 (intractable constraints, quadrature non-convergence, an LR beyond the
-float range, more Monte Carlo draws than memory can hold, inputs that take
-float arithmetic out of range).
+float range, inputs that take float arithmetic or memory out of range).
 """
 
 from __future__ import annotations
@@ -39,6 +38,8 @@ from .errors import (
 
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 1_000_000
+#: 1000 times the default: the main draw alone takes minutes.
+MAX_SAMPLES = 1_000_000_000
 
 #: Rows formatted per write of a figure CSV.
 _CSV_BLOCK_ROWS = 1 << 12
@@ -262,34 +263,23 @@ def _cmd_categorical(args) -> Run:
     conclusion = categorical.Conclusion.parse(args.conclusion)
     counts = _load_counts(args.validation)
     sweep_sizes = _parse_list(args.sweep, "--sweep") if args.sweep else None
-    if sweep_sizes:
-        if counts is None:
-            raise InputFormatError("--sweep requires --validation counts to rescale")
-        for size in sweep_sizes:
-            categorical.scaled_counts(counts, size)
+    if sweep_sizes and counts is None:
+        raise InputFormatError("--sweep requires --validation counts to rescale")
+    if not 2 <= args.samples <= MAX_SAMPLES:
+        raise InputFormatError(f"--samples must be from 2 to {MAX_SAMPLES}, got {args.samples}")
+    sweep_counts = [categorical.scaled_counts(counts, size) for size in sweep_sizes or []]
 
-    rng = mc.RngStream(args.seed)
-    samples = categorical.sample_rate_pairs(counts, args.samples, rng)
-
-    def summarize():
-        nonlocal samples
-        estimate = categorical.lr_from_samples(samples, conclusion)
-        grids = [
-            (f"density_grid_{c.name.lower()}.csv", ["p_bin", "q_bin", "density"],
-             _grid_rows(*categorical.density_grid(samples, c)))
-            for c in categorical.Conclusion
-        ]
-        samples = None  # the main draw's buffer is not needed again
-        return estimate, grids
-
-    if not sweep_sizes:
-        estimate, tables = summarize()
-    else:
-        # the main draw is summarized while the sweep's first chunks are drawn
-        summary = []
-        sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng,
-                                     meanwhile=lambda: summary.append(summarize()))
-        [(estimate, tables)] = summary
+    # one pool draws the main draw, with its grids, then each sweep size
+    main, *sweep_summaries = categorical.summarize_draws(
+        [counts, *sweep_counts], args.samples, mc.RngStream(args.seed), bins=100)
+    estimate = main.estimate(conclusion)
+    tables = [
+        (f"density_grid_{c.name.lower()}.csv", ["p_bin", "q_bin", "density"],
+         _grid_rows(*main.density_grid(c)))
+        for c in categorical.Conclusion
+    ]
+    if sweep_summaries:
+        sweep = categorical.SweepResult.of(counts, sweep_sizes, sweep_summaries)
         rows = [
             (row.size, row.conclusion.name.lower(), row.estimate.lr,
              row.estimate.mc_std_err, sweep.asymptotes[row.conclusion])
@@ -475,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conclusion", choices=["id", "inc", "exc"], default="id")
     p.add_argument("--validation", help="counts JSON or per-row CSV 'scenario,conclusion'")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help="accepted Monte Carlo draws")
+                   help=f"accepted Monte Carlo draws, from 2 to {MAX_SAMPLES}")
     p.add_argument("--sweep", help="comma-separated study sizes for the size sweep")
     _add_common(p)
     p.set_defaults(func=_cmd_categorical)

@@ -8,12 +8,13 @@ sampling consumes randomness in fixed-size chunks, one child stream per
 chunk index, which makes the output independent of how many worker threads
 evaluate the chunks.  :func:`rejection_pipeline` runs a sequence of
 rejection targets on one pool, handing each chunk's accepted rows to the
-target's consumer in chunk-index order: :func:`rejection_sample` collects
-them into one buffer, and a consumer that folds them into a running
-estimate needs memory for a few chunks only.  The acceptance rate
-reported is the share of proposals accepted times the proposal's mass, so
-a caller whose proposal covers only part of the untruncated distribution
-(see :func:`categorical.sample_rate_pairs`) gets that distribution's rate,
+target's consumer in chunk-index order.  Every command folds them into
+running estimates (:class:`categorical.DrawSummary`), in the memory of a
+few chunks; :func:`rejection_sample` collects them into one buffer, for
+library callers that want the draws.  The acceptance rate reported is
+the share of proposals accepted times the proposal's mass, so a caller
+whose proposal covers only part of the untruncated distribution (see
+:func:`categorical.sample_rate_pairs`) gets that distribution's rate,
 held to the floor.
 """
 
@@ -101,7 +102,7 @@ class RngStream:
         return np.random.Generator(np.random.SFC64(ss))
 
     def substream(self, offset: int) -> "RngStream":
-        """The stream ``offset`` positions after this one (offset >= 1)."""
+        """The stream ``offset`` positions after this one (itself at offset 0)."""
         return RngStream(self.seed, self.stream_id + int(offset))
 
 
@@ -221,7 +222,6 @@ def rejection_pipeline(
     floor: float | None = None,
     probe: int | None = None,
     threads: int | None = None,
-    meanwhile: Callable[[], object] | None = None,
 ) -> list[tuple[float, int, int]]:
     """Draw each run to its target, in order, on one pool of worker threads.
 
@@ -233,8 +233,6 @@ def rejection_pipeline(
     ``accept`` and ``consume`` run on the calling thread, one chunk at a
     time in chunk-index order, so the consumed rows and every counter are
     identical for any ``threads`` value; with one thread there is no pool.
-    ``meanwhile()``, if given, runs on the calling thread once the first
-    chunks are being drawn.
 
     Returns each run's (acceptance rate, proposals drawn, chunks drawn).
 
@@ -272,10 +270,6 @@ def rejection_pipeline(
                 in_flight += 1
 
     try:
-        if pool is not None:
-            top_up(states)
-        if meanwhile is not None:
-            meanwhile()
         for i, state in enumerate(states):
             while not state.done():
                 if pool is None:
@@ -328,8 +322,8 @@ class _RowBuffer:
         self.n_kept = 0
 
     def __call__(self, draws: np.ndarray, rows: np.ndarray) -> None:
-        if self.samples is None:
-            self.samples = _row_buffer(self.n_rows, draws)
+        if self.samples is None:  # numpy's MemoryError names the size refused
+            self.samples = np.empty((self.n_rows, draws.shape[1]), draws.dtype, order="F")
         kept_rows(draws, rows, out=self.samples[self.n_kept:self.n_kept + rows.size])
         self.n_kept += rows.size
 
@@ -371,15 +365,6 @@ def rejection_sample(
         n_proposed=n_proposed,
         n_chunks=n_chunks,
     )
-
-
-def _row_buffer(n_rows: int, draws: np.ndarray) -> np.ndarray:
-    """Uninitialized room for ``n_rows`` rows like those of ``draws``, columns contiguous."""
-    try:
-        return np.empty((n_rows, draws.shape[1]), dtype=draws.dtype, order="F")
-    except MemoryError:
-        size = n_rows * draws.shape[1] * draws.dtype.itemsize
-        raise MemoryError(f"{n_rows} draws need {size / 2**30:.3g} GiB") from None
 
 
 #: Per-axis node budget for the refinement ladder; a level that would

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -281,16 +282,78 @@ class TestCategoricalCommand:
             assert f"EVIDENTIAL_WEIGHT_THREADS must be an integer, got {value!r}" in err
         assert out.exists() == (code == 0)
 
-    def test_too_many_samples_exit_3(self, tmp_path, capsys):
-        # 1e13 draws of six rates need 437 TiB: the buffer allocation is
-        # refused before any sample is stored
-        assert run(
-            ["categorical", "--samples", 10_000_000_000_000, "--out", tmp_path]
-        ) == 3
+    # no draw is kept, so a huge --samples would not fail an allocation:
+    # it would run for days
+    @pytest.mark.parametrize("samples", [1, 1_000_000_001, 10_000_000_000_000])
+    def test_samples_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, samples):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before --samples was checked")
+
+        monkeypatch.setattr(categorical, "sample_rate_pairs", no_sampling)
+        monkeypatch.setattr(mc, "rejection_pipeline", no_sampling)
+        assert run(["categorical", "--samples", samples, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: 10000000000000 draws need ")
-        assert "GiB" in err
+        assert f"--samples must be from 2 to 1000000000, got {samples}" in err
         assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize("case", ["prior", "study"])
+    def test_streamed_outputs_equal_buffered_library_path(self, tmp_path, monkeypatch, case):
+        # the command folds each chunk as it arrives; the library keeps
+        # every draw in one buffer and summarizes it afterwards.  300,000
+        # draws end part way into a chunk
+        n, rng = 300_000, mc.RngStream(23)
+        assert n % mc.CHUNK_SIZE
+        counts, extra, sizes = None, [], [100, 1000]
+        if case == "study":
+            counts = categorical.ConclusionCounts((3663, 1856, 450), (6, 455, 3622))
+            path = tmp_path / "counts.json"
+            path.write_text(json.dumps(STUDY_JSON))
+            extra = ["--validation", path, "--sweep", ",".join(map(str, sizes))]
+        samples = categorical.sample_rate_pairs(counts, n, rng)
+        grids = {
+            c: "".join(",".join(row) + "\n"
+                       for row in cli._grid_rows(*categorical.density_grid(samples, c)))
+            for c in categorical.Conclusion
+        }
+        for threads in ("1", "3"):
+            monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
+            for conclusion in categorical.Conclusion:
+                out = tmp_path / threads / conclusion.name
+                assert run(["categorical", "--conclusion", conclusion.name.lower(),
+                            "--samples", n, "--seed", rng.seed, *extra, "--out", out]) == 0
+                for c, text in grids.items():
+                    written = (out / f"density_grid_{c.name.lower()}.csv").read_text()
+                    assert written.split("\n", 2)[2] == text
+                est = read_json(out / "result.json")["lr_estimate"]
+                alone = categorical.lr_from_samples(samples, conclusion)
+                assert est["lr"] == pytest.approx(alone.lr, rel=1e-13, abs=0)
+                assert est["mc_std_err"] == pytest.approx(alone.mc_std_err, rel=1e-12, abs=0)
+                assert (est["n_samples"], est["acceptance_rate"]) == (
+                    alone.n_samples, alone.acceptance_rate)
+        if case == "study":
+            # the sweep's runs follow the main draw's on the same pool
+            sweep = categorical.lr_sweep(counts, sizes, n, rng)
+            rows = [f"{row.size},{row.conclusion.name.lower()},{row.estimate.lr},"
+                    f"{row.estimate.mc_std_err},{sweep.asymptotes[row.conclusion]}\n"
+                    for row in sweep.rows]
+            assert (out / "sweep.csv").read_text().split("\n", 2)[2] == "".join(rows)
+
+    def test_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
+        # numpy reports its buffers to tracemalloc; one buffer of the
+        # draws would add 48 bytes a draw
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "2")
+        counts = tmp_path / "counts.json"
+        counts.write_text(json.dumps(STUDY_JSON))
+        peaks = []
+        for n in (300_000, 1_200_000):
+            tracemalloc.start()
+            try:
+                assert run(["categorical", "--validation", counts, "--samples", n,
+                            "--out", tmp_path / str(n)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 0.25 * 48 * (1_200_000 - 300_000)
 
     def test_grid_rows_format_each_value_as_its_float(self):
         # each distinct density is formatted once; the text must be that

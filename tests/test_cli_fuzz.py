@@ -144,7 +144,8 @@ CATEGORICAL_ARGS = either(
     {"samples": st.integers(2, 2000), "sweep": maybe(listing(SIZE)),
      "validation": maybe(json_text(COUNTS) | csv_text(
          "scenario,conclusion", st.lists(CONCLUSION, min_size=1, max_size=1)))},
-    {"samples": st.integers(-1, 1), "sweep": listing(SIZE_TEXT) | JUNK,
+    {"samples": st.integers(-1, 1) | st.integers(10**9 + 1, 10**19),
+     "sweep": listing(SIZE_TEXT) | JUNK,
      "validation": bad_json_text(COUNTS) | csv_text(
          "scenario,conclusion", st.lists(st.sampled_from(["x", "", "id"]), max_size=2))},
 )
@@ -154,8 +155,8 @@ COIN_ARGS = either(
 )
 
 
-def run_fuzzed(argv: list[str], files: dict) -> None:
-    """Run ``argv`` after writing each ``{flag: file text}`` to a file."""
+def run_fuzzed(argv: list[str], files: dict) -> int:
+    """Run ``argv`` after writing each ``{flag: file text}`` to a file; return its exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for i, (flag, text) in enumerate(files.items()):
@@ -170,6 +171,7 @@ def run_fuzzed(argv: list[str], files: dict) -> None:
             code = exc.code
         assert code in (0, 2, 3)
         assert out.exists() == (code == 0)
+    return code
 
 
 # the same examples on every run, so that the suite's verdict is reproducible
@@ -210,7 +212,9 @@ def test_categorical(args):
         argv.append(f"--sweep={args['sweep']}")
     # a small probe budget, so that an unreachable region fails in ms
     with mock.patch.object(mc, "INTRACTABLE_PROBE", 4 * mc.CHUNK_SIZE):
-        run_fuzzed(argv, {"--validation": args["validation"]})
+        code = run_fuzzed(argv, {"--validation": args["validation"]})
+    if not 2 <= args["samples"] <= cli.MAX_SAMPLES:
+        assert code == 2
 
 
 @FUZZ

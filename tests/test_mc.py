@@ -175,13 +175,9 @@ class TestRejectionSample:
                 uniform_pair_proposal, accept, target, mc.RngStream(11, i),
                 lambda d, rows, out=consumed[-1]: out.append(mc.kept_rows(d, rows).copy()),
             ))
-        calls = []
         threads_before = threading.active_count()
-        counters = mc.rejection_pipeline(
-            runs, chunk_size=chunk, threads=threads, meanwhile=lambda: calls.append(1)
-        )
+        counters = mc.rejection_pipeline(runs, chunk_size=chunk, threads=threads)
         assert threading.active_count() == threads_before
-        assert calls == [1]
         for run, rows, (rate, n_proposed, n_chunks) in zip(runs, consumed, counters):
             alone = mc.rejection_sample(
                 uniform_pair_proposal, accept, run.target_accepted, run.rng,
