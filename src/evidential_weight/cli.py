@@ -7,6 +7,11 @@ figure-data CSVs, and a ``manifest.json`` recording everything needed to
 reproduce the run.  Every CSV starts with a comment line carrying the
 manifest digest.  A command that fails writes no files.
 
+Loading this module imports neither numpy nor any opinion module: each
+step imports the modules it runs, so ``coin`` and ``--help`` run
+without numpy, and ``scalar`` loads no sampler.  The steps that compute
+with numpy run under numpy's float guard (:func:`_numpy_step`).
+
 Exit codes: 0 on success, 2 on input errors, 3 on numerical failures
 (intractable constraints, quadrature non-convergence, an LR beyond the
 float range, inputs that take float arithmetic or memory out of range).
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -23,10 +29,9 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, categorical, coin_oracle, interval_opinion, mc, multi_expert, scalar_opinion
+from . import __version__
 from .core import Scenario, read_scenario_rows
 from .errors import (
     ConstraintIntractableError,
@@ -36,6 +41,11 @@ from .errors import (
     QuadratureConvergenceError,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import categorical
+
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 1_000_000
 #: 1000 times the default: the main draw alone takes minutes.
@@ -43,15 +53,6 @@ MAX_SAMPLES = 1_000_000_000
 
 #: Rows formatted per write of a figure CSV.
 _CSV_BLOCK_ROWS = 1 << 12
-
-DEFAULT_SCALAR_PRIORS = {
-    Scenario.H1: scalar_opinion.NormalGammaParams(5.0, 1.0, 0.01, 1.0),
-    Scenario.H2: scalar_opinion.NormalGammaParams(-5.0, 1.0, 0.01, 1.0),
-}
-DEFAULT_WIDTH_PRIORS = {
-    Scenario.H1: interval_opinion.GammaConjParams.from_p(9.0, 6.0, 2.0, 2.0),
-    Scenario.H2: interval_opinion.GammaConjParams.from_p(9.0, 6.0, 2.0, 2.0),
-}
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +178,8 @@ def _read_lines(path: Path) -> list[str]:
 
 
 def _load_counts(text: str | None) -> categorical.ConclusionCounts | None:
+    from . import categorical
+
     if not text:
         return None
     path = Path(text)
@@ -195,10 +198,10 @@ def _load_scenario_csv(text: str | None, header: str) -> dict[Scenario, list[tup
     return grouped
 
 
-def _load_priors(text: str | None, params_type, default) -> dict:
-    """H1/H2 parameters of ``params_type`` from a JSON file, else ``default``."""
+def _load_priors(text: str | None, params_type, default: tuple) -> dict:
+    """H1/H2 parameters of ``params_type`` from a JSON file, else the pair ``default``."""
     if not text:
-        return dict(default)
+        return dict(zip(Scenario, default))
     obj = _load_json(Path(text))
     try:
         return {scen: params_type.from_dict(obj[scen.value]) for scen in Scenario}
@@ -218,6 +221,8 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
 
 def _parse_grid(text: str, flag: str) -> np.ndarray:
     """Parse 'lo:hi:count' into a linspace grid."""
+    import numpy as np
+
     parts = text.split(":")
     if len(parts) != 3:
         raise InputFormatError(f"{flag} must look like 'lo:hi:count', got {text!r}")
@@ -251,6 +256,8 @@ def _update(priors: dict, grouped: dict | None, update) -> dict:
 
 
 def _normal_gamma_update(prior, values):
+    from . import scalar_opinion
+
     summary = scalar_opinion.ScalarValidationSummary.from_values(values)
     return scalar_opinion.update_normal_gamma(prior, summary)
 
@@ -259,7 +266,36 @@ def _normal_gamma_update(prior, values):
 # subcommands
 # ----------------------------------------------------------------------
 
+class _MatrixFailure(RuntimeError):
+    """numpy's ``LinAlgError`` (a singular or not positive definite matrix),
+    raised again so that :func:`main` can name it without importing numpy."""
+
+
+def _numpy_step(step):
+    """Run a subcommand that computes with numpy under numpy's float guard.
+
+    A float overflow, division by zero or invalid operation that no step
+    expects raises, and stops the command, rather than running on with
+    inf or nan; a failed matrix factorization is a numerical failure too.
+    """
+
+    @functools.wraps(step)
+    def guarded(args) -> Run:
+        import numpy as np
+
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            try:
+                return step(args)
+            except np.linalg.LinAlgError as exc:
+                raise _MatrixFailure(str(exc)) from exc
+
+    return guarded
+
+
+@_numpy_step
 def _cmd_categorical(args) -> Run:
+    from . import categorical, mc
+
     conclusion = categorical.Conclusion.parse(args.conclusion)
     counts = _load_counts(args.validation)
     sweep_sizes = _parse_list(args.sweep, "--sweep") if args.sweep else None
@@ -302,6 +338,8 @@ def _cmd_categorical(args) -> Run:
 
 def _grid_rows(centers: np.ndarray, grid: np.ndarray):
     """Rows of a density grid as text: each center and each distinct density formatted once."""
+    import numpy as np
+
     labels = [str(c) for c in centers.tolist()]
     values, index = np.unique(grid, return_inverse=True)
     texts = [str(v) for v in values.tolist()]
@@ -313,9 +351,13 @@ def _grid_rows(centers: np.ndarray, grid: np.ndarray):
     )
 
 
+@_numpy_step
 def _cmd_scalar(args) -> Run:
+    from . import scalar_opinion
+
     grid = _parse_grid(args.grid, "--grid")
-    priors = _load_priors(args.priors, scalar_opinion.NormalGammaParams, DEFAULT_SCALAR_PRIORS)
+    priors = _load_priors(args.priors, scalar_opinion.NormalGammaParams,
+                          scalar_opinion.DEFAULT_PRIORS)
     grouped = _load_scenario_csv(args.validation, "scenario,log10_lr")
     posteriors = _update(priors, grouped, lambda prior, rows: _normal_gamma_update(
         prior, [value for value, in rows]))
@@ -332,7 +374,10 @@ def _cmd_scalar(args) -> Run:
     )
 
 
+@_numpy_step
 def _cmd_interval(args) -> Run:
+    from . import interval_opinion, scalar_opinion
+
     iv = interval_opinion.LrInterval(args.lo, args.hi)
     w_grid = _parse_grid(args.w_grid, "--w-grid")
     overrides = {"rel_tol": args.quad_rel_tol, "max_refinements": args.quad_max_refinements}
@@ -341,9 +386,9 @@ def _cmd_interval(args) -> Run:
         **{name: value for name, value in overrides.items() if value is not None},
     )
     mid_priors = _load_priors(args.mid_priors, scalar_opinion.NormalGammaParams,
-                              DEFAULT_SCALAR_PRIORS)
+                              scalar_opinion.DEFAULT_PRIORS)
     width_priors = _load_priors(args.width_priors, interval_opinion.GammaConjParams,
-                                DEFAULT_WIDTH_PRIORS)
+                                interval_opinion.DEFAULT_WIDTH_PRIORS)
     grouped = _load_scenario_csv(args.validation, "scenario,log10_lo,log10_hi")
     if grouped and any(not lo < hi for rows in grouped.values() for lo, hi in rows):
         raise InputFormatError("interval rows must satisfy log10_lo < log10_hi",
@@ -386,13 +431,16 @@ def _cmd_interval(args) -> Run:
     )
 
 
+@_numpy_step
 def _cmd_two_expert(args) -> Run:
+    from . import multi_expert
+
     x = _parse_list(args.x, "--x", float)
     if len(x) != 2:
         raise InputFormatError(f"--x must be 'log10_lr_b,log10_lr_c', got {args.x!r}")
     sweep_sizes = _parse_list(args.sweep, "--sweep") if args.sweep else None
-    preset = zip(Scenario, multi_expert.PRIOR_PRESETS[args.prior_preset])
-    priors = _load_priors(args.priors, multi_expert.NormalWishartParams, preset)
+    priors = _load_priors(args.priors, multi_expert.NormalWishartParams,
+                          multi_expert.PRIOR_PRESETS[args.prior_preset])
     grouped = _load_scenario_csv(args.validation, "scenario,log10_lr_b,log10_lr_c")
     posteriors = _update(priors, grouped, lambda prior, rows: multi_expert.posterior_params(
         prior, multi_expert.PairedLrSummary.from_values(rows), args.wishart))
@@ -425,6 +473,8 @@ def _cmd_two_expert(args) -> Run:
 
 
 def _cmd_coin(args) -> Run:
+    from . import coin_oracle
+
     seq = coin_oracle.TossSequence.from_string(args.seq)
     result = {
         "seq": "".join(seq.tosses),
@@ -498,13 +548,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("two-expert", help="LR for a pair of expert log10 LRs")
     p.add_argument("--x", required=True, help="reported pair 'log10_lr_b,log10_lr_c'")
     p.add_argument("--priors", help="JSON file with H1/H2 normal-Wishart priors")
+    # the names and defaults of multi_expert.PRIOR_PRESETS,
+    # DEFAULT_DF_CONVENTION and DEFAULT_WISHART_MATRIX, which a test pins,
+    # so that the parser does not import the module
     p.add_argument("--prior-preset", dest="prior_preset",
-                   choices=sorted(multi_expert.PRIOR_PRESETS), default="default")
-    p.add_argument("--df", choices=["n0", "n0-1"],
-                   default=multi_expert.DEFAULT_DF_CONVENTION,
+                   choices=["alt", "default"], default="default")
+    p.add_argument("--df", choices=["n0", "n0-1"], default="n0",
                    help="degrees-of-freedom convention for the marginal t")
-    p.add_argument("--wishart", choices=["scale", "rate"],
-                   default=multi_expert.DEFAULT_WISHART_MATRIX,
+    p.add_argument("--wishart", choices=["scale", "rate"], default="rate",
                    help="reading of the stored matrix as Wishart scale or rate")
     p.add_argument("--validation", help="CSV 'scenario,log10_lr_b,log10_lr_c'")
     p.add_argument("--sweep", help="comma-separated validation sizes, e.g. '0,10,100'")
@@ -528,15 +579,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("'--' is not a flag value")
     started = time.perf_counter()
     try:
-        # a float overflow or invalid operation that no step expects stops
-        # the command, rather than running on with inf or nan
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            run = args.func(args)
+        run = args.func(args)
     except (InputFormatError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConstraintIntractableError, QuadratureConvergenceError, LrRangeError,
-            MemoryError, np.linalg.LinAlgError) as exc:
+            MemoryError, _MatrixFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:

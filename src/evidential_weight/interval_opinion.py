@@ -49,6 +49,7 @@ __all__ = [
     "width_curve",
     "WidthCurve",
     "DEFAULT_WIDTH_QUAD_SPEC",
+    "DEFAULT_WIDTH_PRIORS",
 ]
 
 #: Working rectangle in (shape, rate) space for the width hyperprior.
@@ -139,6 +140,13 @@ class GammaConjParams:
         if "p" in obj and "log_p" not in obj:
             return cls.from_p(float(obj["p"]), float(obj["q"]), float(obj["r"]), float(obj["s"]))
         return cls(float(obj["log_p"]), float(obj["q"]), float(obj["r"]), float(obj["s"]))
+
+
+#: The command line's width priors (H1, H2) when none are given.
+DEFAULT_WIDTH_PRIORS = (
+    GammaConjParams.from_p(9.0, 6.0, 2.0, 2.0),
+    GammaConjParams.from_p(9.0, 6.0, 2.0, 2.0),
+)
 
 
 def update_gamma_conj(

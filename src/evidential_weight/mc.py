@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -254,7 +253,13 @@ def rejection_pipeline(
     def propose(run: RejectionRun, index: int) -> np.ndarray:
         return run.proposal(run.rng.chunk_generator(index), chunk_size)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = None
+    if threads > 1:
+        # imported here, so that a process that draws on one thread, or
+        # only wants a QuadratureSpec, loads neither it nor its logging
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(max_workers=threads)
     dropped: list = []  # chunks of finished runs that may still be drawing
 
     def top_up(ahead: list[_Progress]) -> None:

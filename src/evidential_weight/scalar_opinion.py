@@ -30,6 +30,7 @@ __all__ = [
     "lr_for_scalar",
     "lr_curve",
     "ScalarCurve",
+    "DEFAULT_PRIORS",
 ]
 
 
@@ -61,6 +62,14 @@ class NormalGammaParams:
     @classmethod
     def from_dict(cls, obj: dict) -> "NormalGammaParams":
         return cls(float(obj["mu0"]), float(obj["n_mu"]), float(obj["tau0"]), float(obj["n_tau"]))
+
+
+#: The command line's priors (H1, H2) when none are given, for a scalar
+#: report and for an interval's midpoint.
+DEFAULT_PRIORS = (
+    NormalGammaParams(5.0, 1.0, 0.01, 1.0),
+    NormalGammaParams(-5.0, 1.0, 0.01, 1.0),
+)
 
 
 @dataclass(frozen=True)
@@ -181,12 +190,13 @@ def student_t_logpdf(x, df: float, loc, scale) -> np.ndarray:
     else:
         chol = np.linalg.cholesky(scale)
         d = chol.shape[0]
-        z = np.linalg.solve(chol, (x - loc)[..., None])[..., 0]
+        u = x - loc
+        z = np.linalg.solve(chol, u[..., None])[..., 0]
         half_logdet = float(np.log(chol.diagonal()).sum())
     with np.errstate(over="ignore"):
         qf = z * z if d == 1 else (z * z).sum(axis=-1)
         ratio = qf / df
-    far = np.isinf(ratio)
+    far = ~np.isfinite(ratio)
     if np.any(far):
         # past the overflow the quadratic form stays in log form:
         # log1p(qf / df) = log qf - log df, as df / qf is below the smallest
@@ -195,8 +205,15 @@ def student_t_logpdf(x, df: float, loc, scale) -> np.ndarray:
             if d == 1:
                 log_qf = 2.0 * np.log(np.abs(z))
             else:
+                # the solve itself may overflow z, to inf or nan, with no
+                # float error: there z = length * chol^-1 (u / length), for
+                # length = max|u|, with the length carried in log form
+                lost = ~np.all(np.isfinite(z), axis=-1, keepdims=True)
+                length = np.where(lost, np.max(np.abs(u), axis=-1, keepdims=True), 1.0)
+                z = np.where(lost, np.linalg.solve(chol, (u / length)[..., None])[..., 0], z)
                 top = np.max(np.abs(z), axis=-1, keepdims=True)
-                log_qf = 2.0 * np.log(top[..., 0]) + np.log(((z / top) ** 2).sum(axis=-1))
+                log_qf = (2.0 * (np.log(length) + np.log(top))[..., 0]
+                          + np.log(((z / top) ** 2).sum(axis=-1)))
         log1p_ratio = np.where(far, log_qf - math.log(df), np.log1p(ratio))
     else:
         log1p_ratio = np.log1p(ratio)

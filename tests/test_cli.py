@@ -525,6 +525,13 @@ class TestTwoExpertCommand:
         assert run(["two-expert", "--x", "1e300,0", "--out", tmp_path]) == 0
         assert read_json(tmp_path / "result.json")["lr_estimate"]["log10_lr"] == 0.0
 
+    @pytest.mark.parametrize("x", ["1e308,1e308", "1.7e308,-1.7e308"])
+    def test_report_whose_whitening_overflows(self, tmp_path, x):
+        # the whitened report overflows inside numpy's solve, which raises
+        # no float error; it used to reach the LR as nan and exit 2
+        assert run(["two-expert", "--x", x, "--out", tmp_path]) == 0
+        assert read_json(tmp_path / "result.json")["lr_estimate"]["log10_lr"] == 0.0
+
     def test_alt_preset_runs(self, tmp_path):
         assert run(
             ["two-expert", "--x", "2,1.4771", "--prior-preset", "alt",
@@ -591,47 +598,96 @@ if sys.argv[2] == "blocked":
 
     sys.meta_path.insert(0, NoScipy())
 
+
+def report(step, code=0):
+    # the package's submodules, numpy, the worker pool's modules and any
+    # scipy module loaded so far
+    loaded = sorted(m for m in sys.modules if m.startswith(("evidential_weight.", "scipy."))
+                    or m in ("numpy", "scipy", "concurrent.futures", "logging"))
+    print(step, code, ",".join(loaded))
+
+
+import evidential_weight
+report("import")
 from evidential_weight import cli
+cli.build_parser()
+report("parser")
 
 out = sys.argv[1]
-for i, argv in enumerate([
+commands = [
     ["scalar", "--r", "9"],
     ["two-expert", "--x", "2,1.4771", "--sweep", "0,10"],
     ["coin", "--seq", "HHHHHTTT"],
     ["categorical", "--conclusion", "id", "--samples", "2000"],
     ["interval", "--lo", "1e8", "--hi", "1e10", "--w-grid", "0.5:8:3"],
-]):
-    code = cli.main(argv + ["--out", f"{out}/{i}"])
-    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    print(argv[0], code, ",".join(scipy))
+]
+for i in map(int, sys.argv[3].split(",")):
+    report(commands[i][0], cli.main(commands[i] + ["--out", f"{out}/{i}"]))
 """
+COMMANDS = ["scalar", "two-expert", "coin", "categorical", "interval"]
 
 
-def run_import_probe(out: Path, mode: str) -> dict:
+def run_import_probe(out: Path, mode: str, commands=range(len(COMMANDS))) -> dict:
+    """Each step's loaded modules (see ``report``) after the package import,
+    after the parser is built, and after each of ``commands`` has run."""
     # a fresh interpreter, so modules that other tests loaded do not count
     proc = subprocess.run(
-        [sys.executable, "-W", "ignore", "-c", IMPORT_PROBE, str(out), mode],
+        [sys.executable, "-W", "ignore", "-c", IMPORT_PROBE, str(out), mode,
+         ",".join(map(str, commands))],
         capture_output=True, text=True, timeout=120, check=True,
         env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
     )
     loaded = {}
     for line in proc.stdout.splitlines():
-        command, code, modules = line.split(" ")
+        step, code, modules = line.split(" ")
         assert code == "0", line
-        loaded[command] = modules
+        loaded[step] = set(modules.split(",")) - {""}
     return loaded
 
 
 def test_runtime_imports_no_scipy(tmp_path):
     loaded = run_import_probe(tmp_path, "normal")
-    assert loaded == dict.fromkeys(["scalar", "two-expert", "coin", "categorical", "interval"], "")
+    assert list(loaded) == ["import", "parser"] + COMMANDS
+    for step, modules in loaded.items():
+        assert not any(m == "scipy" or m.startswith("scipy.") for m in modules), step
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    ew = "evidential_weight."
+    parser = {ew + "cli", ew + "core", ew + "errors"}
+    for i, command in enumerate(COMMANDS):
+        loaded = run_import_probe(tmp_path / command, "normal", [i])
+        assert loaded["import"] == set()
+        assert loaded["parser"] == parser
+        ran = loaded[command]
+        if command == "coin":
+            assert ran == parser | {ew + "coin_oracle"}
+        if command in ("scalar", "two-expert"):
+            assert not ran & {ew + "mc", ew + "categorical", ew + "interval_opinion"}
+        if command == "interval":
+            assert not ran & {ew + "categorical", ew + "multi_expert", ew + "coin_oracle"}
+        if command != "categorical":
+            # only a pool of sampling threads needs them
+            assert not ran & {"concurrent.futures", "logging"}
+
+
+def test_parser_choices_and_defaults_match_multi_expert():
+    # the parser spells them out, so that building it imports no opinion module
+    from evidential_weight import multi_expert
+
+    commands = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    actions = {action.dest: action for action in commands.choices["two-expert"]._actions}
+    assert actions["prior_preset"].choices == sorted(multi_expert.PRIOR_PRESETS)
+    assert actions["prior_preset"].default == "default"
+    assert actions["df"].default == multi_expert.DEFAULT_DF_CONVENTION
+    assert actions["wishart"].default == multi_expert.DEFAULT_WISHART_MATRIX
 
 
 def test_every_command_runs_without_scipy(tmp_path):
     normal = run_import_probe(tmp_path / "normal", "normal")
     blocked = run_import_probe(tmp_path / "blocked", "blocked")
     assert list(blocked) == list(normal)
-    for i in range(len(normal)):
+    for i in range(len(COMMANDS)):
         assert (tmp_path / "blocked" / str(i) / "result.json").read_bytes() == (
             tmp_path / "normal" / str(i) / "result.json"
         ).read_bytes()

@@ -208,6 +208,23 @@ class TestStudentTCore:
                 want = mp_t_logpdf(mpmath, (dev.T * precision * dev)[0], df, 2, half_logdet)
                 assert value == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [SHAPE_2D, np.diag([1e-4, 4e-4])])
+    def test_reports_whose_whitening_overflows(self, shape):
+        # the whitened report chol^-1 (x - loc) itself overflows to inf, or
+        # to nan where the factor has a zero, although x is a finite float
+        mpmath = pytest.importorskip("mpmath")
+        pts = np.array([[1e308, 1e308], [1.7e308, 1.7e308], [1.7e308, -1.7e308], [-1e308, 3.0],
+                        [1e306, 1e308]])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = so.student_t_logpdf(pts, 3.7, LOC_2D, shape)
+        with mpmath.workdps(40):
+            precision = mpmath.matrix(shape.tolist()) ** -1
+            half_logdet = mpmath.log(mpmath.det(mpmath.matrix(shape.tolist()))) / 2
+            for x, value in zip(pts, got):
+                dev = mpmath.matrix(x.tolist()) - mpmath.matrix(LOC_2D.tolist())
+                want = mp_t_logpdf(mpmath, (dev.T * precision * dev)[0], 3.7, 2, half_logdet)
+                assert value == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("df", [0.5, 3.7, 120.0, 1e12])
     def test_vector_matches_pointwise(self, df):
         vector = so.student_t_logpdf(T_XS, df, 0.3, 30.0)
