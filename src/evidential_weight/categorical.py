@@ -438,24 +438,22 @@ class DrawSummary:
         return _density(self.cells[conclusion.value], self.moments.n, self.bins)
 
 
-def summarize_draws(tables: Sequence[ConclusionCounts | None], n_accepted: int,
-                    rng: mc.RngStream, *, bins: int = 0,
-                    threads: int | None = None) -> list[DrawSummary]:
-    """Summaries of ``n_accepted`` admissible pairs from each count table, in one pipeline.
+def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.RngStream,
+                    *, bins: int = 0, threads: int | None = None) -> DrawSummary:
+    """Summary of ``n_accepted`` admissible pairs from one count table, drawn on ``rng``.
 
-    Table ``i`` draws on ``rng.substream(i)``, as :func:`sample_rate_pairs` would;
-    the first table's summary also counts grid cells, ``bins`` per axis.
+    The draws are those :func:`sample_rate_pairs` makes on the same stream,
+    folded chunk by chunk as they are accepted; with ``bins`` the summary
+    also counts each conclusion's grid cells, ``bins`` per axis.
     """
     _require_two(n_accepted)
-    summaries = [DrawSummary(rng.seed, bins if i == 0 else 0) for i in range(len(tables))]
-    runs = []
-    for i, (counts, summary) in enumerate(zip(tables, summaries)):
-        proposal, mass = _rate_pair_proposal(counts)
-        runs.append(mc.RejectionRun(proposal, _admissible_draws, n_accepted,
-                                    rng.substream(i), summary, mass))
-    for summary, (rate, _, _) in zip(summaries, mc.rejection_pipeline(runs, threads=threads)):
-        summary.acceptance_rate = rate
-    return summaries
+    summary = DrawSummary(rng.seed, bins)
+    proposal, mass = _rate_pair_proposal(counts)
+    summary.acceptance_rate, _, _ = mc.rejection_stream(
+        proposal, _admissible_draws, n_accepted, rng, summary,
+        threads=threads, proposal_mass=mass,
+    )
+    return summary
 
 
 def lr_for_conclusion(
@@ -469,8 +467,7 @@ def lr_for_conclusion(
     """Recipient LR for hearing one conclusion, given optional validation counts."""
     if isinstance(conclusion, str):
         conclusion = Conclusion.parse(conclusion)
-    [summary] = summarize_draws([counts], n_accepted, rng, threads=threads)
-    return summary.estimate(conclusion)
+    return summarize_draws(counts, n_accepted, rng, threads=threads).estimate(conclusion)
 
 
 def _largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
@@ -520,14 +517,6 @@ class SweepResult:
     rows: tuple[SweepRow, ...]
     asymptotes: dict
 
-    @classmethod
-    def of(cls, base_counts: ConclusionCounts, sizes: Sequence[int],
-           summaries: Sequence[DrawSummary]) -> "SweepResult":
-        """The sweep whose size ``sizes[i]`` :func:`summarize_draws` drew into ``summaries[i]``."""
-        rows = tuple(SweepRow(int(size), c, summary.estimate(c))
-                     for size, summary in zip(sizes, summaries) for c in Conclusion)
-        return cls(rows, {c: base_counts.observed_rate_ratio(c) for c in Conclusion})
-
     def estimate(self, size: int, conclusion: Conclusion) -> LrEstimate:
         for row in self.rows:
             if row.size == size and row.conclusion is conclusion:
@@ -549,14 +538,18 @@ def lr_sweep(
     ``i + 1``, so individual sizes are reproducible in isolation: each row
     is the estimate :func:`lr_from_samples` makes from
     ``sample_rate_pairs(scaled_counts(base_counts, size), n_accepted,
-    rng.substream(i + 1))``, up to float rounding, with no draw kept.
+    rng.substream(i + 1))``, up to float rounding.  Each size is one
+    :func:`summarize_draws` run, which keeps no draw; every size is
+    checked before the first is drawn.
     """
     if len(sizes) == 0:
         raise DomainError("sizes must be nonempty")
     tables = [scaled_counts(base_counts, int(size)) for size in sizes]
-    # substream i of substream 1 is substream i + 1
-    summaries = summarize_draws(tables, n_accepted, rng.substream(1), threads=threads)
-    return SweepResult.of(base_counts, sizes, summaries)
+    rows = []
+    for i, (size, counts) in enumerate(zip(sizes, tables)):
+        summary = summarize_draws(counts, n_accepted, rng.substream(i + 1), threads=threads)
+        rows.extend(SweepRow(int(size), c, summary.estimate(c)) for c in Conclusion)
+    return SweepResult(tuple(rows), {c: base_counts.observed_rate_ratio(c) for c in Conclusion})
 
 
 def density_grid(

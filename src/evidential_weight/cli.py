@@ -303,19 +303,22 @@ def _cmd_categorical(args) -> Run:
         raise InputFormatError("--sweep requires --validation counts to rescale")
     if not 2 <= args.samples <= MAX_SAMPLES:
         raise InputFormatError(f"--samples must be from 2 to {MAX_SAMPLES}, got {args.samples}")
-    sweep_counts = [categorical.scaled_counts(counts, size) for size in sweep_sizes or []]
+    for size in sweep_sizes or []:
+        categorical.scaled_counts(counts, size)  # a size too small raises before any draw
+    rng = mc.RngStream(args.seed)
+    threads = mc.resolve_threads()
 
-    # one pool draws the main draw, with its grids, then each sweep size
-    main, *sweep_summaries = categorical.summarize_draws(
-        [counts, *sweep_counts], args.samples, mc.RngStream(args.seed), bins=100)
+    # each table is one run on its own pool: the main draw, with its
+    # grids, on substream 0, and sweep size i on substream i + 1
+    main = categorical.summarize_draws(counts, args.samples, rng, bins=100, threads=threads)
     estimate = main.estimate(conclusion)
     tables = [
         (f"density_grid_{c.name.lower()}.csv", ["p_bin", "q_bin", "density"],
          _grid_rows(*main.density_grid(c)))
         for c in categorical.Conclusion
     ]
-    if sweep_summaries:
-        sweep = categorical.SweepResult.of(counts, sweep_sizes, sweep_summaries)
+    if sweep_sizes:
+        sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng, threads=threads)
         rows = [
             (row.size, row.conclusion.name.lower(), row.estimate.lr,
              row.estimate.mc_std_err, sweep.asymptotes[row.conclusion])

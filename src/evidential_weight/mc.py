@@ -6,14 +6,14 @@ stream draws from its own SFC64 bit generator, seeded by a
 ``SeedSequence`` keyed on (seed, stream_id[, chunk index]).  Rejection
 sampling consumes randomness in fixed-size chunks, one child stream per
 chunk index, which makes the output independent of how many worker threads
-evaluate the chunks.  :func:`rejection_pipeline` runs a sequence of
-rejection targets on one pool, handing each chunk's accepted rows to the
-target's consumer in chunk-index order.  Every command folds them into
-running estimates (:class:`categorical.DrawSummary`), in the memory of a
-few chunks; :func:`rejection_sample` collects them into one buffer, for
-library callers that want the draws.  The acceptance rate reported is
-the share of proposals accepted times the proposal's mass, so a caller
-whose proposal covers only part of the untruncated distribution (see
+evaluate the chunks.  :func:`rejection_stream` draws one rejection target
+on its own pool, handing each chunk's accepted rows to a consumer in
+chunk-index order.  Every command folds them into running estimates
+(:class:`categorical.DrawSummary`), in the memory of a few chunks;
+:func:`rejection_sample` collects them into one buffer, for library
+callers that want the draws.  The acceptance rate reported is the share
+of proposals accepted times the proposal's mass, so a caller whose
+proposal covers only part of the untruncated distribution (see
 :func:`categorical.sample_rate_pairs`) gets that distribution's rate,
 held to the floor.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,8 +33,7 @@ __all__ = [
     "RngStream",
     "QuadratureSpec",
     "RejectionResult",
-    "RejectionRun",
-    "rejection_pipeline",
+    "rejection_stream",
     "rejection_sample",
     "kept_rows",
     "gauss_nodes",
@@ -52,6 +51,9 @@ INTRACTABLE_FLOOR = 1e-6
 #: Number of proposals spent probing before the floor is enforced.
 INTRACTABLE_PROBE = 10_000_000
 
+#: Most worker threads a sampler may use; each holds a chunk in flight.
+MAX_THREADS = 64
+
 _THREADS_ENV_VAR = "EVIDENTIAL_WEIGHT_THREADS"
 
 
@@ -63,15 +65,15 @@ def _available_cpus() -> int:
 
 def resolve_threads(threads: int | None = None) -> int:
     """Worker-thread cap: explicit argument, else the environment, else the
-    number of CPUs this process may run on."""
+    number of CPUs this process may run on, at most ``MAX_THREADS``."""
     if threads is None:
         raw = os.environ.get(_THREADS_ENV_VAR, "")
         try:
-            threads = int(raw) if raw.strip() else _available_cpus()
+            threads = int(raw) if raw.strip() else min(_available_cpus(), MAX_THREADS)
         except ValueError:
             raise DomainError(f"{_THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise DomainError(f"thread count must be >= 1, got {threads!r}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise DomainError(f"thread count must be from 1 to {MAX_THREADS}, got {threads!r}")
     return threads
 
 
@@ -146,112 +148,51 @@ class RejectionResult:
     n_chunks: int
 
 
-@dataclass(frozen=True)
-class RejectionRun:
-    """One rejection-sampling target for :func:`rejection_pipeline`.
-
-    ``proposal(generator, n)`` returns ``n`` draws (the rows of a 2-D
-    array); ``accept`` maps those rows to a boolean mask and must be pure.
-    ``consume(draws, rows)`` receives each chunk with the ascending indices
-    of its kept rows (see :func:`kept_rows`).  ``proposal_mass`` is the
-    share of the untruncated distribution the proposal covers: the
-    acceptance rate reported, and the one held to the floor, is the share
-    of proposals accepted times that mass.
-    """
-
-    proposal: Callable[[np.random.Generator, int], np.ndarray]
-    accept: Callable[[np.ndarray], np.ndarray]
-    target_accepted: int
-    rng: RngStream
-    consume: Callable[[np.ndarray, np.ndarray], None]
-    proposal_mass: float = 1.0
-
-
-class _Progress:
-    """Counters of one run inside :func:`rejection_pipeline`, and its chunks in flight."""
-
-    def __init__(self, run: RejectionRun):
-        self.run = run
-        self.n_chunks = 0
-        self.n_accepted = 0  # every accepted proposal, including the last chunk's surplus
-        self.n_kept = 0
-        self.pending: deque = deque()  # futures of this run's chunks, in index order
-
-    def done(self) -> bool:
-        return self.n_kept >= self.run.target_accepted
-
-    def wants_chunk(self) -> bool:
-        # skip chunks that those in flight, at the acceptance rate so far,
-        # are expected to make unnecessary
-        return not self.done() and (
-            self.n_chunks == 0
-            or self.n_accepted * (self.n_chunks + len(self.pending))
-            < self.run.target_accepted * self.n_chunks
-        )
-
-    def take(self, draws: np.ndarray, chunk_size: int, floor: float, probe: int) -> None:
-        """Accept one chunk, hand its kept rows on, and hold the rate to the floor."""
-        run = self.run
-        mask = np.asarray(run.accept(draws), dtype=bool)
-        self.n_chunks += 1
-        rows = np.flatnonzero(mask)
-        self.n_accepted += rows.size
-        rows = rows[: run.target_accepted - self.n_kept]
-        if rows.size:
-            run.consume(draws, rows)
-        self.n_kept += rows.size
-        n_proposed = self.n_chunks * chunk_size
-        if n_proposed >= probe and self.n_accepted * run.proposal_mass < floor * n_proposed:
-            rate = self.acceptance_rate(chunk_size)
-            raise ConstraintIntractableError(
-                f"acceptance rate {rate:.3g} below floor {floor:g} "
-                f"after {n_proposed} proposals",
-                acceptance_rate=rate,
-                n_proposed=n_proposed,
-            )
-
-    def acceptance_rate(self, chunk_size: int) -> float:
-        return self.n_accepted / (self.n_chunks * chunk_size) * self.run.proposal_mass
-
-
-def rejection_pipeline(
-    runs: Sequence[RejectionRun],
+def rejection_stream(
+    proposal: Callable[[np.random.Generator, int], np.ndarray],
+    accept: Callable[[np.ndarray], np.ndarray],
+    target_accepted: int,
+    rng: RngStream,
+    consume: Callable[[np.ndarray, np.ndarray], None],
     *,
     chunk_size: int = CHUNK_SIZE,
     floor: float | None = None,
     probe: int | None = None,
     threads: int | None = None,
-) -> list[tuple[float, int, int]]:
-    """Draw each run to its target, in order, on one pool of worker threads.
+    proposal_mass: float = 1.0,
+) -> tuple[float, int, int]:
+    """Draw until ``target_accepted`` proposals pass ``accept``, handing each chunk on.
 
-    Workers keep up to ``threads`` proposal chunks in flight across all the
-    runs.  Each run gets the chunks it is expected to need at its
-    acceptance rate so far (fewer near the end of a run); once it has them,
-    free workers draw the next run's first chunks.  Chunks a finished run
-    turns out not to need are dropped, and none outlives the call.
-    ``accept`` and ``consume`` run on the calling thread, one chunk at a
-    time in chunk-index order, so the consumed rows and every counter are
-    identical for any ``threads`` value; with one thread there is no pool.
+    ``proposal(generator, n)`` returns ``n`` draws (the rows of a 2-D
+    array); ``accept`` maps them to a boolean mask and must be pure.
+    ``consume(draws, rows)`` receives each chunk with the ascending indices
+    of its kept rows (see :func:`kept_rows`).  Workers keep up to
+    ``threads`` chunks in flight, no more than the acceptance rate so far
+    says are needed; ``accept`` and ``consume`` run on the calling thread
+    in chunk-index order, so the consumed rows and every counter are
+    identical for any ``threads`` value.  No chunk outlives the call.
 
-    Returns each run's (acceptance rate, proposals drawn, chunks drawn).
+    Returns (acceptance rate, proposals drawn, chunks drawn).  The rate,
+    also the one held to the floor, is the share of proposals accepted
+    times ``proposal_mass``, the share of the untruncated distribution
+    the proposal covers.
 
     Raises
     ------
     ConstraintIntractableError
-        If a run's acceptance rate is below ``floor`` (``INTRACTABLE_FLOOR``
-        when None) once ``probe`` proposals (``INTRACTABLE_PROBE`` when None)
-        have been spent on it.
+        If the acceptance rate is below ``floor`` (``INTRACTABLE_FLOOR``
+        when None) once ``probe`` proposals (``INTRACTABLE_PROBE`` when
+        None) have been spent.
     """
+    if target_accepted < 1:
+        raise DomainError(f"target_accepted must be >= 1, got {target_accepted!r}")
     threads = resolve_threads(threads)
     floor = INTRACTABLE_FLOOR if floor is None else floor
     probe = INTRACTABLE_PROBE if probe is None else probe
-    for run in runs:
-        if run.target_accepted < 1:
-            raise DomainError(f"target_accepted must be >= 1, got {run.target_accepted!r}")
-    states = [_Progress(run) for run in runs]
+    n_chunks = n_accepted = n_kept = 0  # n_accepted counts the last chunk's surplus too
 
-    def propose(run: RejectionRun, index: int) -> np.ndarray:
-        return run.proposal(run.rng.chunk_generator(index), chunk_size)
+    def propose(index: int) -> np.ndarray:
+        return proposal(rng.chunk_generator(index), chunk_size)
 
     pool = None
     if threads > 1:
@@ -260,41 +201,39 @@ def rejection_pipeline(
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(max_workers=threads)
-    dropped: list = []  # chunks of finished runs that may still be drawing
-
-    def top_up(ahead: list[_Progress]) -> None:
-        # a chunk is in flight from its submission until it is taken or
-        # has finished after being dropped; one was taken since the last
-        # top-up, so the current run always finds room
-        dropped[:] = [future for future in dropped if not future.done()]
-        in_flight = len(dropped) + sum(len(state.pending) for state in ahead)
-        for state in ahead:
-            while in_flight < threads and state.wants_chunk():
-                index = state.n_chunks + len(state.pending)
-                state.pending.append(pool.submit(propose, state.run, index))
-                in_flight += 1
-
+    pending: deque = deque()  # futures of the next chunks, in index order
     try:
-        for i, state in enumerate(states):
-            while not state.done():
-                if pool is None:
-                    draws = propose(state.run, state.n_chunks)
-                else:
-                    top_up(states[i:])
-                    draws = state.pending.popleft().result()
-                state.take(draws, chunk_size, floor, probe)
-                del draws  # freed before the next top-up draws another chunk
-            for future in state.pending:
-                future.cancel()
-            dropped.extend(state.pending)
-            state.pending.clear()
+        while n_kept < target_accepted:
+            if pool is None:
+                draws = propose(n_chunks)
+            else:
+                # the first chunk taken sets the rate; until then, fill the pool
+                while len(pending) < threads and (
+                    n_chunks == 0
+                    or n_accepted * (n_chunks + len(pending)) < target_accepted * n_chunks
+                ):
+                    pending.append(pool.submit(propose, n_chunks + len(pending)))
+                draws = pending.popleft().result()
+            rows = np.flatnonzero(np.asarray(accept(draws), dtype=bool))
+            n_chunks += 1
+            n_accepted += rows.size
+            rows = rows[: target_accepted - n_kept]
+            if rows.size:
+                consume(draws, rows)
+            n_kept += rows.size
+            del draws  # freed before the next submission draws another chunk
+            n_proposed = n_chunks * chunk_size
+            rate = n_accepted / n_proposed * proposal_mass
+            if n_proposed >= probe and n_accepted * proposal_mass < floor * n_proposed:
+                raise ConstraintIntractableError(
+                    f"acceptance rate {rate:.3g} below floor {floor:g} "
+                    f"after {n_proposed} proposals",
+                    acceptance_rate=rate, n_proposed=n_proposed,
+                )
     finally:
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-    return [
-        (state.acceptance_rate(chunk_size), state.n_chunks * chunk_size, state.n_chunks)
-        for state in states
-    ]
+    return rate, n_proposed, n_chunks
 
 
 def kept_rows(draws: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -347,29 +286,22 @@ def rejection_sample(
 ) -> RejectionResult:
     """Draw until ``target_accepted`` proposals satisfy the predicate.
 
-    One :class:`RejectionRun` of :func:`rejection_pipeline` whose accepted
-    rows go straight into one buffer of ``target_accepted`` rows, each
-    column contiguous (Fortran order).  The result and every counter are
-    identical for any ``threads`` value.
+    :func:`rejection_stream` into one buffer of ``target_accepted`` rows,
+    each column contiguous (Fortran order).
 
     Raises
     ------
     ConstraintIntractableError
-        As :func:`rejection_pipeline`.
+        As :func:`rejection_stream`.
     MemoryError
         If the buffer for ``target_accepted`` rows cannot be allocated.
     """
     buffer = _RowBuffer(target_accepted)
-    run = RejectionRun(proposal, accept, target_accepted, rng, buffer, proposal_mass)
-    [(acceptance_rate, n_proposed, n_chunks)] = rejection_pipeline(
-        [run], chunk_size=chunk_size, floor=floor, probe=probe, threads=threads
+    counters = rejection_stream(
+        proposal, accept, target_accepted, rng, buffer, chunk_size=chunk_size,
+        floor=floor, probe=probe, threads=threads, proposal_mass=proposal_mass,
     )
-    return RejectionResult(
-        samples=buffer.samples,
-        acceptance_rate=acceptance_rate,
-        n_proposed=n_proposed,
-        n_chunks=n_chunks,
-    )
+    return RejectionResult(buffer.samples, *counters)
 
 
 #: Per-axis node budget for the refinement ladder; a level that would

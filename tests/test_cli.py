@@ -199,7 +199,7 @@ class TestCategoricalCommand:
 
         # the main draw, and every draw of the main draw or a sweep
         monkeypatch.setattr(categorical, "sample_rate_pairs", no_sampling)
-        monkeypatch.setattr(mc, "rejection_pipeline", no_sampling)
+        monkeypatch.setattr(mc, "rejection_stream", no_sampling)
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps(STUDY_JSON))
         extra = [counts if a == "COUNTS" else a for a in extra]
@@ -253,7 +253,7 @@ class TestCategoricalCommand:
         study = ["--validation", counts, "--sweep"]
         cases = {
             "study": ([*study, "100,1000", "--samples", 20_000], ["sweep.csv"]),
-            # three sizes of three chunks each, drawn ahead on two or three workers
+            # three sizes of three chunks each, each drawn on its own pool
             "sweep3": ([*study, "100,500,1000", "--samples", 300_000], ["sweep.csv"]),
             "prior": (["--samples", 20_000], []),  # both proposal factors reflected
         }
@@ -282,6 +282,19 @@ class TestCategoricalCommand:
             assert f"EVIDENTIAL_WEIGHT_THREADS must be an integer, got {value!r}" in err
         assert out.exists() == (code == 0)
 
+    def test_thread_count_above_bound_exit_2(self, tmp_path, capsys, monkeypatch):
+        # checked with the other inputs: no pool of that size is built
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the thread count was checked")
+
+        monkeypatch.setattr(categorical, "sample_rate_pairs", no_sampling)
+        monkeypatch.setattr(mc, "rejection_stream", no_sampling)
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "100000")
+        assert run(["categorical", "--samples", 2000, "--out", tmp_path]) == 2
+        assert f"thread count must be from 1 to {mc.MAX_THREADS}, got 100000" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "result.json").exists()
+
     # no draw is kept, so a huge --samples would not fail an allocation:
     # it would run for days
     @pytest.mark.parametrize("samples", [1, 1_000_000_001, 10_000_000_000_000])
@@ -290,7 +303,7 @@ class TestCategoricalCommand:
             raise AssertionError("sampled before --samples was checked")
 
         monkeypatch.setattr(categorical, "sample_rate_pairs", no_sampling)
-        monkeypatch.setattr(mc, "rejection_pipeline", no_sampling)
+        monkeypatch.setattr(mc, "rejection_stream", no_sampling)
         assert run(["categorical", "--samples", samples, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
         assert f"--samples must be from 2 to 1000000000, got {samples}" in err
@@ -331,7 +344,7 @@ class TestCategoricalCommand:
                 assert (est["n_samples"], est["acceptance_rate"]) == (
                     alone.n_samples, alone.acceptance_rate)
         if case == "study":
-            # the sweep's runs follow the main draw's on the same pool
+            # the sweep is the library sweep on the same seed
             sweep = categorical.lr_sweep(counts, sizes, n, rng)
             rows = [f"{row.size},{row.conclusion.name.lower()},{row.estimate.lr},"
                     f"{row.estimate.mc_std_err},{sweep.asymptotes[row.conclusion]}\n"

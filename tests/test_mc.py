@@ -95,6 +95,24 @@ class TestRejectionSample:
         monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", " ")
         assert mc.resolve_threads() == len(os.sched_getaffinity(0))
 
+    @pytest.mark.parametrize("threads", [0, mc.MAX_THREADS + 1, 100_000])
+    def test_thread_count_out_of_range(self, threads):
+        with pytest.raises(DomainError, match=f"from 1 to {mc.MAX_THREADS}"):
+            mc.resolve_threads(threads)
+
+    def test_env_var_above_thread_bound(self, monkeypatch):
+        # resolved only: no pool is built
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "100000")
+        with pytest.raises(DomainError, match=f"from 1 to {mc.MAX_THREADS}"):
+            mc.resolve_threads()
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", str(mc.MAX_THREADS))
+        assert mc.resolve_threads() == mc.MAX_THREADS
+
+    def test_default_thread_count_capped(self, monkeypatch):
+        monkeypatch.delenv("EVIDENTIAL_WEIGHT_THREADS", raising=False)
+        monkeypatch.setattr(mc, "_available_cpus", lambda: 10_000)
+        assert mc.resolve_threads() == mc.MAX_THREADS == 64
+
     def test_intractable_constraint_raises(self):
         with pytest.raises(ConstraintIntractableError):
             mc.rejection_sample(
@@ -161,31 +179,45 @@ class TestRejectionSample:
         assert np.array_equal(result.samples, expected)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_pipeline_hands_each_run_its_rows_in_order(self, threads):
-        # three runs on one pool: the first needs one chunk of the two
-        # it starts with, so one chunk is dropped; the others draw ahead
+    @pytest.mark.parametrize("target", [300, 5_500])
+    def test_stream_hands_on_the_rows_in_order(self, threads, target):
+        # at about one in two, 300 rows end in chunk 0 of 1,000, so the
+        # other chunks the pool starts with go unused; 5,500 rows take 12
         def accept(d):
             return d[:, 0] > d[:, 1]
 
-        chunk, targets = 1000, (300, 5_500, 2_345)
-        runs, consumed = [], []
-        for i, target in enumerate(targets):
-            consumed.append([])
-            runs.append(mc.RejectionRun(
-                uniform_pair_proposal, accept, target, mc.RngStream(11, i),
-                lambda d, rows, out=consumed[-1]: out.append(mc.kept_rows(d, rows).copy()),
-            ))
+        chunk, rng = 1000, mc.RngStream(11)
+        consumed = []
+
+        def consume(d, rows):
+            consumed.append(mc.kept_rows(d, rows).copy())
+
         threads_before = threading.active_count()
-        counters = mc.rejection_pipeline(runs, chunk_size=chunk, threads=threads)
+        counters = mc.rejection_stream(
+            uniform_pair_proposal, accept, target, rng, consume, chunk_size=chunk, threads=threads
+        )
         assert threading.active_count() == threads_before
-        for run, rows, (rate, n_proposed, n_chunks) in zip(runs, consumed, counters):
-            alone = mc.rejection_sample(
-                uniform_pair_proposal, accept, run.target_accepted, run.rng,
-                chunk_size=chunk, threads=1,
+        alone = mc.rejection_sample(
+            uniform_pair_proposal, accept, target, rng, chunk_size=chunk, threads=1
+        )
+        assert np.array_equal(np.concatenate(consumed), alone.samples)
+        assert counters == (alone.acceptance_rate, alone.n_proposed, alone.n_chunks)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_stream_consumer_error_propagates_and_stops_the_workers(self, threads):
+        class Stop(Exception):
+            pass
+
+        def consume(d, rows):
+            raise Stop
+
+        threads_before = threading.active_count()
+        with pytest.raises(Stop):
+            mc.rejection_stream(
+                uniform_pair_proposal, lambda d: d[:, 0] > d[:, 1], 5_500, mc.RngStream(11),
+                consume, chunk_size=1000, threads=threads,
             )
-            assert np.array_equal(np.concatenate(rows), alone.samples)
-            assert (rate, n_proposed, n_chunks) == (
-                alone.acceptance_rate, alone.n_proposed, alone.n_chunks)
+        assert threading.active_count() == threads_before
 
     def test_rejects_nonpositive_target(self):
         with pytest.raises(DomainError):
