@@ -16,35 +16,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "Scenario",
-    "Odds",
-    "LrEstimate",
-    "posterior_odds",
-    "odds_to_probability",
-    "lr_from_counts",
-    "RngStream",
-    "QuadratureSpec",
-    "Conclusion",
-    "ConclusionCounts",
-    "ConclusionRates",
-    "RatePair",
-    "NormalGammaParams",
-    "ScalarValidationSummary",
-    "GammaConjParams",
-    "LrInterval",
-    "NormalWishartParams",
-    "PairedLrSummary",
-    "TossSequence",
-    "DomainError",
-    "DegenerateRateError",
-    "ConstraintIntractableError",
-    "QuadratureConvergenceError",
-    "InputFormatError",
-    "LrRangeError",
-]
-
 #: The submodule each exported name is defined in.
 _HOMES = {
     "Scenario": "core",
@@ -57,8 +28,6 @@ _HOMES = {
     "QuadratureSpec": "mc",
     "Conclusion": "categorical",
     "ConclusionCounts": "categorical",
-    "ConclusionRates": "categorical",
-    "RatePair": "categorical",
     "NormalGammaParams": "scalar_opinion",
     "ScalarValidationSummary": "scalar_opinion",
     "GammaConjParams": "interval_opinion",
@@ -73,6 +42,8 @@ _HOMES = {
     "InputFormatError": "errors",
     "LrRangeError": "errors",
 }
+
+__all__ = ["__version__", *_HOMES]
 
 _SUBMODULES = frozenset({
     "categorical", "cli", "coin_oracle", "core", "errors", "interval_opinion",

@@ -26,8 +26,6 @@ from .errors import DomainError, InputFormatError
 
 __all__ = [
     "Conclusion",
-    "ConclusionRates",
-    "RatePair",
     "ConclusionCounts",
     "RatePairSamples",
     "sample_rate_pairs",
@@ -44,7 +42,9 @@ __all__ = [
 #: Accepted draws per estimate when the caller does not say otherwise.
 DEFAULT_N_ACCEPTED = 1_000_000
 
-SIMPLEX_TOL = 1e-12
+#: Largest study size :func:`scaled_counts` takes: the counts become float
+#: Dirichlet concentrations, and a float holds every integer up to 2**53.
+MAX_STUDY_SIZE = 2**53
 
 
 class Conclusion(enum.Enum):
@@ -65,26 +65,6 @@ class Conclusion(enum.Enum):
         return aliases[key]
 
 
-@dataclass(frozen=True)
-class ConclusionRates:
-    """A point on the 3-simplex: rates of ID / Inconclusive / Exclusion."""
-
-    id_rate: float
-    inc_rate: float
-    exc_rate: float
-
-    def __post_init__(self):
-        triple = (self.id_rate, self.inc_rate, self.exc_rate)
-        for v in triple:
-            if not (0.0 <= v <= 1.0):
-                raise DomainError(f"rates must lie in [0, 1], got {triple!r}")
-        if abs(sum(triple) - 1.0) > SIMPLEX_TOL:
-            raise DomainError(f"rates must sum to 1 within {SIMPLEX_TOL:g}, got {triple!r}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.id_rate, self.inc_rate, self.exc_rate])
-
-
 def admissible_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Vectorized discriminating-expert constraints on rate pairs.
 
@@ -100,20 +80,6 @@ def admissible_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         & (p[:, 0] * q[:, 1] > p[:, 1] * q[:, 0])
         & (p[:, 1] * q[:, 2] > p[:, 2] * q[:, 1])
     )
-
-
-@dataclass(frozen=True)
-class RatePair:
-    """Mated and non-mated conclusion rates satisfying the ordering region."""
-
-    mated: ConclusionRates
-    nonmated: ConclusionRates
-
-    def __post_init__(self):
-        p = self.mated.as_array()[None, :]
-        q = self.nonmated.as_array()[None, :]
-        if not bool(admissible_mask(p, q)[0]):
-            raise DomainError("rate pair violates the discriminating-expert constraints")
 
 
 def _json_count(value, where: str) -> int:
@@ -140,12 +106,6 @@ class ConclusionCounts:
                     raise DomainError(f"{label} counts must be nonnegative integers, got {triple!r}")
         object.__setattr__(self, "h1", tuple(int(v) for v in self.h1))
         object.__setattr__(self, "h2", tuple(int(v) for v in self.h2))
-
-    def __add__(self, other: "ConclusionCounts") -> "ConclusionCounts":
-        return ConclusionCounts(
-            tuple(a + b for a, b in zip(self.h1, other.h1)),
-            tuple(a + b for a, b in zip(self.h2, other.h2)),
-        )
 
     def totals(self) -> tuple[int, int]:
         return sum(self.h1), sum(self.h2)
@@ -223,14 +183,6 @@ class RatePairSamples:
 
     def __len__(self) -> int:
         return self.p.shape[0]
-
-    def __getitem__(self, i: int) -> RatePair:
-        def rates(row):
-            # renormalize away float dust so the simplex invariant holds
-            row = row / row.sum()
-            return ConclusionRates(*row)
-
-        return RatePair(rates(self.p[i]), rates(self.q[i]))
 
     def rate_columns(self, conclusion: Conclusion) -> tuple[np.ndarray, np.ndarray]:
         j = conclusion.value
@@ -470,16 +422,20 @@ def lr_for_conclusion(
     return summarize_draws(counts, n_accepted, rng, threads=threads).estimate(conclusion)
 
 
-def _largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
-    """Apportion ``total`` into integer parts proportional to ``weights``."""
-    weights = np.asarray(weights, dtype=float)
-    quotas = total * weights / weights.sum()
-    floors = np.floor(quotas).astype(int)
-    short = total - int(floors.sum())
-    order = np.argsort(-(quotas - floors), kind="stable")
-    for j in order[:short]:
-        floors[j] += 1
-    return [int(v) for v in floors]
+def _largest_remainder(total: int, weights: Sequence[int]) -> list[int]:
+    """Apportion ``total`` into integer parts proportional to integer ``weights``.
+
+    The parts start as the exact integer floors of the quotas, so that they
+    sum exactly to ``total`` once the shortfall is handed out, one each in
+    the order of the float quotas' fractional parts.
+    """
+    whole = sum(weights)
+    parts = [total * w // whole for w in weights]
+    quotas = total * np.asarray(weights, dtype=float) / whole
+    order = np.argsort(-(quotas - np.floor(quotas)), kind="stable")
+    for j in order[: total - sum(parts)]:
+        parts[j] += 1
+    return parts
 
 
 def scaled_counts(base: ConclusionCounts, size: int) -> ConclusionCounts:
@@ -489,6 +445,8 @@ def scaled_counts(base: ConclusionCounts, size: int) -> ConclusionCounts:
     held at the base table's observed values, with largest-remainder
     rounding per scenario so the counts sum exactly to the target.
     """
+    if size > MAX_STUDY_SIZE:
+        raise DomainError(f"size {size} exceeds the largest study size, 2**53")
     n1, n2 = base.totals()
     if n1 == 0 or n2 == 0:
         raise DomainError("base counts must be nonzero in each scenario")

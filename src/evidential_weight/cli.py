@@ -12,7 +12,8 @@ step imports the modules it runs, so ``coin`` and ``--help`` run
 without numpy, and ``scalar`` loads no sampler.  The steps that compute
 with numpy run under numpy's float guard (:func:`_numpy_step`).
 
-Exit codes: 0 on success, 2 on input errors, 3 on numerical failures
+Exit codes: 0 on success, 2 on input errors or an output directory that
+cannot be written, 3 on numerical failures
 (intractable constraints, quadrature non-convergence, an LR beyond the
 float range, inputs that take float arithmetic or memory out of range).
 """
@@ -68,7 +69,10 @@ def _sha256_file(path: Path) -> str:
 
 
 class RunWriter:
-    """Collects outputs for one command and writes them with a manifest."""
+    """Collects outputs for one command and writes them with a manifest.
+
+    The output directory must exist: :func:`main` creates it.
+    """
 
     def __init__(self, out_dir: Path, command: str, seed: int, n_samples: int,
                  parameters: dict, input_paths: list[Path]):
@@ -90,7 +94,6 @@ class RunWriter:
         ).hexdigest()
 
     def write_result(self, result: dict, fmt: str = "json") -> None:
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         if fmt == "json":
             payload = dict(result)
             payload["manifest_digest"] = self.digest
@@ -105,7 +108,6 @@ class RunWriter:
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
         """Write a figure CSV, streaming ``rows`` to the file a block at a time."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         rows = iter(rows)
         with open(self.out_dir / name, "w") as fh:
             fh.write(f"# manifest={self.digest}\n{','.join(header)}\n")
@@ -114,7 +116,6 @@ class RunWriter:
 
     def write_manifest(self, diagnostics: dict | None = None) -> None:
         """Write ``manifest.json``; ``diagnostics`` entries join it outside the digest."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         manifest = dict(diagnostics or {})
         manifest.update(self.core)
         manifest["manifest_digest"] = self.digest
@@ -597,10 +598,15 @@ def main(argv: list[str] | None = None) -> int:
     writer = RunWriter(Path(args.out), " ".join(["evidential-weight"] + argv), args.seed,
                        run.n_samples, run.parameters, run.input_paths)
     writer.started = started  # the manifest's wall time covers the whole command
-    writer.write_result(run.result, fmt=args.format)
-    for name, header, rows in run.tables:
-        writer.write_csv(name, header, rows)
-    writer.write_manifest(run.diagnostics)
+    try:
+        writer.out_dir.mkdir(parents=True, exist_ok=True)
+        writer.write_result(run.result, fmt=args.format)
+        for name, header, rows in run.tables:
+            writer.write_csv(name, header, rows)
+        writer.write_manifest(run.diagnostics)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {args.out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -195,21 +195,6 @@ class LrEstimate:
             seed=seed,
         )
 
-    def inverse(self) -> "LrEstimate":
-        """The likelihood ratio with H1 and H2 exchanged."""
-        se = None
-        if self.mc_std_err is not None:
-            # first-order propagation: se(1/x) = se(x) / x^2
-            se = self.mc_std_err / (self.lr * self.lr)
-        return LrEstimate(
-            lr=1.0 / self.lr,
-            log10_lr=-self.log10_lr,
-            mc_std_err=se,
-            n_samples=self.n_samples,
-            acceptance_rate=self.acceptance_rate,
-            seed=self.seed,
-        )
-
     def to_dict(self) -> dict:
         return {
             "lr": self.lr,

@@ -237,10 +237,8 @@ def _log_rate_integral(k, c, b_lo, b_hi) -> np.ndarray:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         outside = np.exp(log_lo - log_scale) + np.exp(log_hi - log_scale)
         out = log_scale + np.log1p(-np.minimum(outside, 1.0))
-        if upper.any():
-            out = np.where(upper, log_lo + np.log1p(-np.exp(log_hi - log_lo)), out)
-        if lower.any():
-            out = np.where(lower, log_hi + np.log1p(-np.exp(log_lo - log_hi)), out)
+        out = np.where(upper, log_lo + np.log1p(-np.exp(log_hi - log_lo)), out)
+        out = np.where(lower, log_hi + np.log1p(-np.exp(log_lo - log_hi)), out)
     return out
 
 

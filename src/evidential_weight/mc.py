@@ -15,7 +15,9 @@ callers that want the draws.  The acceptance rate reported is the share
 of proposals accepted times the proposal's mass, so a caller whose
 proposal covers only part of the untruncated distribution (see
 :func:`categorical.sample_rate_pairs`) gets that distribution's rate,
-held to the floor.
+held to the floor.  The chunk size and the intractability thresholds
+(``CHUNK_SIZE``, ``INTRACTABLE_FLOOR``, ``INTRACTABLE_PROBE``) are
+module constants, not parameters; the chunk loop reads them as it runs.
 """
 
 from __future__ import annotations
@@ -155,9 +157,6 @@ def rejection_stream(
     rng: RngStream,
     consume: Callable[[np.ndarray, np.ndarray], None],
     *,
-    chunk_size: int = CHUNK_SIZE,
-    floor: float | None = None,
-    probe: int | None = None,
     threads: int | None = None,
     proposal_mass: float = 1.0,
 ) -> tuple[float, int, int]:
@@ -180,19 +179,16 @@ def rejection_stream(
     Raises
     ------
     ConstraintIntractableError
-        If the acceptance rate is below ``floor`` (``INTRACTABLE_FLOOR``
-        when None) once ``probe`` proposals (``INTRACTABLE_PROBE`` when
-        None) have been spent.
+        If the acceptance rate is below ``INTRACTABLE_FLOOR`` once
+        ``INTRACTABLE_PROBE`` proposals have been spent.
     """
     if target_accepted < 1:
         raise DomainError(f"target_accepted must be >= 1, got {target_accepted!r}")
     threads = resolve_threads(threads)
-    floor = INTRACTABLE_FLOOR if floor is None else floor
-    probe = INTRACTABLE_PROBE if probe is None else probe
     n_chunks = n_accepted = n_kept = 0  # n_accepted counts the last chunk's surplus too
 
     def propose(index: int) -> np.ndarray:
-        return proposal(rng.chunk_generator(index), chunk_size)
+        return proposal(rng.chunk_generator(index), CHUNK_SIZE)
 
     pool = None
     if threads > 1:
@@ -222,11 +218,12 @@ def rejection_stream(
                 consume(draws, rows)
             n_kept += rows.size
             del draws  # freed before the next submission draws another chunk
-            n_proposed = n_chunks * chunk_size
+            n_proposed = n_chunks * CHUNK_SIZE
             rate = n_accepted / n_proposed * proposal_mass
-            if n_proposed >= probe and n_accepted * proposal_mass < floor * n_proposed:
+            if (n_proposed >= INTRACTABLE_PROBE
+                    and n_accepted * proposal_mass < INTRACTABLE_FLOOR * n_proposed):
                 raise ConstraintIntractableError(
-                    f"acceptance rate {rate:.3g} below floor {floor:g} "
+                    f"acceptance rate {rate:.3g} below floor {INTRACTABLE_FLOOR:g} "
                     f"after {n_proposed} proposals",
                     acceptance_rate=rate, n_proposed=n_proposed,
                 )
@@ -236,21 +233,17 @@ def rejection_stream(
     return rate, n_proposed, n_chunks
 
 
-def kept_rows(draws: np.ndarray, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``draws[rows]`` for ascending ``rows``, in ``out`` if given, columns contiguous.
+def kept_rows(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``draws[rows]`` for ascending ``rows``, columns contiguous.
 
     Rows that are the chunk's first ones (every chunk where nearly all
-    proposals pass) are a view of ``draws``, or one block copy into
-    ``out``; other rows are gathered column by column.
+    proposals pass) are a view of ``draws``; other rows are gathered
+    column by column.
     """
     n = rows.size
     if rows[-1] == n - 1:
-        if out is None:
-            return draws[:n]
-        out[...] = draws[:n]
-        return out
-    if out is None:
-        out = np.empty((n, draws.shape[1]), dtype=draws.dtype, order="F")
+        return draws[:n]
+    out = np.empty((n, draws.shape[1]), dtype=draws.dtype, order="F")
     for j in range(draws.shape[1]):
         # "clip" skips the bounds check, which would copy via a temporary
         np.take(draws[:, j], rows, out=out[:, j], mode="clip")
@@ -268,7 +261,7 @@ class _RowBuffer:
     def __call__(self, draws: np.ndarray, rows: np.ndarray) -> None:
         if self.samples is None:  # numpy's MemoryError names the size refused
             self.samples = np.empty((self.n_rows, draws.shape[1]), draws.dtype, order="F")
-        kept_rows(draws, rows, out=self.samples[self.n_kept:self.n_kept + rows.size])
+        self.samples[self.n_kept:self.n_kept + rows.size] = kept_rows(draws, rows)
         self.n_kept += rows.size
 
 
@@ -278,9 +271,6 @@ def rejection_sample(
     target_accepted: int,
     rng: RngStream,
     *,
-    chunk_size: int = CHUNK_SIZE,
-    floor: float | None = None,
-    probe: int | None = None,
     threads: int | None = None,
     proposal_mass: float = 1.0,
 ) -> RejectionResult:
@@ -298,8 +288,8 @@ def rejection_sample(
     """
     buffer = _RowBuffer(target_accepted)
     counters = rejection_stream(
-        proposal, accept, target_accepted, rng, buffer, chunk_size=chunk_size,
-        floor=floor, probe=probe, threads=threads, proposal_mass=proposal_mass,
+        proposal, accept, target_accepted, rng, buffer,
+        threads=threads, proposal_mass=proposal_mass,
     )
     return RejectionResult(buffer.samples, *counters)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .scalar_opinion import student_t_logpdf
 __all__ = [
     "NormalWishartParams",
     "PairedLrSummary",
-    "update_normal_wishart",
     "posterior_params",
     "bivariate_t_params",
     "bivariate_t_logdensity",
@@ -184,13 +183,6 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def update_normal_wishart(
-    prior: NormalWishartParams, data: PairedLrSummary
-) -> NormalWishartParams:
-    """Conjugate update treating the stored matrix as the Wishart scale."""
-    return posterior_params(prior, data, "scale")
-
-
 def posterior_params(
     prior: NormalWishartParams,
     data: PairedLrSummary,
@@ -317,14 +309,13 @@ def pair_lr_sweep(
     h1: NormalWishartParams,
     h2: NormalWishartParams,
     sizes: Sequence[int],
-    data_generator: Callable[[int], tuple[PairedLrSummary, PairedLrSummary]] = default_sweep_data,
     df_convention: DfConvention = DEFAULT_DF_CONVENTION,
     wishart_matrix: WishartMatrix = DEFAULT_WISHART_MATRIX,
 ) -> PairSweepResult:
     """Pair LR at ``x`` after validation sweeps of increasing size.
 
     Size 0 evaluates the priors unchanged; other sizes update both
-    scenarios with ``data_generator(m)`` before evaluating.
+    scenarios with ``default_sweep_data(m)`` before evaluating.
     """
     if len(sizes) == 0:
         raise DomainError("sizes must be nonempty")
@@ -336,7 +327,7 @@ def pair_lr_sweep(
         if m == 0:
             g1, g2 = h1, h2
         else:
-            d1, d2 = data_generator(m)
+            d1, d2 = default_sweep_data(m)
             g1 = posterior_params(h1, d1, wishart_matrix)
             g2 = posterior_params(h2, d2, wishart_matrix)
         rows.append(PairSweepRow(m, lr_for_pair(x, g1, g2, df_convention, wishart_matrix)))

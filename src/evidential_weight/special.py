@@ -241,14 +241,9 @@ def log_gamma(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
     big = flat >= _STIRLING_MIN
-    if big.all():
-        out = _log_gamma_stirling(flat)
-    elif not big.any():
-        out = _log_gamma_shifted(flat)
-    else:
-        out = np.empty(flat.shape)
-        out[big] = _log_gamma_stirling(flat[big])
-        out[~big] = _log_gamma_shifted(flat[~big])
+    out = np.empty(flat.shape)
+    out[big] = _log_gamma_stirling(flat[big])
+    out[~big] = _log_gamma_shifted(flat[~big])
     return out.reshape(x.shape)
 
 
@@ -284,8 +279,6 @@ def _log_kernel(k, x, log_gamma_k, log_factor):
         return small + k * rest
 
     big = k >= _STIRLING_MIN
-    if big.all():
-        return large_k(k, x, log_factor)
     out = (k * np.log(x) - log_gamma_k + log_factor) - x
     if big.any():
         out[big] = large_k(k[big], x[big], log_factor[big])
@@ -404,10 +397,7 @@ def _log_direct_tail(k, x, log_gamma_k, log_scale, temme=None):
         temme = None
     log_factor = np.zeros(k.shape)
     for method, where in ((_log_series, series), (_log_fraction, fraction)):
-        if where.all():
-            log_factor = method(k, x)
-        elif where.any():
-            log_factor[where] = method(k[where], x[where])
+        log_factor[where] = method(k[where], x[where])
     out = _log_kernel(k, x, log_gamma_k, log_factor + log_scale)
     if temme is not None:
         out[temme] = _log_temme(k[temme], x[temme]) + log_scale[temme]

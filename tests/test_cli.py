@@ -43,6 +43,27 @@ class TestCoinCommand:
         assert run(["coin", "--seq", "HHQT", "--out", tmp_path]) == 2
         assert "toss 3" in capsys.readouterr().err
 
+    # the output directory cannot be made (its parent is a file), or a
+    # file in it cannot be written (result.json is a directory)
+    @pytest.mark.parametrize("case", ["create", "write"])
+    def test_unwritable_outputs_exit_2(self, tmp_path, case):
+        blocker = tmp_path / ("file" if case == "create" else "result.json")
+        if case == "create":
+            blocker.write_text("")
+            out = blocker / "sub"
+        else:
+            blocker.mkdir()
+            out = tmp_path
+        proc = subprocess.run(
+            [sys.executable, "-m", "evidential_weight.cli", "coin", "--seq", "HT",
+             "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+        )
+        assert proc.returncode == 2
+        assert f"error: cannot write outputs to {out}: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestScalarCommand:
     def test_default_priors_at_nine(self, tmp_path):
@@ -192,6 +213,8 @@ class TestCategoricalCommand:
     @pytest.mark.parametrize("extra, message", [
         ([], "--sweep requires --validation counts"),
         (["--validation", "COUNTS"], "size 5 leaves fewer than 3 comparisons"),
+        # a later --sweep replaces the first
+        (["--validation", "COUNTS", "--sweep", f"100,{10**30}"], "exceeds the largest study size"),
     ])
     def test_sweep_checked_before_sampling(self, tmp_path, capsys, monkeypatch, extra, message):
         def no_sampling(*args, **kwargs):

@@ -113,17 +113,18 @@ class TestRejectionSample:
         monkeypatch.setattr(mc, "_available_cpus", lambda: 10_000)
         assert mc.resolve_threads() == mc.MAX_THREADS == 64
 
-    def test_intractable_constraint_raises(self):
+    def test_intractable_constraint_raises(self, monkeypatch):
+        monkeypatch.setattr(mc, "INTRACTABLE_PROBE", 4 * mc.CHUNK_SIZE)
         with pytest.raises(ConstraintIntractableError):
             mc.rejection_sample(
                 uniform_pair_proposal,
                 lambda d: np.zeros(len(d), dtype=bool),
                 10,
                 mc.RngStream(5),
-                probe=4 * mc.CHUNK_SIZE,
             )
 
-    def test_intractable_same_proposals_across_thread_counts(self):
+    def test_intractable_same_proposals_across_thread_counts(self, monkeypatch):
+        monkeypatch.setattr(mc, "INTRACTABLE_PROBE", 4 * mc.CHUNK_SIZE)
         proposed = []
         for threads in (1, 3):
             with pytest.raises(ConstraintIntractableError) as err:
@@ -132,7 +133,6 @@ class TestRejectionSample:
                     lambda d: d[:, 0] < 1e-7,
                     10,
                     mc.RngStream(6),
-                    probe=4 * mc.CHUNK_SIZE,
                     threads=threads,
                 )
             proposed.append(err.value.n_proposed)
@@ -157,7 +157,7 @@ class TestRejectionSample:
         assert result.samples.flags.f_contiguous
         assert result.samples.shape == (target, 2)
 
-    def test_kept_rows_equal_filtered_proposals(self):
+    def test_kept_rows_equal_filtered_proposals(self, monkeypatch):
         # chunks drawn above the threshold are accepted whole (one block
         # copy); the others are gathered row by row
         def proposal(gen, n):
@@ -168,9 +168,8 @@ class TestRejectionSample:
             return d[:, 0] > 0.55
 
         rng, chunk, target = mc.RngStream(9), 1000, 9_500
-        result = mc.rejection_sample(
-            proposal, accept, target, rng, chunk_size=chunk, threads=2
-        )
+        monkeypatch.setattr(mc, "CHUNK_SIZE", chunk)
+        result = mc.rejection_sample(proposal, accept, target, rng, threads=2)
         chunks = [proposal(rng.chunk_generator(i), chunk) for i in range(result.n_chunks)]
         whole = [accept(d).all() for d in chunks]
         assert not all(whole)
@@ -180,13 +179,14 @@ class TestRejectionSample:
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("target", [300, 5_500])
-    def test_stream_hands_on_the_rows_in_order(self, threads, target):
+    def test_stream_hands_on_the_rows_in_order(self, threads, target, monkeypatch):
         # at about one in two, 300 rows end in chunk 0 of 1,000, so the
         # other chunks the pool starts with go unused; 5,500 rows take 12
         def accept(d):
             return d[:, 0] > d[:, 1]
 
-        chunk, rng = 1000, mc.RngStream(11)
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
+        rng = mc.RngStream(11)
         consumed = []
 
         def consume(d, rows):
@@ -194,28 +194,27 @@ class TestRejectionSample:
 
         threads_before = threading.active_count()
         counters = mc.rejection_stream(
-            uniform_pair_proposal, accept, target, rng, consume, chunk_size=chunk, threads=threads
+            uniform_pair_proposal, accept, target, rng, consume, threads=threads
         )
         assert threading.active_count() == threads_before
-        alone = mc.rejection_sample(
-            uniform_pair_proposal, accept, target, rng, chunk_size=chunk, threads=1
-        )
+        alone = mc.rejection_sample(uniform_pair_proposal, accept, target, rng, threads=1)
         assert np.array_equal(np.concatenate(consumed), alone.samples)
         assert counters == (alone.acceptance_rate, alone.n_proposed, alone.n_chunks)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
-    def test_stream_consumer_error_propagates_and_stops_the_workers(self, threads):
+    def test_stream_consumer_error_propagates_and_stops_the_workers(self, threads, monkeypatch):
         class Stop(Exception):
             pass
 
         def consume(d, rows):
             raise Stop
 
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
         threads_before = threading.active_count()
         with pytest.raises(Stop):
             mc.rejection_stream(
                 uniform_pair_proposal, lambda d: d[:, 0] > d[:, 1], 5_500, mc.RngStream(11),
-                consume, chunk_size=1000, threads=threads,
+                consume, threads=threads,
             )
         assert threading.active_count() == threads_before
 

@@ -69,7 +69,7 @@ class TestTypes:
 class TestUpdate:
     def test_data_at_prior_mean_with_zero_scatter(self):
         data = me.PairedLrSummary(m=1, mean=H1.mu0.copy(), scatter=np.zeros((2, 2)))
-        updated = me.update_normal_wishart(H1, data)
+        updated = me.posterior_params(H1, data, "scale")
         np.testing.assert_allclose(updated.mu0, H1.mu0)
         np.testing.assert_allclose(updated.lambda0, H1.lambda0, rtol=1e-12)
         assert updated.k0 == H1.k0 + 1
@@ -80,7 +80,7 @@ class TestUpdate:
         data = me.PairedLrSummary(
             m=m, mean=np.array([3.5, 2.5]), scatter=m * np.array([[5.0, 4.0], [4.0, 5.0]])
         )
-        updated = me.update_normal_wishart(H1, data)
+        updated = me.posterior_params(H1, data, "scale")
 
         diff = data.mean - H1.mu0
         expected_inv = (
@@ -104,8 +104,8 @@ class TestUpdate:
         )
         pooled = me.PairedLrSummary(m=pooled_m, mean=pooled_mean,
                                     scatter=0.5 * (pooled_scatter + pooled_scatter.T))
-        two_step = me.update_normal_wishart(me.update_normal_wishart(H1, a), b)
-        one_step = me.update_normal_wishart(H1, pooled)
+        two_step = me.posterior_params(me.posterior_params(H1, a, "scale"), b, "scale")
+        one_step = me.posterior_params(H1, pooled, "scale")
         np.testing.assert_allclose(two_step.mu0, one_step.mu0, rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(two_step.lambda0, one_step.lambda0, rtol=1e-10, atol=1e-14)
         assert two_step.k0 == pytest.approx(one_step.k0, rel=1e-12)
@@ -114,7 +114,7 @@ class TestUpdate:
     def test_outputs_symmetric_positive_definite(self):
         state = H1
         for m in (1, 5, 50):
-            state = me.update_normal_wishart(state, me.default_sweep_data(m)[0])
+            state = me.posterior_params(state, me.default_sweep_data(m)[0], "scale")
             lam = state.lambda0
             assert np.max(np.abs(lam - lam.T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(lam)) > 0
