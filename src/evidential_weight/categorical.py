@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import mc
-from .core import LrEstimate, Scenario, read_scenario_rows
+from .core import LrEstimate, Scenario, read_scenario_rows, require_count
 from .errors import DomainError, InputFormatError
 
 __all__ = [
@@ -82,14 +82,6 @@ def admissible_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     )
 
 
-def _json_count(value, where: str) -> int:
-    """A count read from JSON: an int, or a float that holds one, at least 0."""
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole or value < 0:
-        raise ValueError(f"{where} must be a nonnegative integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ConclusionCounts:
     """Validation counts (n_ID, n_Inc, n_Exc) per scenario."""
@@ -101,11 +93,8 @@ class ConclusionCounts:
         for label, triple in (("h1", self.h1), ("h2", self.h2)):
             if len(triple) != 3:
                 raise DomainError(f"{label} needs exactly 3 counts, got {triple!r}")
-            for v in triple:
-                if isinstance(v, bool) or int(v) != v or v < 0:
-                    raise DomainError(f"{label} counts must be nonnegative integers, got {triple!r}")
-        object.__setattr__(self, "h1", tuple(int(v) for v in self.h1))
-        object.__setattr__(self, "h2", tuple(int(v) for v in self.h2))
+            counts = tuple(require_count(f"{label} count", v) for v in triple)
+            object.__setattr__(self, label, counts)
 
     def totals(self) -> tuple[int, int]:
         return sum(self.h1), sum(self.h2)
@@ -141,7 +130,7 @@ class ConclusionCounts:
             for scen in ("H1", "H2"):
                 entry = obj[scen]
                 triples.append(tuple(
-                    _json_count(entry[key], f"{scen}.{key}") for key in ("id", "inc", "exc")
+                    require_count(f"{scen}.{key}", entry[key]) for key in ("id", "inc", "exc")
                 ))
             return cls(triples[0], triples[1])
         except (KeyError, TypeError, ValueError) as exc:
@@ -339,7 +328,7 @@ class _Moments:
         lr = mp / mq
         rel_var = var_mp / mp**2 + var_mq / mq**2 - 2.0 * cov / (mp * mq)
         se = lr * math.sqrt(max(rel_var, 0.0))
-        return LrEstimate.from_log10(
+        return LrEstimate(
             log10_lr,
             mc_std_err=se,
             n_samples=n,
@@ -425,14 +414,13 @@ def lr_for_conclusion(
 def _largest_remainder(total: int, weights: Sequence[int]) -> list[int]:
     """Apportion ``total`` into integer parts proportional to integer ``weights``.
 
-    The parts start as the exact integer floors of the quotas, so that they
-    sum exactly to ``total`` once the shortfall is handed out, one each in
-    the order of the float quotas' fractional parts.
+    The parts start as the integer floors of the quotas ``total * w /
+    sum(weights)``; the shortfall goes one each to the largest exact
+    remainders, equal remainders in the order of the weights.
     """
     whole = sum(weights)
     parts = [total * w // whole for w in weights]
-    quotas = total * np.asarray(weights, dtype=float) / whole
-    order = np.argsort(-(quotas - np.floor(quotas)), kind="stable")
+    order = sorted(range(len(weights)), key=lambda j: -(total * weights[j] % whole))
     for j in order[: total - sum(parts)]:
         parts[j] += 1
     return parts

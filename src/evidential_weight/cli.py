@@ -77,7 +77,6 @@ class RunWriter:
     def __init__(self, out_dir: Path, command: str, seed: int, n_samples: int,
                  parameters: dict, input_paths: list[Path]):
         self.out_dir = out_dir
-        self.started = time.perf_counter()
         self.core = {
             "command": command,
             "seed": seed,
@@ -119,7 +118,6 @@ class RunWriter:
         manifest = dict(diagnostics or {})
         manifest.update(self.core)
         manifest["manifest_digest"] = self.digest
-        manifest["wall_time_s"] = time.perf_counter() - self.started
         (self.out_dir / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         )
@@ -384,6 +382,8 @@ def _cmd_interval(args) -> Run:
 
     iv = interval_opinion.LrInterval(args.lo, args.hi)
     w_grid = _parse_grid(args.w_grid, "--w-grid")
+    if w_grid[0] <= 0.0:
+        raise InputFormatError(f"--w-grid widths must be positive, got {args.w_grid!r}")
     overrides = {"rel_tol": args.quad_rel_tol, "max_refinements": args.quad_max_refinements}
     spec = dataclasses.replace(
         interval_opinion.DEFAULT_WIDTH_QUAD_SPEC,
@@ -423,8 +423,8 @@ def _cmd_interval(args) -> Run:
         },
         result={
             "interval": [args.lo, args.hi],
-            "midpoint": result.midpoint,
-            "width": result.width,
+            "midpoint": iv.midpoint,
+            "width": iv.width,
             "lr_m": result.lr_m,
             "lr_w": result.lr_w,
             "lr_estimate": result.estimate.to_dict(),
@@ -443,6 +443,8 @@ def _cmd_two_expert(args) -> Run:
     if len(x) != 2:
         raise InputFormatError(f"--x must be 'log10_lr_b,log10_lr_c', got {args.x!r}")
     sweep_sizes = _parse_list(args.sweep, "--sweep") if args.sweep else None
+    if sweep_sizes and min(sweep_sizes) < 0:
+        raise InputFormatError(f"--sweep sizes must be >= 0, got {args.sweep!r}")
     priors = _load_priors(args.priors, multi_expert.NormalWishartParams,
                           multi_expert.PRIOR_PRESETS[args.prior_preset])
     grouped = _load_scenario_csv(args.validation, "scenario,log10_lr_b,log10_lr_c")
@@ -597,13 +599,14 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     writer = RunWriter(Path(args.out), " ".join(["evidential-weight"] + argv), args.seed,
                        run.n_samples, run.parameters, run.input_paths)
-    writer.started = started  # the manifest's wall time covers the whole command
     try:
         writer.out_dir.mkdir(parents=True, exist_ok=True)
         writer.write_result(run.result, fmt=args.format)
         for name, header, rows in run.tables:
             writer.write_csv(name, header, rows)
-        writer.write_manifest(run.diagnostics)
+        # the manifest's wall time covers the whole command, writes included
+        writer.write_manifest({**(run.diagnostics or {}),
+                               "wall_time_s": time.perf_counter() - started})
     except OSError as exc:
         print(f"error: cannot write outputs to {args.out}: {exc}", file=sys.stderr)
         return 2

@@ -3,14 +3,15 @@
 The central object is the recipient's likelihood ratio for an expert's
 reported opinion: the probability of hearing that opinion under H1
 divided by the probability under H2.  Likelihood-ratio arithmetic is
-carried in log10 space internally; linear values are materialized at the
-API surface.
+carried in log10 space: an :class:`LrEstimate` stores only ``log10_lr``,
+and its linear ``lr`` is derived from it on access.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -24,12 +25,11 @@ __all__ = [
     "posterior_odds",
     "odds_to_probability",
     "lr_from_counts",
+    "require_count",
+    "require_positive",
     "read_scenario_rows",
     "float_rows",
 ]
-
-#: Relative tolerance tying ``log10_lr`` to ``log10(lr)`` in LrEstimate.
-LOG10_CONSISTENCY_RTOL = 1e-12
 
 #: Smallest linear LR whose inverse a float still holds.
 _LR_MIN = 1.0 / sys.float_info.max
@@ -106,11 +106,22 @@ def float_rows(*columns) -> Iterator[tuple]:
         yield from zip(*(column[block].tolist() for column in columns))
 
 
-def _require_positive_finite(name: str, value: float) -> float:
+def require_positive(name: str, value: float) -> float:
+    """``value`` as a float, checked to be positive and finite."""
     value = float(value)
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(f"{name} must be a positive finite real, got {value!r}")
     return value
+
+
+def require_count(name: str, value) -> int:
+    """``value`` as an int: an integer (numpy's included) or a float holding one, not a bool."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not whole or value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -120,19 +131,19 @@ class Odds:
     value: float
 
     def __post_init__(self):
-        _require_positive_finite("odds value", self.value)
+        require_positive("odds value", self.value)
 
 
 @dataclass(frozen=True)
 class LrEstimate:
-    """A likelihood-ratio value with Monte Carlo diagnostics.
+    """A likelihood ratio, held as its log10, with Monte Carlo diagnostics.
 
     ``mc_std_err`` is present exactly when the value came from Monte Carlo;
-    closed-form results leave it ``None``.  ``log10_lr`` is the primary
-    internal representation and must agree with ``log10(lr)``.
+    closed-form results leave it ``None``.  The linear ``lr`` is derived
+    from ``log10_lr``; an LR whose value or inverse overflows a float
+    raises :class:`LrRangeError`.
     """
 
-    lr: float
     log10_lr: float
     mc_std_err: float | None = None
     n_samples: int = 0
@@ -140,13 +151,11 @@ class LrEstimate:
     seed: int | None = None
 
     def __post_init__(self):
-        _require_positive_finite("lr", self.lr)
-        got = math.log10(self.lr)
-        tol = LOG10_CONSISTENCY_RTOL * max(1.0, abs(self.log10_lr))
-        if abs(got - self.log10_lr) > tol:
-            raise DomainError(
-                f"log10_lr={self.log10_lr!r} inconsistent with lr={self.lr!r}"
-            )
+        object.__setattr__(self, "log10_lr", float(self.log10_lr))
+        if not math.isfinite(self.log10_lr):
+            raise DomainError(f"log10_lr must be finite, got {self.log10_lr!r}")
+        if not _LR_MIN <= self.lr < math.inf:
+            raise LrRangeError(self.log10_lr)
         if self.mc_std_err is not None and not (
             math.isfinite(self.mc_std_err) and self.mc_std_err >= 0.0
         ):
@@ -160,40 +169,13 @@ class LrEstimate:
         if self.seed is not None and not 0 <= int(self.seed) < 2**64:
             raise DomainError(f"seed must fit in 64 unsigned bits, got {self.seed!r}")
 
-    @classmethod
-    def from_log10(
-        cls,
-        log10_lr: float,
-        *,
-        mc_std_err: float | None = None,
-        n_samples: int = 0,
-        acceptance_rate: float | None = None,
-        seed: int | None = None,
-    ) -> "LrEstimate":
-        """Build an estimate from a log10 value (the internal currency).
-
-        Raises
-        ------
-        LrRangeError
-            If the linear LR or its inverse overflows a float.
-        """
-        log10_lr = float(log10_lr)
-        if not math.isfinite(log10_lr):
-            raise DomainError(f"log10_lr must be finite, got {log10_lr!r}")
+    @property
+    def lr(self) -> float:
+        """The linear likelihood ratio, ``inf`` where it overflows a float."""
         try:
-            lr = 10.0**log10_lr
+            return 10.0**self.log10_lr
         except OverflowError:
-            lr = math.inf
-        if not _LR_MIN <= lr < math.inf:
-            raise LrRangeError(log10_lr)
-        return cls(
-            lr=lr,
-            log10_lr=log10_lr,
-            mc_std_err=mc_std_err,
-            n_samples=n_samples,
-            acceptance_rate=acceptance_rate,
-            seed=seed,
-        )
+            return math.inf
 
     def to_dict(self) -> dict:
         return {
@@ -209,8 +191,8 @@ class LrEstimate:
 def posterior_odds(prior: Odds, lr: float) -> Odds:
     """Apply Bayes' rule: posterior odds = prior odds times likelihood ratio."""
     if not isinstance(prior, Odds):
-        prior = Odds(_require_positive_finite("prior", prior))
-    lr = _require_positive_finite("lr", lr)
+        prior = Odds(require_positive("prior", prior))
+    lr = require_positive("lr", lr)
     value = prior.value * lr
     if not math.isfinite(value) or value <= 0.0:
         raise DomainError(
@@ -226,12 +208,6 @@ def odds_to_probability(o: Odds) -> float:
     return o.value / (1.0 + o.value)
 
 
-def _require_count(name: str, value: int) -> int:
-    if isinstance(value, bool) or int(value) != value or value < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
-
-
 def lr_from_counts(k1: int, n1: int, k2: int, n2: int) -> float:
     """Relative-frequency ratio (k1/n1) / (k2/n2) from validation counts.
 
@@ -245,10 +221,10 @@ def lr_from_counts(k1: int, n1: int, k2: int, n2: int) -> float:
         If ``k2`` is zero, where the ratio is undefined and a model-based
         likelihood ratio must be used instead.
     """
-    k1 = _require_count("k1", k1)
-    n1 = _require_count("n1", n1)
-    k2 = _require_count("k2", k2)
-    n2 = _require_count("n2", n2)
+    k1 = require_count("k1", k1)
+    n1 = require_count("n1", n1)
+    k2 = require_count("k2", k2)
+    n2 = require_count("n2", n2)
     if n1 == 0 or n2 == 0:
         raise DomainError("n1 and n2 must be positive")
     if k1 > n1 or k2 > n2:

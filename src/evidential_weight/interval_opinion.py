@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc, scalar_opinion
-from .core import LrEstimate, float_rows
+from .core import LrEstimate, float_rows, require_positive
 from .errors import DomainError, QuadratureConvergenceError
 from .scalar_opinion import NormalGammaParams
 
@@ -86,9 +86,8 @@ class LrInterval:
     hi: float
 
     def __post_init__(self):
-        for name, v in (("lo", self.lo), ("hi", self.hi)):
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+        require_positive("lo", self.lo)
+        require_positive("hi", self.hi)
         if not self.lo < self.hi:
             raise DomainError(f"interval requires lo < hi, got ({self.lo!r}, {self.hi!r})")
 
@@ -122,15 +121,11 @@ class GammaConjParams:
         if not math.isfinite(self.log_p):
             raise DomainError(f"log_p must be finite, got {self.log_p!r}")
         for name in ("q", "r", "s"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+            require_positive(name, getattr(self, name))
 
     @classmethod
     def from_p(cls, p: float, q: float, r: float, s: float) -> "GammaConjParams":
-        if not (math.isfinite(p) and p > 0.0):
-            raise DomainError(f"p must be positive and finite, got {p!r}")
-        return cls(log_p=math.log(p), q=q, r=r, s=s)
+        return cls(log_p=math.log(require_positive("p", p)), q=q, r=r, s=s)
 
     def to_dict(self) -> dict:
         return {"log_p": self.log_p, "q": self.q, "r": self.r, "s": self.s}
@@ -430,10 +425,16 @@ class IntervalLr:
     """Recipient LR for an interval, with its midpoint and width factors."""
 
     estimate: LrEstimate
-    lr_m: float
-    lr_w: float
-    midpoint: float
-    width: float
+    mid: LrEstimate
+    log10_lr_w: float
+
+    @property
+    def lr_m(self) -> float:
+        return self.mid.lr
+
+    @property
+    def lr_w(self) -> float:
+        return 10.0**self.log10_lr_w
 
 
 def lr_for_interval(
@@ -449,19 +450,11 @@ def lr_for_interval(
     The midpoint factor treats m exactly as a reported scalar log10 LR;
     the width factor is the ratio of marginal width densities.
     """
-    m, w = iv.midpoint, iv.width
-    mid_estimate = scalar_opinion.lr_for_scalar(m, mid_h1, mid_h2)
-    log_h1, _, _ = _log_width_density(width_h1, [w], spec)
-    log_h2, _, _ = _log_width_density(width_h2, [w], spec)
+    mid = scalar_opinion.lr_for_scalar(iv.midpoint, mid_h1, mid_h2)
+    log_h1, _, _ = _log_width_density(width_h1, [iv.width], spec)
+    log_h2, _, _ = _log_width_density(width_h2, [iv.width], spec)
     log10_lr_w = float(log_h1[0] - log_h2[0]) / math.log(10.0)
-    estimate = LrEstimate.from_log10(mid_estimate.log10_lr + log10_lr_w)
-    return IntervalLr(
-        estimate=estimate,
-        lr_m=mid_estimate.lr,
-        lr_w=10.0**log10_lr_w,
-        midpoint=m,
-        width=w,
-    )
+    return IntervalLr(LrEstimate(mid.log10_lr + log10_lr_w), mid, log10_lr_w)
 
 
 @dataclass(frozen=True)

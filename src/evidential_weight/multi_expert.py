@@ -28,7 +28,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import LrEstimate
+from .core import LrEstimate, require_count
 from .errors import DomainError
 from .scalar_opinion import student_t_logpdf
 
@@ -58,12 +58,18 @@ DEFAULT_WISHART_MATRIX: WishartMatrix = "rate"
 SYMMETRY_TOL = 1e-12
 
 
-def _as_matrix22(value, name: str) -> np.ndarray:
+def _symmetric22(value, name: str, smallest_eigenvalue: float) -> np.ndarray:
+    """``value`` as a finite symmetric 2x2 array, each eigenvalue ``>= smallest_eigenvalue``."""
     arr = np.asarray(value, dtype=float)
     if arr.shape != (2, 2):
         raise DomainError(f"{name} must be a 2x2 matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
+    if np.max(np.abs(arr - arr.T)) > SYMMETRY_TOL:
+        raise DomainError(f"{name} must be symmetric within 1e-12")
+    if np.min(np.linalg.eigvalsh(arr)) < smallest_eigenvalue:
+        kind = "definite" if smallest_eigenvalue > 0.0 else "semidefinite"
+        raise DomainError(f"{name} must be positive {kind}")
     return arr
 
 
@@ -80,11 +86,8 @@ class NormalWishartParams:
         mu = np.asarray(self.mu0, dtype=float)
         if mu.shape != (2,) or not np.all(np.isfinite(mu)):
             raise DomainError(f"mu0 must be a finite 2-vector, got {self.mu0!r}")
-        lam = _as_matrix22(self.lambda0, "lambda0")
-        if np.max(np.abs(lam - lam.T)) > SYMMETRY_TOL:
-            raise DomainError("lambda0 must be symmetric within 1e-12")
-        if np.min(np.linalg.eigvalsh(lam)) <= 0.0:
-            raise DomainError("lambda0 must be positive definite")
+        # math.ulp(0.0) is the smallest positive float: every eigenvalue > 0
+        lam = _symmetric22(self.lambda0, "lambda0", math.ulp(0.0))
         if not (math.isfinite(self.k0) and self.k0 > 0.0):
             raise DomainError(f"k0 must be positive, got {self.k0!r}")
         if not (math.isfinite(self.n0) and self.n0 >= 2.0):
@@ -153,16 +156,12 @@ class PairedLrSummary:
     scatter: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or int(self.m) != self.m or self.m < 1:
+        if require_count("m", self.m) < 1:
             raise DomainError(f"m must be a positive integer, got {self.m!r}")
         mean = np.asarray(self.mean, dtype=float)
         if mean.shape != (2,) or not np.all(np.isfinite(mean)):
             raise DomainError(f"mean must be a finite 2-vector, got {self.mean!r}")
-        scatter = _as_matrix22(self.scatter, "scatter")
-        if np.max(np.abs(scatter - scatter.T)) > SYMMETRY_TOL:
-            raise DomainError("scatter must be symmetric within 1e-12")
-        if np.min(np.linalg.eigvalsh(scatter)) < -1e-9:
-            raise DomainError("scatter must be positive semidefinite")
+        scatter = _symmetric22(self.scatter, "scatter", -1e-9)
         mean.setflags(write=False)
         scatter.setflags(write=False)
         object.__setattr__(self, "m", int(self.m))
@@ -269,7 +268,7 @@ def lr_for_pair(
     log_lr = bivariate_t_logdensity(
         h1, x, df_convention, wishart_matrix
     ) - bivariate_t_logdensity(h2, x, df_convention, wishart_matrix)
-    return LrEstimate.from_log10(log_lr / math.log(10.0))
+    return LrEstimate(log_lr / math.log(10.0))
 
 
 #: Packaged sweep statistics: per-scenario mean and per-observation

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LrEstimate, float_rows
+from .core import LrEstimate, float_rows, require_count, require_positive
 from .errors import DomainError
 
 __all__ = [
@@ -52,9 +52,7 @@ class NormalGammaParams:
         if not math.isfinite(self.mu0):
             raise DomainError(f"mu0 must be finite, got {self.mu0!r}")
         for name in ("n_mu", "tau0", "n_tau"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+            require_positive(name, getattr(self, name))
 
     def to_dict(self) -> dict:
         return {"mu0": self.mu0, "n_mu": self.n_mu, "tau0": self.tau0, "n_tau": self.n_tau}
@@ -85,7 +83,7 @@ class ScalarValidationSummary:
     variance: float
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or int(self.n) != self.n or self.n < 1:
+        if require_count("n", self.n) < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
         if not math.isfinite(self.mean):
             raise DomainError(f"mean must be finite, got {self.mean!r}")
@@ -243,7 +241,7 @@ def lr_for_scalar(
     if not math.isfinite(r):
         raise DomainError(f"r must be finite, got {r!r}")
     log10_lr = (predictive_logpdf(h1, r) - predictive_logpdf(h2, r)) / math.log(10.0)
-    return LrEstimate.from_log10(log10_lr)
+    return LrEstimate(log10_lr)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import math
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ class TestTypes:
             cat.ConclusionCounts((1, 2), (0, 0, 0))
         with pytest.raises(DomainError):
             cat.ConclusionCounts((1, 2, -1), (0, 0, 0))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.5, False])
+    def test_non_count_rejected(self, bad):
+        with pytest.raises(DomainError, match="h1 count must be a nonnegative integer"):
+            cat.ConclusionCounts((bad, 0, 0), (0, 0, 0))
+
+    def test_counts_stored_as_int(self):
+        counts = cat.ConclusionCounts((np.int64(3), 2.0, 1), (0, 0, 0))
+        assert counts.h1 == (3, 2, 1) and all(type(v) is int for v in counts.h1)
 
     def test_counts_from_json(self):
         counts = cat.ConclusionCounts.from_json_obj(
@@ -226,7 +236,7 @@ class TestLrEstimates:
             lr = mp / mq
             rel_var = var_mp / mp**2 + var_mq / mq**2 - 2.0 * cov / (mp * mq)
             assert est.log10_lr == log10_lr
-            assert est.lr == LrEstimate.from_log10(log10_lr).lr
+            assert est.lr == LrEstimate(log10_lr).lr
             assert est.mc_std_err == pytest.approx(lr * math.sqrt(rel_var), rel=1e-12, abs=0)
 
     def test_single_draw_has_no_standard_error(self):
@@ -271,6 +281,28 @@ class TestScaledCounts:
     def test_too_small_size_raises(self, study_counts):
         with pytest.raises(DomainError):
             cat.scaled_counts(study_counts, 5)
+
+    def test_equal_remainders_go_in_order(self):
+        # quotas 1.2, 0.4 and 10.4: the two remainders 0.4 tie exactly, and
+        # the first of them gets the one unit left over
+        assert cat._largest_remainder(12, [9, 3, 78]) == [1, 1, 10]
+
+    def test_apportionment_matches_exact_oracle(self):
+        # small weights make exactly equal remainders common: about 1 case
+        # in 250 here ties where float quotas would not
+        rng = np.random.default_rng(15)
+        for _ in range(5000):
+            weights = rng.integers(0, 101, size=rng.integers(1, 7)).tolist()
+            weights[0] += not any(weights)
+            total = int(rng.integers(0, 10_001))
+            whole = sum(weights)
+            quotas = [Fraction(total * w, whole) for w in weights]
+            parts = [math.floor(q) for q in quotas]
+            # a stable sort: equal remainders in the order of the weights
+            order = sorted(range(len(weights)), key=lambda j: parts[j] - quotas[j])
+            for j in order[: total - sum(parts)]:
+                parts[j] += 1
+            assert cat._largest_remainder(total, weights) == parts, (total, weights)
 
     def test_requires_nonzero_scenarios(self):
         empty_h2 = cat.ConclusionCounts((5, 5, 5), (0, 0, 0))

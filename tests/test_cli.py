@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from evidential_weight import categorical, cli, interval_opinion, mc
+from evidential_weight import categorical, cli, interval_opinion, mc, multi_expert
 
 STUDY_JSON = {
     "H1": {"id": 3663, "inc": 1856, "exc": 450},
@@ -436,6 +436,19 @@ class TestIntervalCommand:
     def test_degenerate_interval_exit_2(self, tmp_path):
         assert run(["interval", "--lo", "10", "--hi", "10", "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("grid", ["0:1:3", "-1:1:3"])
+    def test_nonpositive_width_grid_checked_before_computing(
+        self, tmp_path, capsys, monkeypatch, grid
+    ):
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("computed before the inputs were checked")
+
+        monkeypatch.setattr(interval_opinion, "lr_for_interval", no_quadrature)
+        out = tmp_path / "out"
+        assert run(["interval", "--lo", "1", "--hi", "2", f"--w-grid={grid}", "--out", out]) == 2
+        assert "--w-grid widths must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("tol", ["0", "-1e-6", "nan"])
     def test_nonpositive_quad_rel_tol_exit_2(self, tmp_path, capsys, tol):
         assert run(
@@ -567,6 +580,16 @@ class TestTwoExpertCommand:
         # no float error; it used to reach the LR as nan and exit 2
         assert run(["two-expert", "--x", x, "--out", tmp_path]) == 0
         assert read_json(tmp_path / "result.json")["lr_estimate"]["log10_lr"] == 0.0
+
+    def test_negative_sweep_checked_before_computing(self, tmp_path, capsys, monkeypatch):
+        def no_lr(*args, **kwargs):
+            raise AssertionError("computed before the inputs were checked")
+
+        monkeypatch.setattr(multi_expert, "lr_for_pair", no_lr)
+        out = tmp_path / "out"
+        assert run(["two-expert", "--x", "2,1", "--sweep", "0,10,-1", "--out", out]) == 2
+        assert "--sweep sizes must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alt_preset_runs(self, tmp_path):
         assert run(

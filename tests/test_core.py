@@ -91,11 +91,17 @@ class TestLrFromCounts:
             lr_from_counts(5, 10, 0, 10)
 
     @pytest.mark.parametrize(
-        "args", [(5, 0, 1, 10), (5, 10, 1, 0), (11, 10, 1, 10), (-1, 10, 1, 10), (1.5, 10, 1, 10)]
+        "args", [(5, 0, 1, 10), (5, 10, 1, 0), (11, 10, 1, 10), (-1, 10, 1, 10), (1.5, 10, 1, 10),
+                 (math.inf, 1, 1, 1), (math.nan, 1, 1, 1), (True, 1, 1, 1), ("3", 4, 1, 4)]
     )
     def test_rejects_bad_counts(self, args):
         with pytest.raises(DomainError):
             lr_from_counts(*args)
+
+    def test_accepts_numpy_and_integral_float_counts(self):
+        import numpy as np
+
+        assert lr_from_counts(np.int64(2), 4.0, np.uint8(1), np.float64(4)) == 2.0
 
     @given(
         k1=st.integers(min_value=1, max_value=1000),
@@ -110,30 +116,36 @@ class TestLrFromCounts:
 
 
 class TestLrEstimate:
-    def test_log10_consistency_enforced(self):
-        with pytest.raises(DomainError):
-            LrEstimate(lr=10.0, log10_lr=2.0)
+    @pytest.mark.parametrize("log10_lr", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_log10_rejected(self, log10_lr):
+        with pytest.raises(DomainError, match="log10_lr must be finite"):
+            LrEstimate(log10_lr)
 
-    def test_from_log10_roundtrip(self):
-        est = LrEstimate.from_log10(2.5, mc_std_err=0.1, n_samples=100)
+    def test_lr_is_ten_to_the_log10(self):
+        assert LrEstimate(2.0).lr == 100.0
+        assert LrEstimate(-1).lr == 0.1 and isinstance(LrEstimate(-1).log10_lr, float)
+
+    def test_log10_roundtrip(self):
+        est = LrEstimate(2.5, mc_std_err=0.1, n_samples=100)
         assert est.lr == pytest.approx(10**2.5, rel=1e-15)
+        assert est.log10_lr == 2.5
         assert est.mc_std_err == 0.1
 
     @pytest.mark.parametrize("log10_lr", [308.0, -308.0])
     def test_edge_of_float_range(self, log10_lr):
-        est = LrEstimate.from_log10(log10_lr)
+        est = LrEstimate(log10_lr)
         assert math.isfinite(1.0 / est.lr) and 1.0 / est.lr > 0.0
 
     @pytest.mark.parametrize("log10_lr", [308.5, -308.5, 1501.5, -1501.5])
     def test_beyond_float_range_raises(self, log10_lr):
         with pytest.raises(LrRangeError, match=f"log10 LR = {log10_lr!r}") as info:
-            LrEstimate.from_log10(log10_lr)
+            LrEstimate(log10_lr)
         assert info.value.log10_lr == log10_lr
 
     def test_closed_form_has_no_mc_error(self):
-        est = LrEstimate.from_log10(0.3)
+        est = LrEstimate(0.3)
         assert est.mc_std_err is None
 
     def test_acceptance_rate_bounds(self):
         with pytest.raises(DomainError):
-            LrEstimate.from_log10(0.0, acceptance_rate=1.5)
+            LrEstimate(0.0, acceptance_rate=1.5)

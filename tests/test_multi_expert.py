@@ -53,6 +53,33 @@ class TestTypes:
                 lambda0=np.array([[1.0, 2.0], [2.0, 1.0]]), n0=2.0,
             )
 
+    # lambda0 needs every eigenvalue > 0; scatter tolerates rounding down to -1e-9
+    @pytest.mark.parametrize("name, diagonal, ok", [
+        ("lambda0", (1.0, 1e-300), True),
+        ("lambda0", (1.0, 0.0), False),
+        ("scatter", (1.0, 0.0), True),
+        ("scatter", (1.0, -1e-9), True),
+        ("scatter", (1.0, -2e-9), False),
+    ])
+    def test_matrix_eigenvalue_floor(self, name, diagonal, ok):
+        matrix = np.diag(diagonal)
+
+        def make():
+            if name == "lambda0":
+                return me.NormalWishartParams(mu0=np.zeros(2), k0=1.0, lambda0=matrix, n0=2.0)
+            return me.PairedLrSummary(m=2, mean=np.zeros(2), scatter=matrix)
+
+        if ok:
+            make()
+        else:
+            with pytest.raises(DomainError, match=f"{name} must be positive"):
+                make()
+
+    @pytest.mark.parametrize("m", [math.inf, math.nan, 0, 2.5])
+    def test_summary_rejects_non_count_m(self, m):
+        with pytest.raises(DomainError, match="m must be a"):
+            me.PairedLrSummary(m=m, mean=np.zeros(2), scatter=np.eye(2))
+
     def test_n0_at_least_dimension(self):
         with pytest.raises(DomainError):
             me.NormalWishartParams(mu0=np.zeros(2), k0=1.0, lambda0=np.eye(2), n0=1.5)

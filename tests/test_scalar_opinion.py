@@ -37,6 +37,11 @@ class TestUpdate:
         with pytest.raises(DomainError):
             so.ScalarValidationSummary(n=0, mean=0.0, variance=1.0)
 
+    @pytest.mark.parametrize("n", [math.inf, math.nan, 1.5, True])
+    def test_rejects_non_count_n(self, n):
+        with pytest.raises(DomainError, match="n must be a"):
+            so.ScalarValidationSummary(n=n, mean=0.0, variance=1.0)
+
     def test_degenerate_single_observation_at_mean(self):
         updated = so.update_normal_gamma(
             PRIOR_H1, so.ScalarValidationSummary(n=1, mean=5.0, variance=0.0)
