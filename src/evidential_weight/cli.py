@@ -8,9 +8,10 @@ reproduce the run.  Every CSV starts with a comment line carrying the
 manifest digest.  A command that fails writes no files.
 
 Loading this module imports neither numpy nor any opinion module: each
-step imports the modules it runs, so ``coin`` and ``--help`` run
-without numpy, and ``scalar`` loads no sampler.  The steps that compute
-with numpy run under numpy's float guard (:func:`_numpy_step`).
+step imports the modules it runs, so ``coin``, ``scalar``, ``two-expert``
+and ``--help`` run without numpy, and ``scalar`` loads no sampler.  The
+steps that compute with numpy run under numpy's float guard
+(:func:`_numpy_step`).
 
 Exit codes: 0 on success, 2 on input errors or an output directory that
 cannot be written, 3 on numerical failures
@@ -29,6 +30,7 @@ import json
 import math
 import sys
 import time
+from array import array
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -218,10 +220,8 @@ def _parse_list(text: str, flag: str, kind=int) -> list:
     return values
 
 
-def _parse_grid(text: str, flag: str) -> np.ndarray:
-    """Parse 'lo:hi:count' into a linspace grid."""
-    import numpy as np
-
+def _parse_grid(text: str, flag: str) -> array:
+    """Parse 'lo:hi:count' into the points of ``numpy.linspace(lo, hi, count)``."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputFormatError(f"{flag} must look like 'lo:hi:count', got {text!r}")
@@ -229,9 +229,19 @@ def _parse_grid(text: str, flag: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         if count < 1 or not lo < hi or not math.isfinite(hi - lo):
             raise ValueError("needs finite lo < hi and count >= 1")
-        return np.linspace(lo, hi, count)
+        if count > sys.maxsize // 8:
+            raise ValueError("count has more points than an address space holds")
     except ValueError as exc:
         raise InputFormatError(f"bad {flag} {text!r}: {exc}") from exc
+    grid = array("d", [0.0]) * count  # one allocation: a count too large fails at once
+    delta, div = hi - lo, max(count - 1, 1)
+    step = delta / div
+    if (count - 1) * step == math.inf:  # where numpy.linspace overflows
+        raise OverflowError(f"the points of {flag} {text!r} overflow a float")
+    for i in range(count - 1):
+        grid[i] = (i * step if step else i / div * delta) + lo
+    grid[-1] = hi if count > 1 else lo
+    return grid
 
 
 # ----------------------------------------------------------------------
@@ -265,17 +275,12 @@ def _normal_gamma_update(prior, values):
 # subcommands
 # ----------------------------------------------------------------------
 
-class _MatrixFailure(RuntimeError):
-    """numpy's ``LinAlgError`` (a singular or not positive definite matrix),
-    raised again so that :func:`main` can name it without importing numpy."""
-
-
 def _numpy_step(step):
     """Run a subcommand that computes with numpy under numpy's float guard.
 
     A float overflow, division by zero or invalid operation that no step
     expects raises, and stops the command, rather than running on with
-    inf or nan; a failed matrix factorization is a numerical failure too.
+    inf or nan.
     """
 
     @functools.wraps(step)
@@ -283,10 +288,7 @@ def _numpy_step(step):
         import numpy as np
 
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            try:
-                return step(args)
-            except np.linalg.LinAlgError as exc:
-                raise _MatrixFailure(str(exc)) from exc
+            return step(args)
 
     return guarded
 
@@ -353,7 +355,6 @@ def _grid_rows(centers: np.ndarray, grid: np.ndarray):
     )
 
 
-@_numpy_step
 def _cmd_scalar(args) -> Run:
     from . import scalar_opinion
 
@@ -435,7 +436,6 @@ def _cmd_interval(args) -> Run:
     )
 
 
-@_numpy_step
 def _cmd_two_expert(args) -> Run:
     from . import multi_expert
 
@@ -590,10 +590,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConstraintIntractableError, QuadratureConvergenceError, LrRangeError,
-            MemoryError, _MatrixFailure) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+            MemoryError) as exc:
+        print(f"numerical failure: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:  # ValueError: "math domain error"
         print(f"numerical failure: the inputs take float arithmetic out of range ({exc})",
               file=sys.stderr)
         return 3

@@ -21,7 +21,6 @@ __all__ = [
     "MarkovPosterior",
     "prob_next_heads_A",
     "prob_next_heads_B",
-    "prob_next_heads_C",
     "markov_posterior",
 ]
 
@@ -158,9 +157,3 @@ def markov_posterior(seq: TossSequence | str) -> MarkovPosterior:
         prob_next_heads_likelihood_weighted=likelihood_weighted,
     )
 
-
-def prob_next_heads_C(seq: TossSequence | str) -> float:
-    """Serial-dependence model: equal-weight mixture over the unknown
-    pre-sequence outcome, reporting the posterior-mean transition rate
-    from the last observed toss."""
-    return markov_posterior(seq).prob_next_heads

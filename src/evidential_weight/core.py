@@ -1,4 +1,4 @@
-"""Shared domain types and odds/Bayes-rule algebra.
+"""Shared domain types, odds/Bayes-rule algebra and the Student-t density.
 
 The central object is the recipient's likelihood ratio for an expert's
 reported opinion: the probability of hearing that opinion under H1
@@ -25,6 +25,8 @@ __all__ = [
     "posterior_odds",
     "odds_to_probability",
     "lr_from_counts",
+    "linear_lr",
+    "student_t_logpdf",
     "require_count",
     "require_positive",
     "read_scenario_rows",
@@ -131,7 +133,7 @@ class Odds:
     value: float
 
     def __post_init__(self):
-        require_positive("odds value", self.value)
+        object.__setattr__(self, "value", require_positive("odds value", self.value))
 
 
 @dataclass(frozen=True)
@@ -172,10 +174,7 @@ class LrEstimate:
     @property
     def lr(self) -> float:
         """The linear likelihood ratio, ``inf`` where it overflows a float."""
-        try:
-            return 10.0**self.log10_lr
-        except OverflowError:
-            return math.inf
+        return linear_lr(self.log10_lr)
 
     def to_dict(self) -> dict:
         return {
@@ -186,6 +185,14 @@ class LrEstimate:
             "acceptance_rate": self.acceptance_rate,
             "seed": self.seed,
         }
+
+
+def linear_lr(log10_lr: float) -> float:
+    """``10 ** log10_lr``: ``inf`` where it overflows a float, 0.0 where it underflows."""
+    try:
+        return 10.0**log10_lr
+    except OverflowError:
+        return math.inf
 
 
 def posterior_odds(prior: Odds, lr: float) -> Odds:
@@ -234,3 +241,47 @@ def lr_from_counts(k1: int, n1: int, k2: int, n2: int) -> float:
             "k2 = 0 gives a zero denominator rate; use a model-based LR instead"
         )
     return (k1 / n1) / (k2 / n2)
+
+
+#: Degrees of freedom from which the d = 1 gamma ratio of the t's normalizer
+#: comes from its asymptotic series, accurate to double precision from df = 40
+#: on, rather than from two large ``lgamma`` values, which lose digits.
+_T_SERIES_MIN_DF = 50.0
+
+
+def _t_log_gamma_ratio(df: float, d: int) -> float:
+    """log Gamma((df + d)/2) - log Gamma(df/2) without cancellation, for d = 1 or 2:
+    log(df/2) at d = 2; at d = 1, ``lgamma`` below ``_T_SERIES_MIN_DF`` and above it the
+    asymptotic series, coefficients (2^(1-n) - 2) B_n / (n (n-1)) for Bernoulli numbers B_n."""
+    a = 0.5 * df
+    if not a > 0.0:
+        raise DomainError(f"degrees of freedom {df!r} are too small for a t density")
+    if d == 2:
+        return math.log(a)
+    if df < _T_SERIES_MIN_DF:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    z2 = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (
+        1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * (17 / 14336 - z2 * 31 / 18432)))
+    ) / a
+
+
+def student_t_logpdf(
+    q: float, df: float, d: int, half_logdet: float, log_q: float | None = None
+) -> float:
+    """Log density of a d-variate Student-t, d = 1 or 2, shared by the scalar
+    and pair opinions: ``q`` is (x - loc)' S^-1 (x - loc) for the scale
+    matrix S (z^2 at d = 1) and ``half_logdet`` is log det S / 2.
+
+    Past the overflow of q / df, log1p(q / df) = log q - log df, as df / q
+    is below the smallest float; a caller whose q overflowed passes ``log_q``.
+    """
+    ratio = q / df
+    if ratio < math.inf:
+        log1p_ratio = math.log1p(ratio)
+    else:
+        log1p_ratio = (math.log(q) if log_q is None else log_q) - math.log(df)
+    tail = 0.5 * (df + d) * log1p_ratio
+    if tail == math.inf:
+        raise OverflowError(f"the t log density with df = {df!r} is beyond the float range")
+    return _t_log_gamma_ratio(df, d) - 0.5 * d * math.log(df * math.pi) - half_logdet - tail

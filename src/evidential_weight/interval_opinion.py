@@ -86,8 +86,8 @@ class LrInterval:
     hi: float
 
     def __post_init__(self):
-        require_positive("lo", self.lo)
-        require_positive("hi", self.hi)
+        for name in ("lo", "hi"):
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
         if not self.lo < self.hi:
             raise DomainError(f"interval requires lo < hi, got ({self.lo!r}, {self.hi!r})")
 
@@ -118,10 +118,11 @@ class GammaConjParams:
     s: float
 
     def __post_init__(self):
+        object.__setattr__(self, "log_p", float(self.log_p))
         if not math.isfinite(self.log_p):
             raise DomainError(f"log_p must be finite, got {self.log_p!r}")
         for name in ("q", "r", "s"):
-            require_positive(name, getattr(self, name))
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
 
     @classmethod
     def from_p(cls, p: float, q: float, r: float, s: float) -> "GammaConjParams":

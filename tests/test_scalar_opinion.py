@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
-from evidential_weight import mc
+from closed_forms import pooled_summary, predictive_density
+from evidential_weight import core, mc
+from evidential_weight import multi_expert as me
 from evidential_weight import scalar_opinion as so
 from evidential_weight.errors import DomainError
 from mc_oracles import mc_blend_density
@@ -82,7 +84,7 @@ class TestUpdate:
     @given(prior=params_strategy, a=summary_strategy, b=summary_strategy)
     def test_sequential_equals_pooled(self, prior, a, b):
         sequential = so.update_normal_gamma(so.update_normal_gamma(prior, a), b)
-        pooled = so.update_normal_gamma(prior, so.pooled_summary(a, b))
+        pooled = so.update_normal_gamma(prior, pooled_summary(a, b))
         for name in ("mu0", "n_mu", "tau0", "n_tau"):
             lhs, rhs = getattr(sequential, name), getattr(pooled, name)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
@@ -91,7 +93,7 @@ class TestUpdate:
 class TestPredictive:
     def test_prior_center_density(self):
         # t with 1 df, scale sqrt(200): center density is 1/(pi sqrt(200))
-        assert so.predictive_density(PRIOR_H1, 5.0) == pytest.approx(
+        assert predictive_density(PRIOR_H1, 5.0) == pytest.approx(
             1.0 / (math.pi * math.sqrt(200.0)), rel=1e-12
         )
 
@@ -103,12 +105,12 @@ class TestPredictive:
 
     @pytest.mark.parametrize("offset", [1.0, 5.0, 20.0])
     def test_symmetry_about_location(self, offset):
-        left = so.predictive_density(PRIOR_H1, 5.0 - offset)
-        right = so.predictive_density(PRIOR_H1, 5.0 + offset)
+        left = predictive_density(PRIOR_H1, 5.0 - offset)
+        right = predictive_density(PRIOR_H1, 5.0 + offset)
         assert left == pytest.approx(right, rel=1e-12)
 
     def test_bulk_mass_within_200(self):
-        mass, _ = integrate.quad(lambda x: so.predictive_density(PRIOR_H1, x), -200, 200)
+        mass, _ = integrate.quad(lambda x: predictive_density(PRIOR_H1, x), -200, 200)
         assert mass >= 0.95
 
     @pytest.mark.parametrize(
@@ -122,13 +124,13 @@ class TestPredictive:
     )
     def test_normalization(self, params):
         mass, err = integrate.quad(
-            lambda x: so.predictive_density(params, x), -math.inf, math.inf
+            lambda x: predictive_density(params, x), -math.inf, math.inf
         )
         assert mass == pytest.approx(1.0, abs=1e-6)
 
     @pytest.mark.parametrize("x", [5.0, 9.0, -3.0])
     def test_matches_mc_blend_oracle(self, x):
-        closed = so.predictive_density(PRIOR_H1, x)
+        closed = predictive_density(PRIOR_H1, x)
         estimate, se = mc_blend_density(PRIOR_H1, x, n_draws=400_000, rng=mc.RngStream(900))
         assert abs(closed - estimate) < 3 * se
 
@@ -141,6 +143,15 @@ T_XS = np.array([-1e3, -7.5, -0.3, 0.0, 0.2, 3.0, 41.0, 2e4])
 SHAPE_2D = np.array([[2.0, -0.7], [-0.7, 0.9]])
 LOC_2D = np.array([0.4, -1.2])
 XS_2D = np.array([[0.0, 0.0], [3.1, -2.2], [-40.0, 7.0], [0.4, -1.2], [1e3, 2e3]])
+
+
+def t_logpdf(xs, df, loc, scale):
+    """The package's t log density, on Python floats, at each of ``xs``: its
+    d = 1 form for a scalar ``scale``, its d = 2 form for a 2x2 shape matrix."""
+    if np.ndim(scale) == 0:
+        return np.array([so._t_logpdf(float(x), df, loc, scale) for x in xs])
+    loc, scale = np.asarray(loc).tolist(), np.asarray(scale).tolist()
+    return np.array([me._t_logpdf(x.tolist(), df, loc, scale) for x in np.asarray(xs)])
 
 
 def mp_t_logpdf(mpmath, qf, df, d, half_logdet):
@@ -157,7 +168,7 @@ class TestStudentTCore:
     @pytest.mark.parametrize("df", T_DFS)
     def test_univariate_matches_scipy(self, df):
         for scale in T_SCALES:
-            got = so.student_t_logpdf(T_XS, df, 0.3, scale)
+            got = t_logpdf(T_XS, df, 0.3, scale)
             want = stats.t.logpdf(T_XS, df, loc=0.3, scale=scale)
             assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
 
@@ -166,7 +177,7 @@ class TestStudentTCore:
         mpmath = pytest.importorskip("mpmath")
         for s in (1e-3, 1.0, 1e4):
             shape = SHAPE_2D * s * s
-            got = so.student_t_logpdf(XS_2D, df, LOC_2D, shape)
+            got = t_logpdf(XS_2D, df, LOC_2D, shape)
             # scipy's multivariate_t differences two gammaln values and
             # takes log(1 + q/df), which lose digits above df of about 1e5
             if df <= 1e5:
@@ -182,7 +193,7 @@ class TestStudentTCore:
 
     @pytest.mark.parametrize("df", T_DFS)
     def test_bivariate_gamma_ratio_is_log_half_df(self, df):
-        assert so._t_log_gamma_ratio(df, 2) == math.log(df / 2)
+        assert core._t_log_gamma_ratio(df, 2) == math.log(df / 2)
 
     def test_univariate_gamma_ratio_matches_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
@@ -190,7 +201,7 @@ class TestStudentTCore:
             with mpmath.workdps(40):
                 a = mpmath.mpf(df) / 2
                 want = float(mpmath.loggamma(a + mpmath.mpf(0.5)) - mpmath.loggamma(a))
-            assert so._t_log_gamma_ratio(df, 1) == pytest.approx(want, rel=1e-15, abs=1e-15)
+            assert core._t_log_gamma_ratio(df, 1) == pytest.approx(want, rel=1e-15, abs=1e-15)
 
     @pytest.mark.parametrize("df", [0.5, 3.7, 120.0, 1e12])
     def test_reports_past_the_overflow_of_z_squared(self, df):
@@ -199,8 +210,8 @@ class TestStudentTCore:
         xs = np.array([1e150, -2e154, 1e200, 1e300, -1e306])
         pts = np.array([[1e300, 0.0], [0.0, -1e300], [1e200, 3e200], [5e155, 5e155]])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            got_1d = so.student_t_logpdf(xs, df, 0.3, 7.0)
-            got_2d = so.student_t_logpdf(pts, df, LOC_2D, SHAPE_2D)
+            got_1d = t_logpdf(xs, df, 0.3, 7.0)
+            got_2d = t_logpdf(pts, df, LOC_2D, SHAPE_2D)
         with mpmath.workdps(40):
             for x, value in zip(xs, got_1d):
                 z = (mpmath.mpf(x) - mpmath.mpf(0.3)) / 7
@@ -221,7 +232,7 @@ class TestStudentTCore:
         pts = np.array([[1e308, 1e308], [1.7e308, 1.7e308], [1.7e308, -1.7e308], [-1e308, 3.0],
                         [1e306, 1e308]])
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            got = so.student_t_logpdf(pts, 3.7, LOC_2D, shape)
+            got = t_logpdf(pts, 3.7, LOC_2D, shape)
         with mpmath.workdps(40):
             precision = mpmath.matrix(shape.tolist()) ** -1
             half_logdet = mpmath.log(mpmath.det(mpmath.matrix(shape.tolist()))) / 2
@@ -229,15 +240,6 @@ class TestStudentTCore:
                 dev = mpmath.matrix(x.tolist()) - mpmath.matrix(LOC_2D.tolist())
                 want = mp_t_logpdf(mpmath, (dev.T * precision * dev)[0], 3.7, 2, half_logdet)
                 assert value == pytest.approx(want, rel=1e-12)
-
-    @pytest.mark.parametrize("df", [0.5, 3.7, 120.0, 1e12])
-    def test_vector_matches_pointwise(self, df):
-        vector = so.student_t_logpdf(T_XS, df, 0.3, 30.0)
-        pointwise = [float(so.student_t_logpdf(x, df, 0.3, 30.0)) for x in T_XS]
-        np.testing.assert_allclose(vector, pointwise, rtol=1e-14, atol=0)
-        vector = so.student_t_logpdf(XS_2D, df, LOC_2D, SHAPE_2D)
-        pointwise = [float(so.student_t_logpdf(x, df, LOC_2D, SHAPE_2D)) for x in XS_2D]
-        np.testing.assert_allclose(vector, pointwise, rtol=1e-14, atol=0)
 
 
 class TestLrForScalar:
@@ -275,14 +277,14 @@ class TestLrForScalar:
 class TestCurve:
     def test_prior_curve_peaks_below_three(self):
         curve = so.lr_curve(PRIOR_H1, PRIOR_H2, np.linspace(-30, 30, 601))
-        assert curve.lr.max() < 3.0
+        assert max(curve.lr) < 3.0
         # analytic maximum of the prior density ratio is 2, attained at r = 15
-        assert curve.lr.max() == pytest.approx(2.0, abs=1e-3)
+        assert max(curve.lr) == pytest.approx(2.0, abs=1e-3)
 
     def test_monotone_between_locations(self):
         grid = np.linspace(-5.0, 5.0, 201)
         curve = so.lr_curve(PRIOR_H1, PRIOR_H2, grid)
-        assert np.all(np.diff(curve.log10_lr) > 0)
+        assert np.all(np.diff(np.asarray(curve.log10_lr)) > 0)
 
     def test_more_validation_data_sharpens_lr(self):
         lrs = {}
@@ -301,8 +303,8 @@ class TestCurve:
         curve = so.lr_curve(PRIOR_H1, PRIOR_H2, grid)
         for (r, d1, d2, lr) in curve.rows():
             assert lr == pytest.approx(so.lr_for_scalar(r, PRIOR_H1, PRIOR_H2).lr, rel=1e-12)
-            assert d1 == pytest.approx(so.predictive_density(PRIOR_H1, r), rel=1e-12)
-            assert d2 == pytest.approx(so.predictive_density(PRIOR_H2, r), rel=1e-12)
+            assert d1 == pytest.approx(predictive_density(PRIOR_H1, r), rel=1e-12)
+            assert d2 == pytest.approx(predictive_density(PRIOR_H2, r), rel=1e-12)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
@@ -315,13 +317,14 @@ class TestCurve:
         h1 = so.NormalGammaParams(5.0, 1000.0, 1e4, 1000.0)
         h2 = so.NormalGammaParams(-5.0, 1000.0, 1e4, 1000.0)
         curve = so.lr_curve(h1, h2, np.linspace(-30, 30, 121))
+        log10_lr = np.asarray(curve.log10_lr)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lr = np.array([row[3] for row in curve.rows()])
         top = math.log10(sys.float_info.max)
         bottom = math.log10(math.ulp(0.0)) - math.log10(2.0)
-        assert np.array_equal(lr == math.inf, curve.log10_lr > top)
-        assert np.array_equal(lr == 0.0, curve.log10_lr < bottom)
+        assert np.array_equal(lr == math.inf, log10_lr > top)
+        assert np.array_equal(lr == 0.0, log10_lr < bottom)
         assert np.sum((lr == math.inf) | (lr == 0.0)) == 51
-        normal = np.abs(curve.log10_lr) < 307
-        np.testing.assert_allclose(np.log10(lr[normal]), curve.log10_lr[normal], rtol=1e-14)
+        normal = np.abs(log10_lr) < 307
+        np.testing.assert_allclose(np.log10(lr[normal]), log10_lr[normal], rtol=1e-14)
