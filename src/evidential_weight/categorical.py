@@ -9,11 +9,21 @@ mated/non-mated rate ratio decreases from ID to Inconclusive to
 Exclusion.  Sampling is by rejection from the Dirichlet pair, with each
 factor that is symmetric under reversing its rates reflected into the
 region's half-space first (see :func:`sample_rate_pairs`).
+
+Proposals come in antithetic pairs, rows 2i and 2i + 1 of a chunk, whose
+gammas are negatively correlated in each factor that is not reflected
+(see :func:`_gamma_pairs`).  The LR is the ratio of the sums of the kept
+draws; its Monte Carlo standard error is taken over units, the sums of
+the kept draws (one or two) of each pair, which are independent where
+the draws of a pair are not.  On the study table, at the same number
+of draws, the variance of LR(ID) is about a tenth of what independent
+draws give, and that of LR(Inc) and LR(Exc) about a thousandth.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -152,22 +162,27 @@ class ConclusionCounts:
 
 
 class RatePairSamples:
-    """Accepted rate-pair draws held as two (n, 3) arrays.
+    """Accepted rate-pair draws held as two (n, 3) arrays, with each row's unit.
 
     From :func:`sample_rate_pairs` they are read-only views of one sample
     buffer in which each rate column is contiguous, and
     ``acceptance_rate`` estimates the prior mass of the admissible region
     under the untruncated Dirichlet pair (the share of reflected
-    proposals accepted, times the reflected proposals' mass).
+    proposals accepted, times the reflected proposals' mass).  ``unit``
+    ascends, and rows that share it are the kept rows of one antithetic
+    pair; without it each row is its own unit.
     """
 
     def __init__(self, p: np.ndarray, q: np.ndarray, acceptance_rate: float,
-                 seed: int | None = None):
+                 seed: int | None = None, unit: np.ndarray | None = None):
         self.p = p
         self.q = q
         self.acceptance_rate = float(acceptance_rate)
         self.seed = seed
-        for arr in (self.p, self.q):
+        self.unit = np.arange(p.shape[0]) if unit is None else unit
+        if self.unit.shape != (p.shape[0],) or np.any(self.unit[1:] < self.unit[:-1]):
+            raise DomainError("unit must hold one ascending entry per row")
+        for arr in (self.p, self.q, self.unit):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
@@ -178,27 +193,129 @@ class RatePairSamples:
         return self.p[:, j], self.q[:, j]
 
 
+#: Rows per block of the sampler and of the one-pass reductions over
+#: draws, small enough for the block's temporaries to stay in cache.
+_BLOCK_ROWS = 1 << 16
+
+
+def _blocks(n: int):
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
+
+
+def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray,
+                 antithetic: bool) -> None:
+    """Fill ``out`` with Gamma(``alpha``) variates, ``alpha >= 1``, in pairs: rows 2i, 2i + 1.
+
+    With ``antithetic`` the partners of a pair are negatively correlated
+    (antithetic variates, Hammersley and Morton 1956): at ``alpha = 1``
+    they are -log(1 - U) and -log(U) for one U in the open interval
+    (0, 1); above it each is the d v of Marsaglia and Tsang (ACM TOMS
+    26(3), 2000), v = (1 + c X)^3 with d = alpha - 1/3 and c =
+    1/sqrt(9 d), where the partners take the normals X and -X, each
+    accepted by its own uniform.  Without ``antithetic`` the partners are
+    independent: standard exponentials at ``alpha = 1``, Marsaglia-Tsang
+    variates from independent normals above it.  Each variate the test
+    rejects is redrawn independently from ``gen``, so every variate is an
+    exact Gamma(alpha) draw, and only those few pairs lose their coupling.
+    Rows are filled ``_BLOCK_ROWS`` at a time, so the temporaries stay
+    small.
+    """
+    d = alpha - 1.0 / 3.0
+    c = 1.0 / math.sqrt(9.0 * d)
+    a = d ** (1.0 / 3.0)  # so that d v = (a + b x)^3
+    b = a * c
+
+    def squeeze(x):
+        bound = x * x
+        bound *= bound
+        bound *= -0.0331
+        bound += 1.0
+        return bound
+
+    def fill(x, sign, bound, values):
+        """d v of each normal ``sign * x`` into ``values``; the positions rejected."""
+        u = gen.random(x.size)
+        t = x * (sign * b)
+        t += a
+        v = t * t
+        np.multiply(v, t, out=values)
+        # the squeeze, then the log test for what fails it, read as
+        # u < exp(...) so that u = 0 takes no log
+        rest = np.flatnonzero(u >= bound)
+        xr = sign * x[rest]
+        tr = 1.0 + c * xr
+        # t <= 0 means x^4 >= 81 d^2 >= 36, so it fails the squeeze, and is rejected
+        live = np.flatnonzero(tr > 0.0)
+        xr, tr = xr[live], tr[live]
+        passed = np.zeros(rest.size, dtype=bool)
+        passed[live] = u[rest[live]] < np.exp(
+            0.5 * xr * xr + d * (1.0 - tr * tr * tr + 3.0 * np.log1p(c * xr)))
+        return rest[~passed]
+
+    redraw = []
+    for start in range(0, out.size, _BLOCK_ROWS):
+        block = out[start:start + _BLOCK_ROWS]
+        first, second = block[0::2], block[1::2]
+        if alpha == 1.0 and antithetic:
+            # U = (k + 1/2) 2^-52: never 0 or 1, and U and 1 - U alike
+            u = gen.random(first.size)
+            u *= 2.0**52
+            np.floor(u, out=u)
+            u += 0.5
+            u *= 2.0**-52
+            np.negative(np.log1p(-u), out=first)
+            np.negative(np.log(u[:second.size]), out=second)
+        elif alpha == 1.0:
+            gen.standard_exponential(out=block)
+        else:
+            x = gen.standard_normal(first.size)
+            bound = squeeze(x)
+            redraw.append(start + 2 * fill(x, 1.0, bound, first))
+            if antithetic:
+                x, bound, sign = x[:second.size], bound[:second.size], -1.0
+            else:
+                x = gen.standard_normal(second.size)
+                bound, sign = squeeze(x), 1.0
+            redraw.append(start + 1 + 2 * fill(x, sign, bound, second))
+    redraw = np.concatenate(redraw) if redraw else np.empty(0, dtype=np.intp)
+    while redraw.size:  # a value rejected again is overwritten on the next pass
+        x = gen.standard_normal(redraw.size)
+        values = np.empty(redraw.size)
+        rejected = fill(x, 1.0, squeeze(x), values)
+        out[redraw] = values
+        redraw = redraw[rejected]
+
+
 def _rate_pair_proposal(counts: ConclusionCounts | None):
-    """Chunk proposal for the Dirichlet pair of ``counts``, and the mass it covers.
+    """Chunk proposal for the Dirichlet pair of ``counts``, the mass it covers,
+    and whether its rows come in antithetic pairs.
 
     The region lies inside the half-spaces p_ID > p_Exc and q_Exc > q_ID.
     Where a Dirichlet factor has equal outer concentrations, reversing its
     rates leaves its density unchanged, so each proposal of that factor is
     reflected into its half-space: an exact draw from the factor
     conditioned on the half-space, at half the proposal mass.
+
+    Rows 2i and 2i + 1 of a chunk are a pair (see :func:`_gamma_pairs`),
+    whose gammas are antithetic in each factor that is not reflected.  A
+    reflected factor's gammas are independent: reflection carries an
+    antithetic partner into the same half-space, and on the flat prior
+    such partners raised the variance of LR(ID) by half.  Where both
+    factors are reflected, every row is independent of every other.
     """
     if counts is None:
         counts = ConclusionCounts((0, 0, 0), (0, 0, 0))
     alphas = np.concatenate(counts.alphas())
     # (high, low) column of each reflected factor: p_ID over p_Exc, q_Exc over q_ID
     folds = [(hi, lo) for hi, lo in ((0, 2), (5, 3)) if alphas[hi] == alphas[lo]]
+    antithetic = [all(j // 3 != hi // 3 for hi, _ in folds) for j in range(6)]
 
     def proposal(gen: np.random.Generator, n: int) -> np.ndarray:
         # column-major, so the constraint checks read contiguous columns;
         # every concentration is at least 1, so normalized gammas are exact
         draws = np.empty((n, 6), order="F")
         for j, alpha in enumerate(alphas):
-            gen.standard_gamma(alpha, size=n, out=draws[:, j])
+            _gamma_pairs(gen, float(alpha), draws[:, j], antithetic[j])
         for first in (0, 3):
             total = draws[:, first] + draws[:, first + 1]
             total += draws[:, first + 2]
@@ -210,7 +327,7 @@ def _rate_pair_proposal(counts: ConclusionCounts | None):
             draws[:, hi] = high
         return draws
 
-    return proposal, 0.5 ** len(folds)
+    return proposal, 0.5 ** len(folds), any(antithetic)
 
 
 def _admissible_draws(draws: np.ndarray) -> np.ndarray:
@@ -236,11 +353,12 @@ def sample_rate_pairs(
     accepted draws keep the truncated distribution, and the reported
     acceptance rate (and the intractability floor it is held to) is the
     prior mass of the region under the untruncated pair: the rate among
-    reflected proposals times their mass.
+    reflected proposals times their mass.  Proposals come in antithetic
+    pairs, and each row's ``unit`` names its pair.
     """
     if n_accepted < 1:
         raise DomainError(f"n_accepted must be >= 1, got {n_accepted!r}")
-    proposal, mass = _rate_pair_proposal(counts)
+    proposal, mass, paired = _rate_pair_proposal(counts)
     result = mc.rejection_sample(
         proposal, _admissible_draws, n_accepted, rng, threads=threads, proposal_mass=mass
     )
@@ -249,32 +367,51 @@ def sample_rate_pairs(
         q=result.samples[:, 3:],
         acceptance_rate=result.acceptance_rate,
         seed=rng.seed,
+        # a chunk holds whole pairs: CHUNK_SIZE is even
+        unit=result.index >> 1 if paired else result.index,
     )
 
 
-#: Rows per block of the one-pass reductions over draws, small enough
-#: for the block's temporaries to stay in cache.
-_BLOCK_ROWS = 1 << 16
-
-
-def _blocks(n: int):
-    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n, _BLOCK_ROWS))
-
-
-def _require_two(n: int) -> None:
+def _require_units(n: int) -> None:
     if n < 2:
-        raise DomainError(f"a Monte Carlo standard error needs at least 2 draws, got {n}")
+        raise DomainError(
+            f"a Monte Carlo standard error needs draws from at least 2 antithetic pairs, got {n}"
+        )
+
+
+def _unit_sums(p: np.ndarray, q: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of the kept rows ``p`` and ``q`` over each unit, for ``unit`` ascending.
+
+    A unit is the kept rows, one or two, of one antithetic pair; the sums
+    come back as (units, k) arrays whose columns are each contiguous.
+    """
+    starts = np.concatenate(([True], unit[1:] != unit[:-1]))  # each unit's first row
+    if starts.all():
+        return p, q
+    if unit.size % 2 == 0 and not starts[1::2].any():
+        # every unit two rows, as in a chunk that every proposal passes
+        return p[0::2] + p[1::2], q[0::2] + q[1::2]
+    index = np.cumsum(starts) - 1
+
+    def summed(values):
+        out = np.empty((int(index[-1]) + 1, values.shape[1]), order="F")
+        for j in range(values.shape[1]):
+            out[:, j] = np.bincount(index, weights=values[:, j], minlength=out.shape[0])
+        return out
+
+    return summed(p), summed(q)
 
 
 @dataclass(frozen=True)
 class _Moments:
     """Count, means and centred second moments of paired rate columns.
 
-    Column j of ``p`` pairs with column j of ``q`` (one conclusion each).
+    Column j of ``p`` pairs with column j of ``q`` (one conclusion each);
+    each row is one unit, the sum of an antithetic pair's kept draws.
     ``spp``, ``sqq`` and ``spq`` are the sums of squares and of
-    cross-products of the deviations from the means.  Blocks of draws
+    cross-products of the deviations from the means.  Blocks of units
     combine with the pairwise update of Chan, Golub and LeVeque, so a
-    stream of blocks gives the moments of all its draws.
+    stream of blocks gives the moments of all its units.
     """
 
     n: int
@@ -315,8 +452,10 @@ class _Moments:
             self.spq + other.spq + dp * dq * weight,
         )
 
-    def estimate(self, j: int, acceptance_rate: float, seed: int | None) -> LrEstimate:
-        """Ratio of the means of column pair ``j``, with its delta-method SE."""
+    def estimate(self, j: int, n_samples: int, acceptance_rate: float,
+                 seed: int | None) -> LrEstimate:
+        """Ratio of the means of column pair ``j``, with its delta-method SE over units."""
+        _require_units(self.n)
         n = self.n
         mp = float(self.mp[j])
         mq = float(self.mq[j])
@@ -331,7 +470,7 @@ class _Moments:
         return LrEstimate(
             log10_lr,
             mc_std_err=se,
-            n_samples=n,
+            n_samples=n_samples,
             acceptance_rate=acceptance_rate,
             seed=seed,
         )
@@ -340,43 +479,61 @@ class _Moments:
 def lr_from_samples(samples: RatePairSamples, conclusion: Conclusion) -> LrEstimate:
     """Ratio of posterior-mean conclusion rates, H1 over H2.
 
-    The Monte Carlo standard error comes from the delta method for a ratio
-    of two (correlated) sample means.  The draws are one block of the
-    moment accumulator that :class:`DrawSummary` folds chunk by chunk; the
-    means are the columns' own ``mean()``.
+    The ratio is that of the column sums.  The Monte Carlo standard error
+    comes from the delta method for a ratio of two (correlated) means,
+    taken over units: the sums of the kept draws of each antithetic pair
+    (``samples.unit``), which are independent, where the draws of a pair
+    are not.  The units are one block of the moment accumulator that
+    :class:`DrawSummary` folds block by block.
     """
-    _require_two(len(samples))
+    if len(samples) == 0:
+        _require_units(0)
     pc, qc = samples.rate_columns(conclusion)
-    moments = _Moments.of(pc[:, None], qc[:, None])
-    return moments.estimate(0, samples.acceptance_rate, samples.seed)
+    moments = _Moments.of(*_unit_sums(pc[:, None], qc[:, None], samples.unit))
+    return moments.estimate(0, len(samples), samples.acceptance_rate, samples.seed)
 
 
 class DrawSummary:
     """Moments, and with ``bins`` each conclusion's grid cell counts, of one run's draws.
 
-    It keeps no draw; its estimates and grids are those :func:`lr_from_samples`
-    and :func:`density_grid` make from the same draws, up to float rounding.
+    The moments are over units, the kept draws of each antithetic pair
+    (each draw alone unless ``paired``), the cell counts and ``n_samples``
+    over the kept draws.  It keeps no draw; its estimates and grids are
+    those :func:`lr_from_samples` and :func:`density_grid` make from the
+    same draws, up to float rounding.
     """
 
-    def __init__(self, seed: int, bins: int = 0):
+    def __init__(self, seed: int, bins: int = 0, paired: bool = True):
         self.seed = seed
+        self.paired = paired
         self.moments: _Moments | None = None
+        self.n_samples = 0
         self.acceptance_rate = math.nan
         self.bins = bins
         self.cells = np.zeros((len(Conclusion) if bins else 0, bins * bins), dtype=np.intp)
 
     def __call__(self, draws: np.ndarray, rows: np.ndarray) -> None:
         kept = mc.kept_rows(draws, rows)
-        block = _Moments.of(kept[:, :3], kept[:, 3:])
-        self.moments = block if self.moments is None else self.moments.merge(block)
+        unit, cuts = rows, []  # unpaired draws are their own units: no sums, one block
+        if self.paired:
+            # rows 2i and 2i + 1 of a chunk are a pair (see _rate_pair_proposal),
+            # so blocks of _BLOCK_ROWS proposals, an even number, hold whole pairs
+            unit = rows >> 1
+            cuts = np.searchsorted(rows, range(_BLOCK_ROWS, draws.shape[0], _BLOCK_ROWS))
+        for lo, hi in itertools.pairwise([0, *cuts, rows.size]):
+            if hi > lo:
+                block = _Moments.of(*_unit_sums(kept[lo:hi, :3], kept[lo:hi, 3:], unit[lo:hi]))
+                self.moments = block if self.moments is None else self.moments.merge(block)
+        self.n_samples += rows.size
         for j, cells in enumerate(self.cells):
             _count_cells(cells, kept[:, j], kept[:, 3 + j], self.bins)
 
     def estimate(self, conclusion: Conclusion) -> LrEstimate:
-        return self.moments.estimate(conclusion.value, self.acceptance_rate, self.seed)
+        return self.moments.estimate(conclusion.value, self.n_samples,
+                                     self.acceptance_rate, self.seed)
 
     def density_grid(self, conclusion: Conclusion) -> tuple[np.ndarray, np.ndarray]:
-        return _density(self.cells[conclusion.value], self.moments.n, self.bins)
+        return _density(self.cells[conclusion.value], self.n_samples, self.bins)
 
 
 def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.RngStream,
@@ -385,11 +542,14 @@ def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.Rn
 
     The draws are those :func:`sample_rate_pairs` makes on the same stream,
     folded chunk by chunk as they are accepted; with ``bins`` the summary
-    also counts each conclusion's grid cells, ``bins`` per axis.
+    also counts each conclusion's grid cells, ``bins`` per axis.  Any 3
+    draws span at least 2 antithetic pairs, the fewest a standard error
+    is taken over.
     """
-    _require_two(n_accepted)
-    summary = DrawSummary(rng.seed, bins)
-    proposal, mass = _rate_pair_proposal(counts)
+    if n_accepted < 3:
+        raise DomainError(f"a Monte Carlo standard error needs at least 3 draws, got {n_accepted}")
+    proposal, mass, paired = _rate_pair_proposal(counts)
+    summary = DrawSummary(rng.seed, bins, paired)
     summary.acceptance_rate, _, _ = mc.rejection_stream(
         proposal, _admissible_draws, n_accepted, rng, summary,
         threads=threads, proposal_mass=mass,

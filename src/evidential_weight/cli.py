@@ -51,6 +51,8 @@ if TYPE_CHECKING:
 
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 1_000_000
+#: Any 3 draws span at least 2 antithetic pairs, the units of the standard error.
+MIN_SAMPLES = 3
 #: 1000 times the default: the main draw alone takes minutes.
 MAX_SAMPLES = 1_000_000_000
 
@@ -302,8 +304,9 @@ def _cmd_categorical(args) -> Run:
     sweep_sizes = _parse_list(args.sweep, "--sweep") if args.sweep else None
     if sweep_sizes and counts is None:
         raise InputFormatError("--sweep requires --validation counts to rescale")
-    if not 2 <= args.samples <= MAX_SAMPLES:
-        raise InputFormatError(f"--samples must be from 2 to {MAX_SAMPLES}, got {args.samples}")
+    if not MIN_SAMPLES <= args.samples <= MAX_SAMPLES:
+        raise InputFormatError(
+            f"--samples must be from {MIN_SAMPLES} to {MAX_SAMPLES}, got {args.samples}")
     for size in sweep_sizes or []:
         categorical.scaled_counts(counts, size)  # a size too small raises before any draw
     rng = mc.RngStream(args.seed)
@@ -521,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conclusion", choices=["id", "inc", "exc"], default="id")
     p.add_argument("--validation", help="counts JSON or per-row CSV 'scenario,conclusion'")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
-                   help=f"accepted Monte Carlo draws, from 2 to {MAX_SAMPLES}")
+                   help=f"accepted Monte Carlo draws, from {MIN_SAMPLES} to {MAX_SAMPLES}")
     p.add_argument("--sweep", help="comma-separated study sizes for the size sweep")
     _add_common(p)
     p.set_defaults(func=_cmd_categorical)

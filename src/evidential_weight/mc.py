@@ -11,11 +11,12 @@ on its own pool, handing each chunk's accepted rows to a consumer in
 chunk-index order.  Every command folds them into running estimates
 (:class:`categorical.DrawSummary`), in the memory of a few chunks;
 :func:`rejection_sample` collects them into one buffer, for library
-callers that want the draws.  The acceptance rate reported is the share
-of proposals accepted times the proposal's mass, so a caller whose
-proposal covers only part of the untruncated distribution (see
-:func:`categorical.sample_rate_pairs`) gets that distribution's rate,
-held to the floor.  The chunk size and the intractability thresholds
+callers that want the draws, with the proposal index of each, from
+which :mod:`categorical` tells the two draws of an antithetic pair.
+The acceptance rate reported is the share of proposals accepted times
+the proposal's mass, so a caller whose proposal covers only part of the
+untruncated distribution (see :func:`categorical.sample_rate_pairs`)
+gets that distribution's rate, held to the floor.  The chunk size and the intractability thresholds
 (``CHUNK_SIZE``, ``INTRACTABLE_FLOOR``, ``INTRACTABLE_PROBE``) are
 module constants, not parameters; the chunk loop reads them as it runs.
 """
@@ -142,12 +143,17 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class RejectionResult:
-    """Accepted samples plus the acceptance-rate diagnostic."""
+    """Accepted samples plus the acceptance-rate diagnostic.
+
+    ``index`` holds each sample's proposal index: row ``r`` of chunk
+    ``c`` is ``c * CHUNK_SIZE + r``.
+    """
 
     samples: np.ndarray
     acceptance_rate: float
     n_proposed: int
     n_chunks: int
+    index: np.ndarray
 
 
 def rejection_stream(
@@ -251,18 +257,32 @@ def kept_rows(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 class _RowBuffer:
-    """Consumer that copies the kept rows into one buffer of ``n_rows`` rows."""
+    """Consumer that copies the kept rows, and their proposal indices, into
+    buffers of ``n_rows`` rows.
 
-    def __init__(self, n_rows: int):
+    ``accept`` wraps the predicate to count chunks: it runs once per chunk
+    drawn, in chunk-index order, before that chunk's rows are consumed.
+    """
+
+    def __init__(self, n_rows: int, accept: Callable[[np.ndarray], np.ndarray]):
         self.n_rows = n_rows
-        self.samples = None
+        self.predicate = accept
+        self.samples = self.index = None
         self.n_kept = 0
+        self.chunk = -1
+
+    def accept(self, draws: np.ndarray) -> np.ndarray:
+        self.chunk += 1
+        return self.predicate(draws)
 
     def __call__(self, draws: np.ndarray, rows: np.ndarray) -> None:
         if self.samples is None:  # numpy's MemoryError names the size refused
             self.samples = np.empty((self.n_rows, draws.shape[1]), draws.dtype, order="F")
-        self.samples[self.n_kept:self.n_kept + rows.size] = kept_rows(draws, rows)
-        self.n_kept += rows.size
+            self.index = np.empty(self.n_rows, dtype=np.int64)
+        stop = self.n_kept + rows.size
+        self.samples[self.n_kept:stop] = kept_rows(draws, rows)
+        np.add(rows, self.chunk * CHUNK_SIZE, out=self.index[self.n_kept:stop])
+        self.n_kept = stop
 
 
 def rejection_sample(
@@ -277,7 +297,7 @@ def rejection_sample(
     """Draw until ``target_accepted`` proposals satisfy the predicate.
 
     :func:`rejection_stream` into one buffer of ``target_accepted`` rows,
-    each column contiguous (Fortran order).
+    each column contiguous (Fortran order), with each row's proposal index.
 
     Raises
     ------
@@ -286,12 +306,12 @@ def rejection_sample(
     MemoryError
         If the buffer for ``target_accepted`` rows cannot be allocated.
     """
-    buffer = _RowBuffer(target_accepted)
+    buffer = _RowBuffer(target_accepted, accept)
     counters = rejection_stream(
-        proposal, accept, target_accepted, rng, buffer,
+        proposal, buffer.accept, target_accepted, rng, buffer,
         threads=threads, proposal_mass=proposal_mass,
     )
-    return RejectionResult(buffer.samples, *counters)
+    return RejectionResult(buffer.samples, *counters, buffer.index)
 
 
 #: Per-axis node budget for the refinement ladder; a level that would

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .core import LrEstimate, require_count, student_t_logpdf
+from .core import LrEstimate, require_count, require_positive, student_t_logpdf
 from .errors import DomainError
 
 __all__ = [
@@ -66,7 +66,11 @@ def _vector2(value, name: str) -> tuple[float, float]:
 
 
 def _symmetric22(value, name: str, smallest_eigenvalue: float) -> Matrix22:
-    """``value`` as a finite symmetric 2x2 matrix, each eigenvalue ``>= smallest_eigenvalue``."""
+    """``value`` as a finite symmetric 2x2 matrix, each eigenvalue ``>= smallest_eigenvalue``.
+
+    A negative ``smallest_eigenvalue`` is a rounding allowance, relative to
+    the matrix's scale: it is multiplied by max(1, the largest eigenvalue).
+    """
     try:
         (a, b), (c, d) = rows = tuple(_vector2(row, name) for row in value)
     except (TypeError, ValueError):
@@ -77,6 +81,8 @@ def _symmetric22(value, name: str, smallest_eigenvalue: float) -> Matrix22:
     half, radius = a / 2 + d / 2, math.hypot(a / 2 - d / 2, c)
     largest = half + radius
     smallest = a * (d / largest) - c * (c / largest) if largest > 0.0 else half - radius
+    if smallest_eigenvalue < 0.0:
+        smallest_eigenvalue *= max(1.0, largest)
     if smallest < smallest_eigenvalue:
         kind = "definite" if smallest_eigenvalue > 0.0 else "semidefinite"
         raise DomainError(f"{name} must be positive {kind}")
@@ -104,24 +110,23 @@ class NormalWishartParams:
         object.__setattr__(self, "mu0", _vector2(self.mu0, "mu0"))
         # math.ulp(0.0) is the smallest positive float: every eigenvalue > 0
         object.__setattr__(self, "lambda0", _symmetric22(self.lambda0, "lambda0", math.ulp(0.0)))
-        if not (math.isfinite(self.k0) and self.k0 > 0.0):
-            raise DomainError(f"k0 must be positive, got {self.k0!r}")
+        object.__setattr__(self, "k0", require_positive("k0", self.k0))
+        object.__setattr__(self, "n0", float(self.n0))
         if not (math.isfinite(self.n0) and self.n0 >= 2.0):
             raise DomainError(f"n0 must be >= 2 (the dimension), got {self.n0!r}")
 
     def to_dict(self) -> dict:
         return {
             "mu0": list(self.mu0),
-            "k0": float(self.k0),
+            "k0": self.k0,
             "lambda0": [*self.lambda0[0], *self.lambda0[1]],
-            "n0": float(self.n0),
+            "n0": self.n0,
         }
 
     @classmethod
     def from_dict(cls, obj: dict) -> "NormalWishartParams":
         lam = obj["lambda0"]
-        return cls(mu0=obj["mu0"], k0=float(obj["k0"]), lambda0=(lam[:2], lam[2:]),
-                   n0=float(obj["n0"]))
+        return cls(mu0=obj["mu0"], k0=obj["k0"], lambda0=(lam[:2], lam[2:]), n0=obj["n0"])
 
 
 #: Packaged prior presets.  "default" centers the mated-scenario means

@@ -82,6 +82,8 @@ class ScalarValidationSummary:
     def __post_init__(self):
         if require_count("n", self.n) < 1:
             raise DomainError(f"n must be a positive integer, got {self.n!r}")
+        object.__setattr__(self, "mean", float(self.mean))
+        object.__setattr__(self, "variance", float(self.variance))
         if not math.isfinite(self.mean):
             raise DomainError(f"mean must be finite, got {self.mean!r}")
         if not (math.isfinite(self.variance) and self.variance >= 0.0):

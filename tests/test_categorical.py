@@ -225,9 +225,12 @@ class TestLrEstimates:
         samples = request.getfixturevalue(f"{which}_samples")
         for conclusion in cat.Conclusion:
             est = cat.lr_from_samples(samples, conclusion)
-            # the estimator as written with np.var and np.cov
-            pc, qc = samples.rate_columns(conclusion)
-            n = len(samples)
+            # the estimator as written with np.var and np.cov, over the
+            # units: each antithetic pair's kept draws, summed
+            starts = np.flatnonzero(np.diff(samples.unit, prepend=-1))
+            pc, qc = (np.add.reduceat(col, starts) for col in samples.rate_columns(conclusion))
+            n = starts.size
+            assert len(samples) / 2 <= n <= len(samples) and est.n_samples == len(samples)
             mp, mq = float(pc.mean()), float(qc.mean())
             log10_lr = math.log10(mp) - math.log10(mq)
             var_mp = float(pc.var(ddof=1)) / n
@@ -253,6 +256,93 @@ class TestLrEstimates:
         est = cat.lr_for_conclusion(ID, study_counts, 20_000, mc.RngStream(99))
         spread = np.std(reps, ddof=1)
         assert 0.2 * spread < est.mc_std_err < 5.0 * spread
+
+    @pytest.mark.parametrize("table", ["study", "size 100", "flat prior"])
+    def test_standard_error_matches_spread_over_seeds(self, table, study_counts):
+        # the SE over antithetic units must predict the spread of the LR
+        # over independent seeds; a per-draw SE would miss by a factor of
+        # about 3 (ID) to 30 (Inc, Exc) on the study table
+        counts = {"study": study_counts, "size 100": cat.scaled_counts(study_counts, 100),
+                  "flat prior": None}[table]
+        runs = [cat.summarize_draws(counts, 20_000, mc.RngStream(2000 + i), threads=1)
+                for i in range(100)]
+        for conclusion in cat.Conclusion:
+            estimates = [run.estimate(conclusion) for run in runs]
+            spread = np.std([est.lr for est in estimates], ddof=1)
+            ratio = spread / np.median([est.mc_std_err for est in estimates])
+            assert 0.7 <= ratio <= 1.4, (conclusion, ratio)
+
+    def test_units_are_the_kept_draws_of_one_pair(self, study_samples, prior_samples):
+        # the study table's factors are antithetic, so a unit holds one or two
+        # draws; the flat prior reflects both factors, so each draw is its own
+        rows_per_unit = np.unique(study_samples.unit, return_counts=True)[1]
+        assert np.all(np.diff(study_samples.unit) >= 0)
+        assert set(rows_per_unit) <= {1, 2} and rows_per_unit.sum() == len(study_samples)
+        assert len(rows_per_unit) < len(study_samples)
+        assert np.all(np.diff(prior_samples.unit) > 0)
+
+    def test_units_must_ascend_row_by_row(self):
+        p = np.full((3, 3), 1 / 3)
+        for unit in (np.array([0, 2, 1]), np.array([0, 1])):
+            with pytest.raises(DomainError, match="unit must hold one ascending entry per row"):
+                cat.RatePairSamples(p, p.copy(), acceptance_rate=1.0, unit=unit)
+
+    def test_three_draws_give_an_estimate(self, study_counts):
+        # at acceptance 1 two draws are one pair, too few for an SE; three span two
+        est = cat.lr_for_conclusion(ID, study_counts, 3, mc.RngStream(5))
+        assert est.n_samples == 3 and est.mc_std_err > 0
+        with pytest.raises(DomainError, match="at least 3 draws"):
+            cat.lr_for_conclusion(ID, study_counts, 2, mc.RngStream(5))
+        samples = cat.sample_rate_pairs(study_counts, 2, mc.RngStream(5))
+        with pytest.raises(DomainError, match="at least 2 antithetic pairs, got 1"):
+            cat.lr_from_samples(samples, ID)
+
+
+class _FirstNormalsRejected:
+    """A generator whose first ``standard_normal`` call returns -1e4, which
+    the Marsaglia-Tsang test rejects on both signs, so that every variate
+    of a block comes from the redraws."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.calls = 0
+
+    def standard_normal(self, size):
+        self.calls += 1
+        return np.full(size, -1e4) if self.calls == 1 else self.gen.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+class TestGammaPairs:
+    ALPHAS = [1.0, 1.5, 7.0, 451.0, 3664.0, 3.6e5]
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_each_partner_is_gamma(self, alpha, antithetic):
+        out = np.empty(mc.CHUNK_SIZE)
+        cat._gamma_pairs(mc.RngStream(int(alpha * 10)).generator(), alpha, out, antithetic)
+        first, second = out[0::2], out[1::2]
+        for half in (first, second):
+            assert stats.kstest(half, stats.gamma(alpha).cdf).pvalue > 1e-4
+        corr = np.corrcoef(first, second)[0, 1]
+        if antithetic:
+            assert corr < -0.5
+        else:
+            assert abs(corr) < 0.02
+
+    @pytest.mark.parametrize("alpha", ALPHAS[1:])
+    def test_rejected_variates_are_redrawn_from_the_gamma(self, alpha):
+        out = np.empty(cat._BLOCK_ROWS)  # one block: its first normals are all rejected
+        gen = _FirstNormalsRejected(mc.RngStream(int(alpha * 10) + 1).generator())
+        cat._gamma_pairs(gen, alpha, out, True)
+        assert gen.calls >= 2
+        first, second = out[0::2], out[1::2]
+        for half in (first, second):
+            assert stats.kstest(half, stats.gamma(alpha).cdf).pvalue > 1e-4
+        # redrawn partners are independent
+        assert abs(np.corrcoef(first, second)[0, 1]) < 0.03
 
 
 class TestScaledCounts:

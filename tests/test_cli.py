@@ -320,7 +320,7 @@ class TestCategoricalCommand:
 
     # no draw is kept, so a huge --samples would not fail an allocation:
     # it would run for days
-    @pytest.mark.parametrize("samples", [1, 1_000_000_001, 10_000_000_000_000])
+    @pytest.mark.parametrize("samples", [1, 2, 1_000_000_001, 10_000_000_000_000])
     def test_samples_out_of_range_exit_2(self, tmp_path, capsys, monkeypatch, samples):
         def no_sampling(*args, **kwargs):
             raise AssertionError("sampled before --samples was checked")
@@ -329,7 +329,7 @@ class TestCategoricalCommand:
         monkeypatch.setattr(mc, "rejection_stream", no_sampling)
         assert run(["categorical", "--samples", samples, "--out", tmp_path]) == 2
         err = capsys.readouterr().err
-        assert f"--samples must be from 2 to 1000000000, got {samples}" in err
+        assert f"--samples must be from 3 to 1000000000, got {samples}" in err
         assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize("case", ["prior", "study"])

@@ -141,10 +141,10 @@ TWO_EXPERT_ARGS = either(
      "validation": bad_csv("scenario,log10_lr_b,log10_lr_c", 3)},
 )
 CATEGORICAL_ARGS = either(
-    {"samples": st.integers(2, 2000), "sweep": maybe(listing(SIZE)),
+    {"samples": st.integers(3, 2000), "sweep": maybe(listing(SIZE)),
      "validation": maybe(json_text(COUNTS) | csv_text(
          "scenario,conclusion", st.lists(CONCLUSION, min_size=1, max_size=1)))},
-    {"samples": st.integers(-1, 1) | st.integers(10**9 + 1, 10**19),
+    {"samples": st.integers(-1, 2) | st.integers(10**9 + 1, 10**19),
      "sweep": listing(SIZE_TEXT) | JUNK,
      "validation": bad_json_text(COUNTS) | csv_text(
          "scenario,conclusion", st.lists(st.sampled_from(["x", "", "id"]), max_size=2))},
@@ -213,7 +213,7 @@ def test_categorical(args):
     # a small probe budget, so that an unreachable region fails in ms
     with mock.patch.object(mc, "INTRACTABLE_PROBE", 4 * mc.CHUNK_SIZE):
         code = run_fuzzed(argv, {"--validation": args["validation"]})
-    if not 2 <= args["samples"] <= cli.MAX_SAMPLES:
+    if not cli.MIN_SAMPLES <= args["samples"] <= cli.MAX_SAMPLES:
         assert code == 2
 
 

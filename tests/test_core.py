@@ -15,7 +15,8 @@ from evidential_weight.core import (
 )
 from evidential_weight.errors import DegenerateRateError, DomainError, LrRangeError
 from evidential_weight.interval_opinion import GammaConjParams, LrInterval
-from evidential_weight.scalar_opinion import NormalGammaParams
+from evidential_weight.multi_expert import NormalWishartParams
+from evidential_weight.scalar_opinion import NormalGammaParams, ScalarValidationSummary
 
 finite_positive = st.floats(
     min_value=1e-12, max_value=1e12, allow_nan=False, allow_infinity=False
@@ -79,12 +80,22 @@ class TestOddsToProbability:
     (NormalGammaParams, ("5", "1", "0.01", "1")),
     (GammaConjParams, ("0.5", "6", "2", "2")),
     (LrInterval, ("1", "2")),
-], ids=["Odds", "NormalGammaParams", "GammaConjParams", "LrInterval"])
+    (NormalWishartParams, (("0", "1"), "2", (("1", "0"), ("0", "1")), "2")),
+    (ScalarValidationSummary, (3, "0.5", "2")),
+], ids=["Odds", "NormalGammaParams", "GammaConjParams", "LrInterval", "NormalWishartParams",
+        "ScalarValidationSummary"])
 def test_numeric_strings_are_stored_as_floats(cls, args):
     value = cls(*args)
-    stored = [getattr(value, field.name) for field in dataclasses.fields(value)]
-    assert stored == [float(a) for a in args]
-    assert all(type(v) is float for v in stored)
+    for field, arg in zip(dataclasses.fields(value), args):
+        stored = getattr(value, field.name)
+        if field.name == "n":  # a count, stored as an int
+            assert stored == arg and type(stored) is int
+        elif isinstance(arg, tuple):  # a vector or a matrix, stored as tuples of floats
+            flat = [v for a in stored for v in (a if isinstance(a, tuple) else (a,))]
+            want = [float(v) for a in arg for v in (a if isinstance(a, tuple) else (a,))]
+            assert flat == want and all(type(v) is float for v in flat)
+        else:
+            assert stored == float(arg) and type(stored) is float
 
 
 class TestLrFromCounts:

@@ -53,13 +53,17 @@ class TestTypes:
                 lambda0=np.array([[1.0, 2.0], [2.0, 1.0]]), n0=2.0,
             )
 
-    # lambda0 needs every eigenvalue > 0; scatter tolerates rounding down to -1e-9
+    # lambda0 needs every eigenvalue > 0; scatter tolerates rounding down
+    # to -1e-9 max(1, its largest eigenvalue)
     @pytest.mark.parametrize("name, diagonal, ok", [
         ("lambda0", (1.0, 1e-300), True),
         ("lambda0", (1.0, 0.0), False),
         ("scatter", (1.0, 0.0), True),
         ("scatter", (1.0, -1e-9), True),
         ("scatter", (1.0, -2e-9), False),
+        ("scatter", (1.0, -1e-3), False),
+        ("scatter", (1e12, -1e2), True),
+        ("scatter", (1e12, -1e4), False),
     ])
     def test_matrix_eigenvalue_floor(self, name, diagonal, ok):
         matrix = np.diag(diagonal)
@@ -74,6 +78,15 @@ class TestTypes:
         else:
             with pytest.raises(DomainError, match=f"{name} must be positive"):
                 make()
+
+    def test_rank_one_scatter_of_two_rows_accepted(self):
+        # two rows give a rank-1 scatter, whose computed smaller eigenvalue
+        # is rounding noise of about 1e-16 times the larger, of either sign
+        rng = np.random.default_rng(18)
+        for _ in range(2000):
+            rows = rng.choice([-1.0, 1.0], (2, 2)) * 10.0 ** rng.uniform(3, 12, (2, 2))
+            summary = me.PairedLrSummary.from_values(rows.tolist())
+            assert summary.m == 2
 
     @pytest.mark.parametrize("m", [math.inf, math.nan, 0, 2.5])
     def test_summary_rejects_non_count_m(self, m):
