@@ -321,6 +321,8 @@ def _cmd_categorical(args) -> Run:
          _grid_rows(*main.density_grid(c)))
         for c in categorical.Conclusion
     ]
+    # the kept draws of each table, and how many had q_ID integrated out of LR(ID)
+    draws = {"main": main.counters()}
     if sweep_sizes:
         sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng, threads=threads)
         rows = [
@@ -329,6 +331,7 @@ def _cmd_categorical(args) -> Run:
             for row in sweep.rows
         ]
         tables.append(("sweep.csv", ["size", "conclusion", "lr", "mc_std_err", "asymptote"], rows))
+        draws["sweep"] = list(sweep.draws)
 
     return Run(
         parameters={
@@ -340,6 +343,7 @@ def _cmd_categorical(args) -> Run:
         tables=tables,
         input_paths=_paths(args.validation),
         n_samples=args.samples,
+        diagnostics={"draws": draws},
     )
 
 

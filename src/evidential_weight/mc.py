@@ -170,12 +170,13 @@ def rejection_stream(
 
     ``proposal(generator, n)`` returns ``n`` draws (the rows of a 2-D
     array); ``accept`` maps them to a boolean mask and must be pure.
-    ``consume(draws, rows)`` receives each chunk with the ascending indices
-    of its kept rows (see :func:`kept_rows`).  Workers keep up to
-    ``threads`` chunks in flight, no more than the acceptance rate so far
-    says are needed; ``accept`` and ``consume`` run on the calling thread
-    in chunk-index order, so the consumed rows and every counter are
-    identical for any ``threads`` value.  No chunk outlives the call.
+    ``consume(draws, rows)`` receives each chunk with the ascending
+    indices of its kept rows (see :func:`kept_rows`), and may overwrite
+    it.  Workers keep up to ``threads`` chunks in flight, no more than the
+    acceptance rate so far says are needed; ``accept`` and ``consume`` run
+    on the calling thread in chunk-index order, so the consumed rows and
+    every counter are identical for any ``threads`` value.  No chunk
+    outlives the call.
 
     Returns (acceptance rate, proposals drawn, chunks drawn).  The rate,
     also the one held to the floor, is the share of proposals accepted

@@ -414,12 +414,18 @@ class TestSweep:
     def test_rows_equal_estimates_from_each_sizes_own_draws(self, study_counts):
         # 300,000 draws take three chunks and end part way into the third;
         # at size 100 about one proposal in 500 is rejected, so its kept
-        # rows are gathered, while at size 1000 each chunk is kept whole
+        # rows are gathered, while at size 1000 each chunk is kept whole.
+        # Size 100 has q_ID integrated out of no row, so its LR(ID) is the
+        # plain ratio; size 1000 out of nearly every row, so its LR(ID)
+        # agrees with the plain ratio within the plain ratio's error
         n, rng, sizes = 300_000, mc.RngStream(84), [100, 1000]
         assert 2 * mc.CHUNK_SIZE < n < 3 * mc.CHUNK_SIZE
         threads_before = threading.active_count()
         sweep = cat.lr_sweep(study_counts, sizes, n, rng, threads=3)
         assert threading.active_count() == threads_before
+        integrated = [draws["q_id_integrated"] for draws in sweep.draws]
+        assert [(d["size"], d["kept"]) for d in sweep.draws] == [(100, n), (1000, n)]
+        assert integrated[0] == 0 and 0.99 * n < integrated[1] < n
         for i, size in enumerate(sizes):
             samples = cat.sample_rate_pairs(
                 cat.scaled_counts(study_counts, size), n, rng.substream(i + 1)
@@ -427,8 +433,12 @@ class TestSweep:
             for conclusion in cat.Conclusion:
                 row = sweep.estimate(size, conclusion)
                 alone = cat.lr_from_samples(samples, conclusion)
-                assert row.lr == pytest.approx(alone.lr, rel=1e-13, abs=0)
-                assert row.mc_std_err == pytest.approx(alone.mc_std_err, rel=1e-12, abs=0)
+                if conclusion is ID and integrated[i]:
+                    assert abs(row.lr - alone.lr) <= 5 * alone.mc_std_err
+                    assert row.mc_std_err < alone.mc_std_err
+                else:
+                    assert row.lr == pytest.approx(alone.lr, rel=1e-13, abs=0)
+                    assert row.mc_std_err == pytest.approx(alone.mc_std_err, rel=1e-12, abs=0)
                 assert (row.n_samples, row.acceptance_rate, row.seed) == (
                     alone.n_samples, alone.acceptance_rate, alone.seed)
 
@@ -447,6 +457,80 @@ class TestSweep:
         assert errors[0] == errors[1]
         assert errors[0][0] == mc.CHUNK_SIZE
         assert 0.99 < errors[0][1] < 0.999
+
+
+def _plain_summary(counts, n, rng, bins=0):
+    """``summarize_draws`` with the plain ratio for LR(ID): no q_ID integrated."""
+    proposal, mass, paired, _ = cat._rate_pair_proposal(counts)
+    summary = cat.DrawSummary(rng.seed, bins, paired)
+    summary.acceptance_rate, _, _ = mc.rejection_stream(
+        proposal, cat._admissible_draws, n, rng, summary, proposal_mass=mass)
+    return summary
+
+
+def _dirichlet_mean_ratio_id(counts):
+    """LR(ID) of the untruncated Dirichlet pair, counts + 1."""
+    a1, a2 = counts.alphas()
+    return float((a1[0] / a1.sum()) / (a2[0] / a2.sum()))
+
+
+class TestQIdIntegration:
+    @pytest.mark.parametrize("a", [1, 2, 3, 7, 30, 451, 10**4, 10**6])
+    def test_threshold_bounds_the_beta_tail(self, a):
+        for b in (2, 3, 10, 455, 4079, 10**5, 10**6):
+            t = cat._q_id_threshold(float(a), float(b))
+            mean = a / (a + b)
+            assert mean < t < 1.0
+            assert stats.beta.sf(t, a, b) <= cat.Q_ID_TAIL * mean, (a, b, t)
+
+    def test_no_integration_where_no_row_can_be_certified(self):
+        # a non-mated ID count this far above the rest puts the threshold
+        # at 1, which no mated ID rate exceeds
+        assert cat._q_id_threshold(1e12 + 1, 3.0) == 1.0
+        counts = cat.ConclusionCounts((5, 5, 1), (10**12, 0, 1))
+        assert cat._rate_pair_proposal(counts)[3] is None
+        assert cat._rate_pair_proposal(cat.ConclusionCounts((5, 5, 1), (1, 0, 1)))[3] is None
+        assert cat._rate_pair_proposal(cat.ConclusionCounts((5, 5, 1), (1, 0, 2)))[3] is not None
+
+    @pytest.mark.parametrize("size", [None, 700, 1_000_000])
+    def test_integrated_lr_id_is_unbiased(self, study_counts, size):
+        # z of LR(ID) against the Dirichlet-mean ratio, which the
+        # truncation does not move beyond the error on these tables, over
+        # 40 seeds.  At size 700 about 85% of the rows are certified; a
+        # rule that integrated only pairs whose rows are both certified
+        # reads a mean z near +0.6 there, beyond 3 standard errors
+        counts = study_counts if size is None else cat.scaled_counts(study_counts, size)
+        n, exact = 200_000, _dirichlet_mean_ratio_id(counts)
+        z, shares = [], []
+        for seed in range(3000, 3040):
+            summary = cat.summarize_draws(counts, n, mc.RngStream(seed))
+            est = summary.estimate(ID)
+            z.append((est.lr - exact) / est.mc_std_err)
+            shares.append(summary.n_integrated / n)
+        assert (0.5 < min(shares) and max(shares) < 0.95) if size == 700 else min(shares) == 1.0
+        assert abs(np.mean(z)) <= 3 * np.std(z, ddof=1) / math.sqrt(len(z))
+        assert 0.7 <= np.std(z, ddof=1) <= 1.4
+
+    @pytest.mark.parametrize("table", ["study", "size 560", "flat prior", "q symmetric"])
+    def test_only_lr_id_moves(self, study_counts, table):
+        # on the same draws, everything but LR(ID) equals the plain path's
+        # exactly; where q is reflected (the flat prior), LR(ID) does too
+        counts = {"study": study_counts, "size 560": cat.scaled_counts(study_counts, 560),
+                  "flat prior": None, "q symmetric": REFLECTION_CASES["q symmetric"][0]}[table]
+        n, rng = 300_001, mc.RngStream(3100)
+        ours = cat.summarize_draws(counts, n, rng, bins=100)
+        plain = _plain_summary(counts, n, rng, bins=100)
+        assert (ours.n_samples, ours.acceptance_rate) == (plain.n_samples, plain.acceptance_rate)
+        assert np.array_equal(ours.cells, plain.cells)
+        for conclusion in (INC, EXC):
+            assert ours.estimate(conclusion) == plain.estimate(conclusion)
+        if table in ("flat prior", "q symmetric"):
+            assert ours.n_integrated == 0
+            assert ours.estimate(ID) == plain.estimate(ID)
+        else:
+            assert 0 < ours.n_integrated <= n
+            mine, theirs = ours.estimate(ID), plain.estimate(ID)
+            assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err
 
 
 class TestMoments:
