@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import sys
 import time
 from array import array
@@ -110,10 +111,16 @@ class RunWriter:
             (self.out_dir / "result.csv").write_text("\n".join(lines) + "\n")
 
     def write_csv(self, name: str, header: list[str], rows) -> None:
-        """Write a figure CSV, streaming ``rows`` to the file a block at a time."""
-        rows = iter(rows)
+        """Write a figure CSV, streaming ``rows`` to the file a block at a time.
+
+        ``rows`` may also be the rows' text, written as it is.
+        """
         with open(self.out_dir / name, "w") as fh:
             fh.write(f"# manifest={self.digest}\n{','.join(header)}\n")
+            if isinstance(rows, str):
+                fh.write(rows)
+                return
+            rows = iter(rows)
             while block := list(itertools.islice(rows, _CSV_BLOCK_ROWS)):
                 fh.write("".join([",".join(map(str, row)) + "\n" for row in block]))
 
@@ -144,7 +151,8 @@ def _flatten(obj, prefix: str = "") -> dict:
 class Run:
     """What one subcommand computed, ready for :func:`main` to write.
 
-    ``tables`` holds the figure-data CSVs as (file name, header, rows).
+    ``tables`` holds the figure-data CSVs as (file name, header, rows),
+    the rows as tuples or as their text.
     ``diagnostics`` joins the manifest outside its digest.
     """
 
@@ -321,7 +329,8 @@ def _cmd_categorical(args) -> Run:
          _grid_rows(*main.density_grid(c)))
         for c in categorical.Conclusion
     ]
-    # the kept draws of each table, and how many had q_ID integrated out of LR(ID)
+    # the kept draws of each table, how many had q_ID integrated out of
+    # LR(ID), and how many entered the LRs as polygon means
     draws = {"main": main.counters()}
     if sweep_sizes:
         sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng, threads=threads)
@@ -347,19 +356,19 @@ def _cmd_categorical(args) -> Run:
     )
 
 
-def _grid_rows(centers: np.ndarray, grid: np.ndarray):
-    """Rows of a density grid as text: each center and each distinct density formatted once."""
+def _grid_rows(centers: np.ndarray, grid: np.ndarray) -> str:
+    """The rows of a density grid as one text, ``p_bin,q_bin,density`` a line.
+
+    Each ``p_bin,q_bin,`` prefix and each distinct density is formatted
+    once, and the lines are joined once.
+    """
     import numpy as np
 
     labels = [str(c) for c in centers.tolist()]
+    prefixes = [f"{p_bin},{q_bin}," for p_bin in labels for q_bin in labels]
     values, index = np.unique(grid, return_inverse=True)
-    texts = [str(v) for v in values.tolist()]
-    index = index.reshape(grid.shape).tolist()
-    return (
-        (p_bin, q_bin, texts[k])
-        for p_bin, row in zip(labels, index)
-        for q_bin, k in zip(labels, row)
-    )
+    texts = [f"{v}\n" for v in values.tolist()]
+    return "".join(map(operator.add, prefixes, map(texts.__getitem__, index.ravel().tolist())))
 
 
 def _cmd_scalar(args) -> Run:

@@ -14,7 +14,7 @@ from evidential_weight import categorical as cat
 from evidential_weight import mc
 from evidential_weight.core import LrEstimate
 from evidential_weight.errors import ConstraintIntractableError, DomainError, InputFormatError
-from mc_oracles import plain_rate_pairs
+from mc_oracles import plain_rate_pairs, polygon_mean_samples, slice_means
 
 ID, INC, EXC = cat.Conclusion.ID, cat.Conclusion.INC, cat.Conclusion.EXC
 
@@ -459,10 +459,11 @@ class TestSweep:
         assert 0.99 < errors[0][1] < 0.999
 
 
-def _plain_summary(counts, n, rng, bins=0):
-    """``summarize_draws`` with the plain ratio for LR(ID): no q_ID integrated."""
-    proposal, mass, paired, _ = cat._rate_pair_proposal(counts)
-    summary = cat.DrawSummary(rng.seed, bins, paired)
+def _plain_summary(counts, n, rng, bins=0, q_id=False):
+    """``summarize_draws`` with no polygon means, and unless ``q_id`` no q_ID
+    integrated: the plain ratio for every LR."""
+    proposal, mass, paired, threshold = cat._rate_pair_proposal(counts)
+    summary = cat.DrawSummary(rng.seed, bins, paired, threshold if q_id else None)
     summary.acceptance_rate, _, _ = mc.rejection_stream(
         proposal, cat._admissible_draws, n, rng, summary, proposal_mass=mass)
     return summary
@@ -514,7 +515,10 @@ class TestQIdIntegration:
     @pytest.mark.parametrize("table", ["study", "size 560", "flat prior", "q symmetric"])
     def test_only_lr_id_moves(self, study_counts, table):
         # on the same draws, everything but LR(ID) equals the plain path's
-        # exactly; where q is reflected (the flat prior), LR(ID) does too
+        # exactly; where q is reflected, LR(ID) does too.  The flat prior
+        # takes every LR from polygon means instead (see TestPolygonMeans):
+        # each equals the ratio of the polygon means of the same draws,
+        # held in one buffer
         counts = {"study": study_counts, "size 560": cat.scaled_counts(study_counts, 560),
                   "flat prior": None, "q symmetric": REFLECTION_CASES["q symmetric"][0]}[table]
         n, rng = 300_001, mc.RngStream(3100)
@@ -522,14 +526,141 @@ class TestQIdIntegration:
         plain = _plain_summary(counts, n, rng, bins=100)
         assert (ours.n_samples, ours.acceptance_rate) == (plain.n_samples, plain.acceptance_rate)
         assert np.array_equal(ours.cells, plain.cells)
+        assert ours.n_polygon == (n if table == "flat prior" else 0)
+        if table == "flat prior":
+            assert ours.n_integrated == 0
+            means = polygon_mean_samples(cat.sample_rate_pairs(counts, n, rng), counts)
+            for conclusion in cat.Conclusion:
+                mine, theirs = ours.estimate(conclusion), cat.lr_from_samples(means, conclusion)
+                assert mine.lr == pytest.approx(theirs.lr, rel=1e-13, abs=0)
+                assert mine.mc_std_err == pytest.approx(theirs.mc_std_err, rel=1e-13, abs=0)
+            return
         for conclusion in (INC, EXC):
             assert ours.estimate(conclusion) == plain.estimate(conclusion)
-        if table in ("flat prior", "q symmetric"):
+        if table == "q symmetric":
             assert ours.n_integrated == 0
             assert ours.estimate(ID) == plain.estimate(ID)
         else:
             assert 0 < ours.n_integrated <= n
             mine, theirs = ours.estimate(ID), plain.estimate(ID)
+            assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err
+
+
+#: LR(ID) of the flat prior by draw-free cubature (ROADMAP item 3).  By the
+#: region's symmetry under p <-> reversed q, LR(Inc) is 1 and LR(Exc) is
+#: 1 / LR(ID), both exactly.
+FLAT_PRIOR_LR_ID = 3.9916368
+
+
+def _assert_means_match_clipping(p, q, j):
+    """The closed-form means of (p_j, q_j) given each row's other rates, and
+    for ID those of (p_Exc, q_Exc) too, against clipping, to 1e-12 relative."""
+    rates = np.asfortranarray(np.column_stack([p, q]))
+    if j == 0:
+        cat._id_exc_means(rates)
+        got = rates[:, [0, 3, 2, 5]]
+    else:
+        got = np.column_stack(cat._inc_means(rates))
+    want = np.array([slice_means(p[i], q[i], j) for i in range(p.shape[0])])
+    if j == 0:  # Exc takes what ID leaves of 1 - p_Inc and 1 - q_Inc
+        want = np.column_stack([want, 1.0 - p[:, 1] - want[:, 0], 1.0 - q[:, 1] - want[:, 1]])
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestPolygonMeans:
+    def test_closed_form_matches_clipping_on_kept_rows(self):
+        samples = cat.sample_rate_pairs(None, 2_000, mc.RngStream(3200))
+        p, q = samples.p, samples.q
+        # both signs of q_Inc - p_Inc: the upper line of the ID slice passes
+        # through the origin on one side and not on the other
+        assert 0.3 < np.mean(q[:, 1] > p[:, 1]) < 0.7
+        _assert_means_match_clipping(p, q, 0)
+        _assert_means_match_clipping(p, q, 1)
+
+    def test_closed_form_matches_clipping_near_vertices(self):
+        # rows on which a polygon's vertex set changes, and rows just either
+        # side.  ID slice: the line's offset k switches on at q_Inc = p_Inc,
+        # its foot reaches the left end at q_Inc = 2 p_Inc / (1 + p_Inc), and
+        # it reaches y = c at the right end at q_Inc = p_Inc / (2 - p_Inc).
+        # Inc slice: the left end leaves 0 at p_ID = 1/2, the lower line
+        # reaches C at the right end at q_ID = p_ID / (1 + p_ID), and the
+        # upper line reaches C at the right end as q_ID falls to 0
+        gen = np.random.default_rng(3201)
+        nudges = (-1e-7, -1e-12, 0.0, 1e-12, 1e-7)
+        id_rows = [(p1, edge * (1.0 + d)) for p1 in gen.uniform(0.01, 0.99, 60)
+                   for edge in (p1, 2.0 * p1 / (1.0 + p1), p1 / (2.0 - p1)) for d in nudges]
+        inc_rows = [(p0, edge * (1.0 + d)) for p0 in gen.uniform(0.02, 0.98, 60)
+                    for edge in (p0 / (1.0 + p0), 1e-9) for d in nudges]
+        inc_rows += [(0.5 * (1.0 + d), q0) for q0 in gen.uniform(0.0, 0.49, 60) for d in nudges]
+        for j, rows in ((0, id_rows), (1, inc_rows)):
+            fixed = 1 - j
+            p, q = np.zeros((len(rows), 3)), np.zeros((len(rows), 3))
+            p[:, fixed], q[:, fixed] = np.array(rows).T
+            p[:, 2], q[:, 2] = 1.0 - p[:, fixed], 1.0 - q[:, fixed]
+            _assert_means_match_clipping(p, q, j)
+
+    def test_polygon_lrs_are_unbiased(self):
+        # z of each flat-prior LR against its exact value, over 40 seeds
+        n = 100_000
+        exact = {ID: FLAT_PRIOR_LR_ID, INC: 1.0, EXC: 1.0 / FLAT_PRIOR_LR_ID}
+        z = {conclusion: [] for conclusion in cat.Conclusion}
+        for seed in range(3300, 3340):
+            summary = cat.summarize_draws(None, n, mc.RngStream(seed))
+            assert summary.n_polygon == n
+            for conclusion, values in z.items():
+                est = summary.estimate(conclusion)
+                values.append((est.lr - exact[conclusion]) / est.mc_std_err)
+        for conclusion, values in z.items():
+            sd = np.std(values, ddof=1)
+            assert abs(np.mean(values)) <= 3 * sd / math.sqrt(len(values)), conclusion
+            assert 0.7 <= sd <= 1.4, conclusion
+
+    # one table on each side of "the four concentrations are 1" for each
+    # slice: a count of 5 off it makes the Inc slice, then the ID slice,
+    # fail, and one Exc count, which both slices integrate, makes both fail
+    @pytest.mark.parametrize("table", ["ID and Exc", "Inc", "neither"])
+    def test_only_uniform_slices_move(self, table):
+        counts, slices = {
+            "ID and Exc": (cat.ConclusionCounts((0, 5, 0), (0, 3, 0)), (True, False)),
+            "Inc": (cat.ConclusionCounts((4, 0, 0), (2, 0, 0)), (False, True)),
+            "neither": (cat.ConclusionCounts((0, 0, 1), (0, 0, 0)), (False, False)),
+        }[table]
+        assert cat._uniform_slices(counts) == slices
+        n, rng = 200_001, mc.RngStream(3400)
+        ours = cat.summarize_draws(counts, n, rng, bins=100)
+        plain = _plain_summary(counts, n, rng, bins=100, q_id=True)
+        assert (ours.n_samples, ours.acceptance_rate) == (plain.n_samples, plain.acceptance_rate)
+        assert np.array_equal(ours.cells, plain.cells)
+        assert ours.n_integrated == plain.n_integrated
+        assert ours.n_polygon == (n if any(slices) else 0)
+        means = polygon_mean_samples(cat.sample_rate_pairs(counts, n, rng), counts)
+        moved = {ID: slices[0], INC: slices[1], EXC: slices[0]}
+        for conclusion in cat.Conclusion:
+            mine, theirs = ours.estimate(conclusion), plain.estimate(conclusion)
+            if not moved[conclusion]:
+                assert mine == theirs
+                continue
+            buffered = cat.lr_from_samples(means, conclusion)
+            assert mine.lr == pytest.approx(buffered.lr, rel=1e-13, abs=0)
+            assert mine.mc_std_err == pytest.approx(buffered.mc_std_err, rel=1e-13, abs=0)
+            assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err
+            assert mine.mc_std_err < theirs.mc_std_err
+
+
+    # counts this large put the Inc (or the ID) rates within rounding of
+    # 1, so the polygon's lengths must come from the small rates, not from
+    # 1 minus the large one, which can round to 0
+    @pytest.mark.parametrize("table", ["Inc counts", "ID count"])
+    def test_rates_within_rounding_of_one(self, table):
+        counts = {"Inc counts": cat.ConclusionCounts((0, 10**16, 0), (0, 10**16, 0)),
+                  "ID count": cat.ConclusionCounts((10**16, 0, 0), (0, 0, 0))}[table]
+        n, rng = 20_000, mc.RngStream(3500)
+        ours = cat.summarize_draws(counts, n, rng)
+        plain = _plain_summary(counts, n, rng, q_id=True)
+        assert ours.n_polygon == n
+        for conclusion in cat.Conclusion:
+            mine, theirs = ours.estimate(conclusion), plain.estimate(conclusion)
+            assert math.isfinite(mine.log10_lr) and mine.mc_std_err > 0
             assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from evidential_weight import categorical, cli, interval_opinion, mc, multi_expert
+from mc_oracles import polygon_mean_samples
 
 STUDY_JSON = {
     "H1": {"id": 3663, "inc": 1856, "exc": 450},
@@ -339,7 +340,8 @@ class TestCategoricalCommand:
         # draws end part way into a chunk.  On the study table the command
         # integrates q_ID out of every row of LR(ID), which then agrees
         # with the library's plain ratio within that ratio's error, at a
-        # hundredth of it or less
+        # hundredth of it or less.  On the flat prior every LR is the ratio
+        # of the polygon means of the same buffered draws
         n, rng = 300_000, mc.RngStream(23)
         assert n % mc.CHUNK_SIZE
         counts, extra, sizes = None, [], [100, 1000]
@@ -349,11 +351,9 @@ class TestCategoricalCommand:
             path.write_text(json.dumps(STUDY_JSON))
             extra = ["--validation", path, "--sweep", ",".join(map(str, sizes))]
         samples = categorical.sample_rate_pairs(counts, n, rng)
-        grids = {
-            c: "".join(",".join(row) + "\n"
-                       for row in cli._grid_rows(*categorical.density_grid(samples, c)))
-            for c in categorical.Conclusion
-        }
+        grids = {c: cli._grid_rows(*categorical.density_grid(samples, c))
+                 for c in categorical.Conclusion}
+        means = polygon_mean_samples(samples, counts) if case == "prior" else samples
         for threads in ("1", "3"):
             monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
             for conclusion in categorical.Conclusion:
@@ -364,7 +364,7 @@ class TestCategoricalCommand:
                     written = (out / f"density_grid_{c.name.lower()}.csv").read_text()
                     assert written.split("\n", 2)[2] == text
                 est = read_json(out / "result.json")["lr_estimate"]
-                alone = categorical.lr_from_samples(samples, conclusion)
+                alone = categorical.lr_from_samples(means, conclusion)
                 if case == "study" and conclusion is categorical.Conclusion.ID:
                     assert abs(est["lr"] - alone.lr) <= 5 * alone.mc_std_err
                     assert est["mc_std_err"] < 0.01 * alone.mc_std_err
@@ -384,7 +384,8 @@ class TestCategoricalCommand:
     def test_manifest_counts_integrated_draws(self, tmp_path):
         # the kept draws of each table and how many had q_ID integrated out:
         # all on the study table, none on the flat prior (a reflected
-        # non-mated factor) or at size 100 (no row certified)
+        # non-mated factor) or at size 100 (no row certified); and how many
+        # entered as polygon means: all on the flat prior, none on a study table
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps(STUDY_JSON))
         n = 20_000
@@ -393,12 +394,13 @@ class TestCategoricalCommand:
                     "--samples", n, "--out", study]) == 0
         assert run(["categorical", "--samples", n, "--out", prior]) == 0
         draws = read_json(study / "manifest.json")["draws"]
-        assert draws["main"] == {"kept": n, "q_id_integrated": n}
-        assert [(d["size"], d["kept"]) for d in draws["sweep"]] == [(100, n), (1000, n)]
+        assert draws["main"] == {"kept": n, "q_id_integrated": n, "polygon_integrated": 0}
+        assert [(d["size"], d["kept"], d["polygon_integrated"]) for d in draws["sweep"]] == [
+            (100, n, 0), (1000, n, 0)]
         assert draws["sweep"][0]["q_id_integrated"] == 0
         assert 0.99 * n < draws["sweep"][1]["q_id_integrated"] <= n
         assert read_json(prior / "manifest.json")["draws"] == {
-            "main": {"kept": n, "q_id_integrated": 0}}
+            "main": {"kept": n, "q_id_integrated": 0, "polygon_integrated": n}}
 
     def test_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
         # numpy reports its buffers to tracemalloc; one buffer of the
@@ -418,15 +420,21 @@ class TestCategoricalCommand:
         assert peaks[1] - peaks[0] < 0.25 * 48 * (1_200_000 - 300_000)
 
     def test_grid_rows_format_each_value_as_its_float(self):
-        # each distinct density is formatted once; the text must be that
-        # of formatting every cell on its own
-        samples = categorical.sample_rate_pairs(None, 5_000, mc.RngStream(12))
-        for conclusion in categorical.Conclusion:
-            centers, grid = categorical.density_grid(samples, conclusion)
-            grid[0, :3] = [1e-300, 2.5e-17, 123456789.125]
-            expected = [(str(p), str(q), str(d)) for p, row in zip(centers.tolist(), grid.tolist())
-                        for q, d in zip(centers.tolist(), row)]
-            assert list(cli._grid_rows(centers, grid)) == expected
+        # each prefix and each distinct density is formatted once, and the
+        # text joined once; it must be that of formatting every cell on its
+        # own and joining each row with commas, on the flat prior's grids
+        # and the study table's
+        study = categorical.ConclusionCounts((3663, 1856, 450), (6, 455, 3622))
+        for counts in (None, study):
+            samples = categorical.sample_rate_pairs(counts, 5_000, mc.RngStream(12))
+            for conclusion in categorical.Conclusion:
+                centers, grid = categorical.density_grid(samples, conclusion)
+                grid[0, :3] = [1e-300, 2.5e-17, 123456789.125]
+                expected = [(str(p), str(q), str(d))
+                            for p, row in zip(centers.tolist(), grid.tolist())
+                            for q, d in zip(centers.tolist(), row)]
+                text = cli._grid_rows(centers, grid)
+                assert text == "".join(",".join(row) + "\n" for row in expected)
 
 
 @pytest.mark.filterwarnings("ignore:width hyperprior")
