@@ -52,7 +52,8 @@ Rao-Blackwellization of accept-reject draws; Casella and Robert,
 q_c, leaves the other two pairs on a convex polygon of the region, on
 which they are uniform, so each mean is a polygon centroid in closed
 form: the ID and Exc rates given the Inc rates (:func:`_id_exc_means`),
-and the Inc rates given the sampled ID rates (:func:`_inc_means`).  Both
+and the Inc rates given the sampled ID rates (:func:`_inc_means`), both
+from one wedge-and-cap kernel (:func:`_wedge_and_cap_moments`).  Both
 hold on the flat prior, where at the same draws the variance of LR(ID)
 and LR(Exc) falls to about 0.22 of the plain ratio's and that of LR(Inc)
 to about 0.32; no posterior table of the study has either.  The draws,
@@ -625,6 +626,64 @@ def _uniform_slices(counts: ConclusionCounts | None) -> tuple[bool, bool]:
 _POLYGON_ROWS = 1 << 13
 
 
+def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.ndarray | float,
+                           hi: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Area, x-moment and y-moment, each times 6, of the region between the
+    rays y = lo x and y = hi x on [a, m] and between y = lo x and y = cap
+    on [m, e], row by row.
+
+    The upper ray meets the cap at m (hi m = cap) or the region ends there
+    (m = e), and 0 <= a <= m <= e; ``lo`` may be the scalar 0.  Each
+    piece's area and first moments are exact and taken times 6, with no
+    differences of cubes, which lose precision on thin pieces.  The wedge,
+    with g = hi - lo: 3 g w (a + m) its area, 2 g w (a^2 + a m + m^2) its
+    x-moment and (hi + lo) / 2 times that its y-moment, w = m - a.  The
+    cap's trapezoid, of heights hm = g m and hr = cap - lo e at m and e:
+    3 w (hm + hr) its area, w ((hm + hr) (m + e) + hm m + hr e) its
+    x-moment, and 3 cap w (hm + hr) - w (hm (hm + hr) + hr^2) its
+    y-moment, the integral of (cap^2 - (lo x)^2) / 2 with no cancellation
+    beyond 2, w = e - m.  Overwrites ``a`` and ``hi``.
+    """
+    g = hi - lo
+    hm = g * m
+    w = m - a
+    g *= w
+    am = a + m
+    area = g * am
+    area *= 3.0
+    a *= am
+    t = m * m
+    a += t
+    mx = np.multiply(g, a, out=a)
+    hi += lo
+    my = mx * hi
+    mx *= 2.0
+    w = np.subtract(e, m, out=w)
+    hr = np.multiply(lo, e, out=hi)
+    np.subtract(cap, hr, out=hr)
+    h = hm + hr
+    wh = h * w
+    u = wh * 3.0
+    area += u
+    np.add(m, e, out=u)
+    u *= wh
+    mx += u
+    np.multiply(hm, m, out=am)
+    np.multiply(hr, e, out=t)
+    am += t
+    am *= w
+    mx += am
+    np.multiply(wh, cap, out=u)
+    u *= 3.0
+    my += u
+    h *= hm
+    hr *= hr
+    h += hr
+    h *= w
+    my -= h
+    return area, mx, my
+
+
 def _id_exc_means(rates: np.ndarray) -> None:
     """Overwrite the ID and Exc rates of each row of ``rates`` with their
     means given its Inc rates, where that slice is uniform.
@@ -637,15 +696,12 @@ def _id_exc_means(rates: np.ndarray) -> None:
     orderings).  p_ID > q_ID and q_Exc > p_Exc hold on all of it: their
     lines meet the upper one at x = b.  Measured from the line's foot x0,
     the right end is d = b - x0 = min(b, 2 c / r), the left end max(0, d
-    - b / 2), and the line reaches c at min(d, c / r), never left of the
-    left end.  So the polygon is a trapezoid under the line up to there
-    and a rectangle under y = c after it.  Simpson's rule on each piece
-    is exact for the area and both first moments, without the
-    differences of cubes that lose precision on thin pieces.  b and 2 c
-    are taken as p_ID + p_Exc and q_ID + q_Exc, and every length from
-    them, so each keeps its relative precision where the Inc rates are
-    within rounding of 1.  The mean of p_Exc is then b less that of p_ID;
-    likewise for q.
+    - b / 2), and the line reaches c at m = min(d, c / r), never left of
+    the left end.  So the polygon is :func:`_wedge_and_cap_moments`'s region
+    with lo = 0, hi = r, cap = c and e = d.  b and 2 c are taken as p_ID +
+    p_Exc and q_ID + q_Exc, and every length from them, so each keeps its
+    relative precision where the Inc rates are within rounding of 1.  The
+    mean of p_Exc is then b less that of p_ID; likewise for q.
     """
     for block in _blocks(rates.shape[0], _POLYGON_ROWS):
         p_id, p, p_exc, q_id, q, q_exc = (rates[block, j] for j in range(6))
@@ -659,44 +715,13 @@ def _id_exc_means(rates: np.ndarray) -> None:
         a = b * 0.5
         np.subtract(d, a, out=a)
         np.maximum(a, 0.0, out=a)
-        la = a * r  # the line's heights at a and m
-        lm = np.multiply(m, r, out=r)
-        c = c2 * 0.5
-        # the trapezoid, times 6: 3 w (la + lm) its area, w ((la + lm) (a +
-        # m) + la a + lm m) its x-moment, w (la (la + lm) + lm^2) its y-moment
-        w = m - a
-        s = la + lm
-        mx = a + m
-        mx *= s
-        a *= la
-        mx += a
-        my = np.multiply(la, s, out=a)
-        t = np.multiply(lm, m, out=la)
-        mx += t
-        np.multiply(lm, lm, out=t)
-        my += t
-        mx *= w
-        my *= w
-        s *= w
-        s *= 3.0
-        # the rectangle, times 6: 3 A (m + d) and 3 A c, A = (d - m) c its area
-        area = np.subtract(d, m, out=w)
-        area *= c
-        area *= 3.0
-        m += d
-        m *= area
-        mx += m
-        np.multiply(area, c, out=m)
-        my += m
-        s += area
-        s += area
-        mx /= s  # the mean of x - x0
-        my /= s
+        area, mx, my = _wedge_and_cap_moments(a, m, d, 0.0, r, c2 * 0.5)
+        mx /= area  # the mean of x - x0
+        np.divide(my, area, out=rates[block, 3])
+        np.subtract(c2, rates[block, 3], out=rates[block, 5])
         np.subtract(b, d, out=b)  # x0
         np.add(b, mx, out=rates[block, 0])
         np.subtract(d, mx, out=rates[block, 2])
-        rates[block, 3] = my
-        np.subtract(c2, my, out=rates[block, 5])
 
 
 def _inc_means(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -710,12 +735,11 @@ def _inc_means(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orderings); q_Exc > p_Exc holds on all of it, and p_ID > q_ID does not
     depend on (x, y).  Where the lower line reaches C before b, at C /
     lam, the polygon ends there: at xr.  The upper line reaches C at m = C
-    / s, which lies in (a, xr] because p0 > q0.  So the polygon is a wedge
-    between the two lines on [a, m] and a trapezoid under y = C on [m,
-    xr], and each piece's area and first moments are exact, as in
-    :func:`_id_exc_means`, which also takes b and 1 - q0 from the other
-    rates.  Kept rows have p0 > q0 and q0 < 1/2, so the polygon is never
-    empty.
+    / s, which lies in (a, xr] because p0 > q0.  So the polygon is
+    :func:`_wedge_and_cap_moments`'s region with lo = lam, hi = s, cap = C
+    and e = xr.  b and 1 - q0 are taken from the other rates, as in
+    :func:`_id_exc_means`.  Kept rows have p0 > q0 and q0 < 1/2, so the
+    polygon is never empty.
     """
     n = rates.shape[0]
     mean_p, mean_q = np.empty(n), np.empty(n)
@@ -732,50 +756,7 @@ def _inc_means(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(divide="ignore"):  # q_ID = 0: the lower line never reaches C
             xr = top / lam
         np.minimum(xr, b, out=xr)
-        m = top / s
-        # the wedge, times 6: 3 g w (a + m) its area, 2 g w (a^2 + a m + m^2)
-        # its x-moment and (s + lam) / 2 times that its y-moment, g = s - lam
-        g = s - lam
-        hm = g * m  # the wedge's height at m, C - lam m
-        w = m - a
-        g *= w
-        am = a + m
-        area = g * am
-        area *= 3.0
-        a *= am
-        t = m * m
-        a += t
-        mx = np.multiply(g, a, out=a)
-        s += lam
-        my = mx * s
-        mx *= 2.0
-        # the trapezoid of heights hm and hr at m and xr, times 6: 3 w (hm +
-        # hr) its area, w ((hm + hr) (m + xr) + hm m + hr xr) its x-moment,
-        # and 3 C w (hm + hr) - w (hm (hm + hr) + hr^2) its y-moment, the
-        # integral of (C^2 - (lam x)^2) / 2 with no cancellation beyond 2
-        w = np.subtract(xr, m, out=w)
-        hr = np.multiply(lam, xr, out=lam)
-        np.subtract(top, hr, out=hr)
-        h = hm + hr
-        wh = h * w
-        u = wh * 3.0
-        area += u
-        np.add(m, xr, out=u)
-        u *= wh
-        mx += u
-        np.multiply(hm, m, out=am)
-        np.multiply(hr, xr, out=t)
-        am += t
-        am *= w
-        mx += am
-        np.multiply(wh, top, out=u)
-        u *= 3.0
-        my += u
-        h *= hm
-        hr *= hr
-        h += hr
-        h *= w
-        my -= h
+        area, mx, my = _wedge_and_cap_moments(a, top / s, xr, lam, s, top)
         np.divide(mx, area, out=mean_p[block])
         np.divide(my, area, out=mean_q[block])
     return mean_p, mean_q
@@ -807,6 +788,9 @@ class DrawSummary:
     rows that entered so.  On the flat prior, at 10^6 draws, the squared
     relative error of LR(ID) and LR(Exc) falls from about 0.52e-6 to
     0.11e-6, and that of LR(Inc) from 0.33e-6 to 0.10e-6.
+
+    ``n_proposed`` and ``n_chunks`` are the sampler's proposals and
+    chunks, which :func:`summarize_draws` sets with the acceptance rate.
     """
 
     def __init__(self, seed: int, bins: int = 0, paired: bool = True,
@@ -821,6 +805,7 @@ class DrawSummary:
         self.n_integrated = 0
         self.n_polygon = 0
         self.acceptance_rate = math.nan
+        self.n_proposed = self.n_chunks = 0
         self.bins = bins
         self.cells = np.zeros((len(Conclusion) if bins else 0, bins * bins), dtype=np.intp)
 
@@ -865,10 +850,12 @@ class DrawSummary:
         return _density(self.cells[conclusion.value], self.n_samples, self.bins)
 
     def counters(self) -> dict:
-        """The kept draws, how many had q_ID integrated out, and how many
-        entered the moments as polygon means."""
+        """The kept draws, how many had q_ID integrated out, how many
+        entered the moments as polygon means, and the proposals and chunks
+        drawn; none depends on the thread count."""
         return {"kept": self.n_samples, "q_id_integrated": self.n_integrated,
-                "polygon_integrated": self.n_polygon}
+                "polygon_integrated": self.n_polygon, "proposals": self.n_proposed,
+                "chunks": self.n_chunks}
 
 
 def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.RngStream,
@@ -888,7 +875,7 @@ def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.Rn
         raise DomainError(f"a Monte Carlo standard error needs at least 3 draws, got {n_accepted}")
     proposal, mass, paired, q_id = _rate_pair_proposal(counts)
     summary = DrawSummary(rng.seed, bins, paired, q_id, _uniform_slices(counts))
-    summary.acceptance_rate, _, _ = mc.rejection_stream(
+    summary.acceptance_rate, summary.n_proposed, summary.n_chunks = mc.rejection_stream(
         proposal, _admissible_draws, n_accepted, rng, summary,
         threads=threads, proposal_mass=mass,
     )

@@ -330,7 +330,8 @@ def _cmd_categorical(args) -> Run:
         for c in categorical.Conclusion
     ]
     # the kept draws of each table, how many had q_ID integrated out of
-    # LR(ID), and how many entered the LRs as polygon means
+    # LR(ID), how many entered the LRs as polygon means, and the sampler's
+    # proposals and chunks
     draws = {"main": main.counters()}
     if sweep_sizes:
         sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng, threads=threads)

@@ -28,6 +28,16 @@ def run(argv) -> int:
     return cli.main([str(a) for a in argv])
 
 
+def assert_same_lines(written: str, expected: str) -> None:
+    """Assert two texts equal, line for line with each line's end, naming
+    the first line that differs: an assertion on the whole texts would have
+    pytest diff them, which takes minutes on a 10,000-line grid."""
+    got, want = written.splitlines(keepends=True), expected.splitlines(keepends=True)
+    assert len(got) == len(want), f"{len(got)} lines, expected {len(want)}"
+    for i, (line, wanted) in enumerate(zip(got, want)):
+        assert line == wanted, f"line {i + 1} differs"
+
+
 class TestCoinCommand:
     def test_reference_values(self, tmp_path):
         assert run(["coin", "--seq", "HHHHHTTT", "--out", tmp_path]) == 0
@@ -362,7 +372,7 @@ class TestCategoricalCommand:
                             "--samples", n, "--seed", rng.seed, *extra, "--out", out]) == 0
                 for c, text in grids.items():
                     written = (out / f"density_grid_{c.name.lower()}.csv").read_text()
-                    assert written.split("\n", 2)[2] == text
+                    assert_same_lines(written.split("\n", 2)[2], text)
                 est = read_json(out / "result.json")["lr_estimate"]
                 alone = categorical.lr_from_samples(means, conclusion)
                 if case == "study" and conclusion is categorical.Conclusion.ID:
@@ -379,28 +389,34 @@ class TestCategoricalCommand:
             rows = [f"{row.size},{row.conclusion.name.lower()},{row.estimate.lr},"
                     f"{row.estimate.mc_std_err},{sweep.asymptotes[row.conclusion]}\n"
                     for row in sweep.rows]
-            assert (out / "sweep.csv").read_text().split("\n", 2)[2] == "".join(rows)
+            assert_same_lines((out / "sweep.csv").read_text().split("\n", 2)[2], "".join(rows))
 
     def test_manifest_counts_integrated_draws(self, tmp_path):
         # the kept draws of each table and how many had q_ID integrated out:
         # all on the study table, none on the flat prior (a reflected
         # non-mated factor) or at size 100 (no row certified); and how many
-        # entered as polygon means: all on the flat prior, none on a study table
+        # entered as polygon means: all on the flat prior, none on a study
+        # table; and the sampler's proposals and chunks, every chunk drawn in
+        # full.  Each study table keeps its 20,000 draws from its first
+        # chunk; the flat prior keeps about 59,600 a chunk, so 150,000 take 3
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps(STUDY_JSON))
-        n = 20_000
+        n, n_prior = 20_000, 150_000
         study, prior = tmp_path / "study", tmp_path / "prior"
         assert run(["categorical", "--validation", counts, "--sweep", "100,1000",
                     "--samples", n, "--out", study]) == 0
-        assert run(["categorical", "--samples", n, "--out", prior]) == 0
+        assert run(["categorical", "--samples", n_prior, "--out", prior]) == 0
         draws = read_json(study / "manifest.json")["draws"]
-        assert draws["main"] == {"kept": n, "q_id_integrated": n, "polygon_integrated": 0}
+        assert draws["main"] == {"kept": n, "q_id_integrated": n, "polygon_integrated": 0,
+                                 "proposals": mc.CHUNK_SIZE, "chunks": 1}
         assert [(d["size"], d["kept"], d["polygon_integrated"]) for d in draws["sweep"]] == [
             (100, n, 0), (1000, n, 0)]
         assert draws["sweep"][0]["q_id_integrated"] == 0
         assert 0.99 * n < draws["sweep"][1]["q_id_integrated"] <= n
+        assert [(d["proposals"], d["chunks"]) for d in draws["sweep"]] == [(mc.CHUNK_SIZE, 1)] * 2
         assert read_json(prior / "manifest.json")["draws"] == {
-            "main": {"kept": n, "q_id_integrated": 0, "polygon_integrated": n}}
+            "main": {"kept": n_prior, "q_id_integrated": 0, "polygon_integrated": n_prior,
+                     "proposals": 3 * mc.CHUNK_SIZE, "chunks": 3}}
 
     def test_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
         # numpy reports its buffers to tracemalloc; one buffer of the
