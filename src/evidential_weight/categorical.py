@@ -12,12 +12,15 @@ region's half-space first (see :func:`sample_rate_pairs`).
 
 Proposals come in antithetic pairs, rows 2i and 2i + 1 of a chunk, whose
 gammas are negatively correlated in each factor that is not reflected
-(see :func:`_gamma_pairs`).  The LR is the ratio of the sums of the kept
-draws; its Monte Carlo standard error is taken over units, the sums of
-the kept draws (one or two) of each pair, which are independent where
-the draws of a pair are not.  On the study table, at the same number
-of draws, the variance of LR(ID) is about a tenth of what independent
-draws give, and that of LR(Inc) and LR(Exc) about a thousandth.
+(see :func:`_gamma_pairs`).  Every gamma that no such pair couples, a
+reflected factor's and each one the pair sampler rejects, comes from
+numpy's ``Generator.standard_gamma``.  The LR is the ratio of the sums
+of the kept draws; its Monte Carlo standard error is taken over units,
+the sums of the kept draws (one or two) of each pair, which are
+independent where the draws of a pair are not.  On the study table, at
+the same number of draws, the variance of LR(ID) is about a tenth of
+what independent draws give, and that of LR(Inc) and LR(Exc) about a
+thousandth.
 
 Where the non-mated factor is drawn unreflected, :class:`DrawSummary`
 also integrates the non-mated ID rate q_ID out of LR(ID) on the kept
@@ -243,35 +246,27 @@ def _blocks(n: int, rows: int = _BLOCK_ROWS):
     return (slice(start, start + rows) for start in range(0, n, rows))
 
 
-def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray,
-                 antithetic: bool) -> None:
-    """Fill ``out`` with Gamma(``alpha``) variates, ``alpha >= 1``, in pairs: rows 2i, 2i + 1.
+def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> None:
+    """Fill ``out`` with Gamma(``alpha``) variates, ``alpha >= 1``, in antithetic pairs 2i, 2i + 1.
 
-    With ``antithetic`` the partners of a pair are negatively correlated
-    (antithetic variates, Hammersley and Morton 1956): at ``alpha = 1``
-    they are -log(1 - U) and -log(U) for one U in the open interval
-    (0, 1); above it each is the d v of Marsaglia and Tsang (ACM TOMS
-    26(3), 2000), v = (1 + c X)^3 with d = alpha - 1/3 and c =
-    1/sqrt(9 d), where the partners take the normals X and -X, each
-    accepted by its own uniform.  Without ``antithetic`` the partners are
-    independent: standard exponentials at ``alpha = 1``, Marsaglia-Tsang
-    variates from independent normals above it.  Each variate the test
-    rejects is redrawn independently from ``gen``, so every variate is an
-    exact Gamma(alpha) draw, and only those few pairs lose their coupling.
-    Rows are filled ``_BLOCK_ROWS`` at a time, so the temporaries stay
-    small.
+    The partners of a pair are negatively correlated (antithetic variates,
+    Hammersley and Morton 1956): at ``alpha = 1`` they are -log(1 - U) and
+    -log(U) for one U in the open interval (0, 1); above it each is the
+    d v of Marsaglia and Tsang (ACM TOMS 26(3), 2000), v = (1 + c X)^3
+    with d = alpha - 1/3 and c = 1/sqrt(9 d), where the partners take the
+    normals X and -X, each accepted by its own uniform.  Numpy's sampler
+    cannot couple two variates this way; every variate that needs no
+    partner comes from ``gen.standard_gamma`` instead (see
+    :func:`_rate_pair_proposal`).  Each variate the test rejects is
+    redrawn from ``gen.standard_gamma`` once all rows are filled, so every
+    variate is an exact Gamma(alpha) draw, and only those few pairs lose
+    their coupling.  Rows are filled ``_BLOCK_ROWS`` at a time, so the
+    temporaries stay small.
     """
     d = alpha - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     a = d ** (1.0 / 3.0)  # so that d v = (a + b x)^3
     b = a * c
-
-    def squeeze(x):
-        bound = x * x
-        bound *= bound
-        bound *= -0.0331
-        bound += 1.0
-        return bound
 
     def fill(x, sign, bound, values):
         """d v of each normal ``sign * x`` into ``values``; the positions rejected."""
@@ -297,7 +292,7 @@ def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray,
     for start in range(0, out.size, _BLOCK_ROWS):
         block = out[start:start + _BLOCK_ROWS]
         first, second = block[0::2], block[1::2]
-        if alpha == 1.0 and antithetic:
+        if alpha == 1.0:
             # U = (k + 1/2) 2^-52: never 0 or 1, and U and 1 - U alike
             u = gen.random(first.size)
             u *= 2.0**52
@@ -306,25 +301,18 @@ def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray,
             u *= 2.0**-52
             np.negative(np.log1p(-u), out=first)
             np.negative(np.log(u[:second.size]), out=second)
-        elif alpha == 1.0:
-            gen.standard_exponential(out=block)
-        else:
-            x = gen.standard_normal(first.size)
-            bound = squeeze(x)
-            redraw.append(start + 2 * fill(x, 1.0, bound, first))
-            if antithetic:
-                x, bound, sign = x[:second.size], bound[:second.size], -1.0
-            else:
-                x = gen.standard_normal(second.size)
-                bound, sign = squeeze(x), 1.0
-            redraw.append(start + 1 + 2 * fill(x, sign, bound, second))
-    redraw = np.concatenate(redraw) if redraw else np.empty(0, dtype=np.intp)
-    while redraw.size:  # a value rejected again is overwritten on the next pass
-        x = gen.standard_normal(redraw.size)
-        values = np.empty(redraw.size)
-        rejected = fill(x, 1.0, squeeze(x), values)
-        out[redraw] = values
-        redraw = redraw[rejected]
+            continue
+        x = gen.standard_normal(first.size)
+        bound = x * x  # the squeeze 1 - 0.0331 x^4, the same for X and -X
+        bound *= bound
+        bound *= -0.0331
+        bound += 1.0
+        redraw.append(start + 2 * fill(x, 1.0, bound, first))
+        n = second.size
+        redraw.append(start + 1 + 2 * fill(x[:n], -1.0, bound[:n], second))
+    if redraw:
+        redraw = np.concatenate(redraw)
+        out[redraw] = gen.standard_gamma(alpha, size=redraw.size)
 
 
 #: Bound on the Beta tail above the q_ID threshold, relative to the Beta mean.
@@ -375,10 +363,13 @@ def _rate_pair_proposal(counts: ConclusionCounts | None):
 
     Rows 2i and 2i + 1 of a chunk are a pair (see :func:`_gamma_pairs`),
     whose gammas are antithetic in each factor that is not reflected.  A
-    reflected factor's gammas are independent: reflection carries an
-    antithetic partner into the same half-space, and on the flat prior
-    such partners raised the variance of LR(ID) by half.  Where both
-    factors are reflected, every row is independent of every other.
+    reflected factor's gammas are independent, each column one call of
+    numpy's ``standard_gamma`` (at concentration 1 its standard
+    exponential): reflection carries an antithetic partner into the same
+    half-space, and on the flat prior such partners raised the variance
+    of LR(ID) by half.  Where both factors are reflected, every row is
+    independent of every other.  The columns are drawn in order from the
+    chunk's generator.
 
     Where the non-mated factor is not reflected, q_ID given w = q_Inc /
     (q_Inc + q_Exc) is Beta(a, b), and the integration is the threshold
@@ -402,8 +393,11 @@ def _rate_pair_proposal(counts: ConclusionCounts | None):
         # column-major, so the constraint checks read contiguous columns;
         # every concentration is at least 1, so normalized gammas are exact
         draws = np.empty((n, 6), order="F")
-        for j, alpha in enumerate(alphas):
-            _gamma_pairs(gen, float(alpha), draws[:, j], antithetic[j])
+        for j, alpha in enumerate(alphas.tolist()):
+            if antithetic[j]:
+                _gamma_pairs(gen, alpha, draws[:, j])
+            else:
+                gen.standard_gamma(alpha, out=draws[:, j])
         for first in (0, 3):
             total = draws[:, first] + draws[:, first + 1]
             total += draws[:, first + 2]

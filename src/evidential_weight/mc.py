@@ -8,7 +8,9 @@ sampling consumes randomness in fixed-size chunks, one child stream per
 chunk index, which makes the output independent of how many worker threads
 evaluate the chunks.  :func:`rejection_stream` draws one rejection target
 on its own pool, handing each chunk's accepted rows to a consumer in
-chunk-index order.  Every command folds them into running estimates
+chunk-index order; the pool's threads draw under the caller's numpy
+error state, so a float guard set around the call holds for them too.
+Every command folds them into running estimates
 (:class:`categorical.DrawSummary`), in the memory of a few chunks;
 :func:`rejection_sample` collects them into one buffer, for library
 callers that want the draws, with the proposal index of each, from
@@ -23,6 +25,7 @@ module constants, not parameters; the chunk loop reads them as it runs.
 
 from __future__ import annotations
 
+import contextvars
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -175,8 +178,12 @@ def rejection_stream(
     it.  Workers keep up to ``threads`` chunks in flight, no more than the
     acceptance rate so far says are needed; ``accept`` and ``consume`` run
     on the calling thread in chunk-index order, so the consumed rows and
-    every counter are identical for any ``threads`` value.  No chunk
-    outlives the call.
+    every counter are identical for any ``threads`` value.  Each worker
+    draws its chunk in a copy of the calling thread's context, so under
+    the caller's numpy error state too (``np.errstate`` is a context
+    variable, and a new thread starts with the default): a float error
+    that raises on one thread raises on any number.  No chunk outlives
+    the call.
 
     Returns (acceptance rate, proposals drawn, chunks drawn).  The rate,
     also the one held to the floor, is the share of proposals accepted
@@ -215,7 +222,9 @@ def rejection_stream(
                     n_chunks == 0
                     or n_accepted * (n_chunks + len(pending)) < target_accepted * n_chunks
                 ):
-                    pending.append(pool.submit(propose, n_chunks + len(pending)))
+                    # in a copy of the caller's context: its numpy error state
+                    pending.append(pool.submit(
+                        contextvars.copy_context().run, propose, n_chunks + len(pending)))
                 draws = pending.popleft().result()
             rows = np.flatnonzero(np.asarray(accept(draws), dtype=bool))
             n_chunks += 1

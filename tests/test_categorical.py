@@ -134,6 +134,38 @@ class TestReflectedProposal:
         var_plain = rate * (1 - rate) / plain_proposed
         assert abs(samples.acceptance_rate - rate) < 5 * math.sqrt(var_ours + var_plain)
 
+    @pytest.mark.parametrize("case", ["flat prior", "p symmetric", "q symmetric"])
+    def test_uncoupled_columns_come_from_numpy_gamma(self, case):
+        # the proposal rebuilt from one generator per chunk, column by
+        # column: each reflected factor's gammas from numpy's standard_gamma,
+        # the others from _gamma_pairs; on the flat prior the oracle is
+        # standard_exponential, so that its stream stays the same
+        counts, _ = REFLECTION_CASES[case]
+        folds = {"flat prior": [(0, 2), (5, 3)], "p symmetric": [(0, 2)],
+                 "q symmetric": [(5, 3)]}[case]
+        alphas = np.concatenate((counts or cat.ConclusionCounts((0, 0, 0), (0, 0, 0))).alphas())
+        proposal = cat._rate_pair_proposal(counts)[0]
+        n, stream = mc.CHUNK_SIZE, mc.RngStream(94)
+        for chunk in (0, 2):
+            gen = stream.chunk_generator(chunk)
+            gammas = np.empty((n, 6), order="F")
+            for j, alpha in enumerate(alphas.tolist()):
+                if all(j // 3 != hi // 3 for hi, _ in folds):
+                    cat._gamma_pairs(gen, alpha, gammas[:, j])
+                elif counts is None:
+                    gammas[:, j] = gen.standard_exponential(n)
+                else:
+                    gammas[:, j] = gen.standard_gamma(alpha, n)
+            for first in (0, 3):
+                total = gammas[:, first] + gammas[:, first + 1]
+                total += gammas[:, first + 2]
+                gammas[:, first:first + 3] /= total[:, None]
+            for hi, lo in folds:
+                gammas[:, hi], gammas[:, lo] = (np.maximum(gammas[:, hi], gammas[:, lo]),
+                                                np.minimum(gammas[:, hi], gammas[:, lo]))
+            draws = proposal(stream.chunk_generator(chunk), n)
+            assert np.array_equal(draws, gammas)
+
     def test_floor_applies_to_region_mass(self, monkeypatch):
         # the flat prior's raw rate is about 0.455 but its region mass 0.114
         monkeypatch.setattr(mc, "INTRACTABLE_PROBE", mc.CHUNK_SIZE)
@@ -301,15 +333,19 @@ class TestLrEstimates:
 class _FirstNormalsRejected:
     """A generator whose first ``standard_normal`` call returns -1e4, which
     the Marsaglia-Tsang test rejects on both signs, so that every variate
-    of a block comes from the redraws."""
+    of a block is redrawn; it counts the calls to ``standard_gamma``."""
 
     def __init__(self, gen):
         self.gen = gen
-        self.calls = 0
+        self.normal_calls = self.gamma_calls = 0
 
     def standard_normal(self, size):
-        self.calls += 1
-        return np.full(size, -1e4) if self.calls == 1 else self.gen.standard_normal(size)
+        self.normal_calls += 1
+        return np.full(size, -1e4) if self.normal_calls == 1 else self.gen.standard_normal(size)
+
+    def standard_gamma(self, *args, **kwargs):
+        self.gamma_calls += 1
+        return self.gen.standard_gamma(*args, **kwargs)
 
     def __getattr__(self, name):
         return getattr(self.gen, name)
@@ -318,26 +354,22 @@ class _FirstNormalsRejected:
 class TestGammaPairs:
     ALPHAS = [1.0, 1.5, 7.0, 451.0, 3664.0, 3.6e5]
 
-    @pytest.mark.parametrize("antithetic", [True, False])
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_each_partner_is_gamma(self, alpha, antithetic):
+    def test_each_partner_is_gamma(self, alpha):
         out = np.empty(mc.CHUNK_SIZE)
-        cat._gamma_pairs(mc.RngStream(int(alpha * 10)).generator(), alpha, out, antithetic)
+        cat._gamma_pairs(mc.RngStream(int(alpha * 10)).generator(), alpha, out)
         first, second = out[0::2], out[1::2]
         for half in (first, second):
             assert stats.kstest(half, stats.gamma(alpha).cdf).pvalue > 1e-4
-        corr = np.corrcoef(first, second)[0, 1]
-        if antithetic:
-            assert corr < -0.5
-        else:
-            assert abs(corr) < 0.02
+        assert np.corrcoef(first, second)[0, 1] < -0.5
 
     @pytest.mark.parametrize("alpha", ALPHAS[1:])
     def test_rejected_variates_are_redrawn_from_the_gamma(self, alpha):
-        out = np.empty(cat._BLOCK_ROWS)  # one block: its first normals are all rejected
+        out = np.empty(cat._BLOCK_ROWS)  # one block: its normals are all rejected
         gen = _FirstNormalsRejected(mc.RngStream(int(alpha * 10) + 1).generator())
-        cat._gamma_pairs(gen, alpha, out, True)
-        assert gen.calls >= 2
+        cat._gamma_pairs(gen, alpha, out)
+        # one block of normals, then every rejected variate in one call
+        assert (gen.normal_calls, gen.gamma_calls) == (1, 1)
         first, second = out[0::2], out[1::2]
         for half in (first, second):
             assert stats.kstest(half, stats.gamma(alpha).cdf).pvalue > 1e-4

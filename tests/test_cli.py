@@ -713,6 +713,27 @@ def test_inputs_at_the_edge_of_the_float_range(tmp_path, capsys, argv, files, co
         assert got == pytest.approx(log10_lr, rel=1e-12)
 
 
+def test_failure_independent_of_thread_count(tmp_path, capsys, monkeypatch):
+    # counts of 1e20 overflow the Marsaglia-Tsang log test in np.exp; the
+    # float guard must reach the sampler's worker threads as well as the
+    # calling thread, where a pool thread used to warn and run on
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"H1": {"id": 1e20, "inc": 0, "exc": 0},
+                                  "H2": {"id": 0, "inc": 0, "exc": 1e20}}))
+    errors = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
+        out = tmp_path / threads
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["categorical", "--validation", counts, "--samples", 1000, "--out", out])
+        assert code == 3 and not out.exists()
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("numerical failure: ") and "overflow" in errors[0]
+    assert errors[1] == errors[0] and errors[2] == errors[0]
+
+
 class TestReproducibility:
     @pytest.mark.parametrize(
         "argv",
