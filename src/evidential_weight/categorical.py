@@ -14,7 +14,8 @@ Proposals come in antithetic pairs, rows 2i and 2i + 1 of a chunk, whose
 gammas are negatively correlated in each factor that is not reflected
 (see :func:`_gamma_pairs`).  Every gamma that no such pair couples, a
 reflected factor's and each one the pair sampler rejects, comes from
-numpy's ``Generator.standard_gamma``.  The LR is the ratio of the sums
+numpy's ``Generator.standard_gamma`` (at concentration 1 from its
+``standard_exponential``, the same values).  The LR is the ratio of the sums
 of the kept draws; its Monte Carlo standard error is taken over units,
 the sums of the kept draws (one or two) of each pair, which are
 independent where the draws of a pair are not.  On the study table, at
@@ -75,8 +76,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import mc
-from .core import LrEstimate, Scenario, read_scenario_rows, require_count
-from .errors import DomainError, InputFormatError
+from .core import LrEstimate, Scenario, lr_from_counts, read_scenario_rows, require_count
+from .errors import DegenerateRateError, DomainError, InputFormatError
 
 __all__ = [
     "Conclusion",
@@ -159,17 +160,6 @@ class ConclusionCounts:
             np.asarray(self.h1, dtype=float) + 1.0,
             np.asarray(self.h2, dtype=float) + 1.0,
         )
-
-    def observed_rate_ratio(self, conclusion: Conclusion) -> float:
-        """Plug-in ratio of observed rates for one conclusion (H1 over H2)."""
-        n1, n2 = self.totals()
-        if n1 == 0 or n2 == 0:
-            raise DomainError("both scenarios need observations for a rate ratio")
-        k1 = self.h1[conclusion.value]
-        k2 = self.h2[conclusion.value]
-        if k2 == 0:
-            return math.inf
-        return (k1 / n1) / (k2 / n2)
 
     @classmethod
     def from_json_obj(cls, obj: dict, path: str = "") -> "ConclusionCounts":
@@ -364,12 +354,12 @@ def _rate_pair_proposal(counts: ConclusionCounts | None):
     Rows 2i and 2i + 1 of a chunk are a pair (see :func:`_gamma_pairs`),
     whose gammas are antithetic in each factor that is not reflected.  A
     reflected factor's gammas are independent, each column one call of
-    numpy's ``standard_gamma`` (at concentration 1 its standard
-    exponential): reflection carries an antithetic partner into the same
-    half-space, and on the flat prior such partners raised the variance
-    of LR(ID) by half.  Where both factors are reflected, every row is
-    independent of every other.  The columns are drawn in order from the
-    chunk's generator.
+    numpy's ``standard_gamma``, or at concentration 1 of its
+    ``standard_exponential``, the same values sooner: reflection carries
+    an antithetic partner into the same half-space, and on the flat prior
+    such partners raised the variance of LR(ID) by half.  Where both
+    factors are reflected, every row is independent of every other.  The
+    columns are drawn in order from the chunk's generator.
 
     Where the non-mated factor is not reflected, q_ID given w = q_Inc /
     (q_Inc + q_Exc) is Beta(a, b), and the integration is the threshold
@@ -396,6 +386,8 @@ def _rate_pair_proposal(counts: ConclusionCounts | None):
         for j, alpha in enumerate(alphas.tolist()):
             if antithetic[j]:
                 _gamma_pairs(gen, alpha, draws[:, j])
+            elif alpha == 1.0:  # standard_gamma(1.0), bit for bit, and faster
+                gen.standard_exponential(out=draws[:, j])
             else:
                 gen.standard_gamma(alpha, out=draws[:, j])
         for first in (0, 3):
@@ -783,8 +775,13 @@ class DrawSummary:
     relative error of LR(ID) and LR(Exc) falls from about 0.52e-6 to
     0.11e-6, and that of LR(Inc) from 0.33e-6 to 0.10e-6.
 
-    ``n_proposed`` and ``n_chunks`` are the sampler's proposals and
-    chunks, which :func:`summarize_draws` sets with the acceptance rate.
+    It is the consumer of :func:`mc.rejection_stream`: each call takes
+    one chunk's kept rows, as the stream gathers them, with their proposal
+    indices, and overwrites the rows.  The moments are merged in blocks of
+    ``_BLOCK_ROWS`` proposals, cut at the same proposal indices whatever
+    the thread count.  ``n_proposed`` and ``n_chunks`` are the sampler's
+    proposals and chunks, which :func:`summarize_draws` sets with the
+    acceptance rate.
     """
 
     def __init__(self, seed: int, bins: int = 0, paired: bool = True,
@@ -803,12 +800,11 @@ class DrawSummary:
         self.bins = bins
         self.cells = np.zeros((len(Conclusion) if bins else 0, bins * bins), dtype=np.intp)
 
-    def __call__(self, draws: np.ndarray, rows: np.ndarray) -> None:
-        kept = mc.kept_rows(draws, rows)
+    def __call__(self, kept: np.ndarray, index: np.ndarray) -> None:
         for j, cells in enumerate(self.cells):
             _count_cells(cells, kept[:, j], kept[:, 3 + j], self.bins)
-        # what follows overwrites the chunk, which no one reads after this
-        # call; each step reads sampled rates that the steps after it
+        # what follows overwrites the kept rows, which no one reads after
+        # this call; each step reads sampled rates that the steps after it
         # overwrite.  The ID step also reads q_ID, but never runs with q_id:
         # its slice is uniform only where the non-mated factor is reflected
         id_exc, inc = self.polygons
@@ -823,18 +819,19 @@ class DrawSummary:
         if inc:
             kept[:, 1], kept[:, 4] = inc_means
         if id_exc or inc:
-            self.n_polygon += rows.size
-        unit, cuts = rows, []  # unpaired draws are their own units: no sums, one block
+            self.n_polygon += index.size
+        unit, cuts = index, []  # unpaired draws are their own units: no sums, one block
         if self.paired:
-            # rows 2i and 2i + 1 of a chunk are a pair (see _rate_pair_proposal),
-            # so blocks of _BLOCK_ROWS proposals, an even number, hold whole pairs
-            unit = rows >> 1
-            cuts = np.searchsorted(rows, range(_BLOCK_ROWS, draws.shape[0], _BLOCK_ROWS))
-        for lo, hi in itertools.pairwise([0, *cuts, rows.size]):
+            # proposals 2i and 2i + 1 are a pair (see _rate_pair_proposal), so
+            # blocks of _BLOCK_ROWS proposals, an even number, hold whole pairs
+            unit = index >> 1
+            start = index[0] - index[0] % _BLOCK_ROWS + _BLOCK_ROWS
+            cuts = np.searchsorted(index, range(start, index[-1] + 1, _BLOCK_ROWS))
+        for lo, hi in itertools.pairwise([0, *cuts, index.size]):
             if hi > lo:
                 block = _Moments.of(*_unit_sums(kept[lo:hi, :3], kept[lo:hi, 3:], unit[lo:hi]))
                 self.moments = block if self.moments is None else self.moments.merge(block)
-        self.n_samples += rows.size
+        self.n_samples += index.size
 
     def estimate(self, conclusion: Conclusion) -> LrEstimate:
         return self.moments.estimate(conclusion.value, self.n_samples,
@@ -853,25 +850,26 @@ class DrawSummary:
 
 
 def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.RngStream,
-                    *, bins: int = 0, threads: int | None = None) -> DrawSummary:
+                    *, bins: int = 0) -> DrawSummary:
     """Summary of ``n_accepted`` admissible pairs from one count table, drawn on ``rng``.
 
     The draws are those :func:`sample_rate_pairs` makes on the same stream,
     folded chunk by chunk as they are accepted; with ``bins`` the summary
-    also counts each conclusion's grid cells, ``bins`` per axis.  Where
-    the non-mated factor is not reflected, LR(ID) integrates q_ID out of
-    the certified rows, and where a slice of the region is uniform, the
-    LRs it covers take each row's polygon means (see
-    :class:`DrawSummary`).  Any 3 draws span at
-    least 2 antithetic pairs, the fewest a standard error is taken over.
+    also counts each conclusion's grid cells, ``bins`` per axis.  They are
+    drawn on a pool of :func:`mc.resolve_threads` workers (the
+    ``EVIDENTIAL_WEIGHT_THREADS`` setting, else one per CPU), whose size
+    changes no result.  Where the non-mated factor is not reflected,
+    LR(ID) integrates q_ID out of the certified rows, and where a slice
+    of the region is uniform, the LRs it covers take each row's polygon
+    means (see :class:`DrawSummary`).  Any 3 draws span at least 2
+    antithetic pairs, the fewest a standard error is taken over.
     """
     if n_accepted < 3:
         raise DomainError(f"a Monte Carlo standard error needs at least 3 draws, got {n_accepted}")
     proposal, mass, paired, q_id = _rate_pair_proposal(counts)
     summary = DrawSummary(rng.seed, bins, paired, q_id, _uniform_slices(counts))
     summary.acceptance_rate, summary.n_proposed, summary.n_chunks = mc.rejection_stream(
-        proposal, _admissible_draws, n_accepted, rng, summary,
-        threads=threads, proposal_mass=mass,
+        proposal, _admissible_draws, n_accepted, rng, summary, proposal_mass=mass
     )
     return summary
 
@@ -881,13 +879,11 @@ def lr_for_conclusion(
     counts: ConclusionCounts | None = None,
     n_accepted: int = DEFAULT_N_ACCEPTED,
     rng: mc.RngStream = mc.RngStream(0),
-    *,
-    threads: int | None = None,
 ) -> LrEstimate:
     """Recipient LR for hearing one conclusion, given optional validation counts."""
     if isinstance(conclusion, str):
         conclusion = Conclusion.parse(conclusion)
-    return summarize_draws(counts, n_accepted, rng, threads=threads).estimate(conclusion)
+    return summarize_draws(counts, n_accepted, rng).estimate(conclusion)
 
 
 def _largest_remainder(total: int, weights: Sequence[int]) -> list[int]:
@@ -958,8 +954,6 @@ def lr_sweep(
     sizes: Sequence[int],
     n_accepted: int = DEFAULT_N_ACCEPTED,
     rng: mc.RngStream = mc.RngStream(0),
-    *,
-    threads: int | None = None,
 ) -> SweepResult:
     """LR for each conclusion across rescaled validation-study sizes.
 
@@ -972,18 +966,28 @@ def lr_sweep(
     :func:`sample_rate_pairs` on the same stream, up to float rounding,
     where no row has q_ID integrated out or polygon means taken (see
     :class:`DrawSummary`).  Every size is checked before the first is
-    drawn.
+    drawn, and each is drawn on its own pool, as :func:`summarize_draws`
+    draws.  The asymptotes are the plug-in rate ratios of
+    :func:`core.lr_from_counts` on ``base_counts``, ``inf`` where no H2
+    comparison reached the conclusion.
     """
     if len(sizes) == 0:
         raise DomainError("sizes must be nonempty")
     tables = [scaled_counts(base_counts, int(size)) for size in sizes]
     rows, draws = [], []
     for i, (size, counts) in enumerate(zip(sizes, tables)):
-        summary = summarize_draws(counts, n_accepted, rng.substream(i + 1), threads=threads)
+        summary = summarize_draws(counts, n_accepted, rng.substream(i + 1))
         rows.extend(SweepRow(int(size), c, summary.estimate(c)) for c in Conclusion)
         draws.append({"size": int(size), **summary.counters()})
-    return SweepResult(tuple(rows), {c: base_counts.observed_rate_ratio(c) for c in Conclusion},
-                       tuple(draws))
+    n1, n2 = base_counts.totals()
+    asymptotes = {}
+    for c in Conclusion:
+        try:
+            asymptotes[c] = lr_from_counts(
+                base_counts.h1[c.value], n1, base_counts.h2[c.value], n2)
+        except DegenerateRateError:  # no H2 comparison reached c
+            asymptotes[c] = math.inf
+    return SweepResult(tuple(rows), asymptotes, tuple(draws))
 
 
 def density_grid(

@@ -318,11 +318,11 @@ def _cmd_categorical(args) -> Run:
     for size in sweep_sizes or []:
         categorical.scaled_counts(counts, size)  # a size too small raises before any draw
     rng = mc.RngStream(args.seed)
-    threads = mc.resolve_threads()
+    mc.resolve_threads()  # a bad EVIDENTIAL_WEIGHT_THREADS exits 2 before any draw
 
     # each table is one run on its own pool: the main draw, with its
     # grids, on substream 0, and sweep size i on substream i + 1
-    main = categorical.summarize_draws(counts, args.samples, rng, bins=100, threads=threads)
+    main = categorical.summarize_draws(counts, args.samples, rng, bins=100)
     estimate = main.estimate(conclusion)
     tables = [
         (f"density_grid_{c.name.lower()}.csv", ["p_bin", "q_bin", "density"],
@@ -334,7 +334,7 @@ def _cmd_categorical(args) -> Run:
     # proposals and chunks
     draws = {"main": main.counters()}
     if sweep_sizes:
-        sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng, threads=threads)
+        sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng)
         rows = [
             (row.size, row.conclusion.name.lower(), row.estimate.lr,
              row.estimate.mc_std_err, sweep.asymptotes[row.conclusion])

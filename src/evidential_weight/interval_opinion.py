@@ -261,7 +261,8 @@ def _log_shape_integrals(log_p, r: float, s: float, c, spec: mc.QuadratureSpec):
     agree to ``spec.rel_tol`` in the log.  A row stops at its own level,
     so its value does not depend on the other rows.  Returns (log
     integrals, deepest level used, largest final |difference of the last
-    two log estimates|).
+    two log estimates|, the scan: each row's log integrand at the
+    ``_SCAN_POINTS`` points of :func:`_scan_grid`).
 
     Raises
     ------
@@ -316,7 +317,7 @@ def _log_shape_integrals(log_p, r: float, s: float, c, spec: mc.QuadratureSpec):
         delta[active] = np.abs(current[active] - previous[active])
         active = active[~(delta[active] <= spec.rel_tol)]
         if active.size == 0:
-            return current, level, float(np.max(delta))
+            return current, level, float(np.max(delta)), scan
     worst = int(active[0])
     raise QuadratureConvergenceError(
         f"no convergence to rel_tol={spec.rel_tol:g} within "
@@ -325,20 +326,21 @@ def _log_shape_integrals(log_p, r: float, s: float, c, spec: mc.QuadratureSpec):
     )
 
 
-def _boundary_mass_fraction(params: GammaConjParams, spec: mc.QuadratureSpec) -> float:
+def _boundary_mass_fraction(params: GammaConjParams, spec: mc.QuadratureSpec,
+                            full: np.ndarray) -> float:
     """Share of the hyperprior's scanned mass in the rectangle's outermost cells.
 
     The cells are those of the ``_SCAN_POINTS``-point log-alpha scan and
     log-beta strips of the same count: the alpha-marginal mass at the first
     and last scan points, plus, at the interior scan points, the closed-form
     rate mass in [b_lo, b_lo e^d] and [b_hi e^-d, b_hi], d the log-beta
-    cell width.
+    cell width.  ``full`` is the alpha-marginal log mass at the scan
+    points, the normalizer's scan of :func:`_log_shape_integrals`.
     """
     u = _scan_grid(spec)
     shape = _log_shape_factor(u, params.log_p, params.r)
     k = params.s * np.exp(u) + 1.0
     d = (math.log(spec.b_hi) - math.log(spec.b_lo)) / (_SCAN_POINTS - 1)
-    full = shape + _log_rate_integral(k, params.q, spec.b_lo, spec.b_hi)
     strips = shape + np.logaddexp(
         _log_rate_integral(k, params.q, spec.b_lo, spec.b_lo * math.exp(d)),
         _log_rate_integral(k, params.q, spec.b_hi * math.exp(-d), spec.b_hi),
@@ -366,12 +368,12 @@ def width_normalizer_diagnostics(
     key = (params, spec)
     hit = _normalizer_cache.get(key)
     if hit is None:
-        value, levels, delta = _log_shape_integrals(
+        value, levels, delta, scan = _log_shape_integrals(
             [params.log_p], params.r, params.s, [params.q], spec
         )
         hit = {
             "log_normalizer": float(value[0]),
-            "boundary_mass_fraction": _boundary_mass_fraction(params, spec),
+            "boundary_mass_fraction": _boundary_mass_fraction(params, spec, scan[0]),
             "levels": levels,
             "abs_delta_log": delta,
         }
@@ -399,7 +401,7 @@ def _log_width_density(params: GammaConjParams, ws, spec: mc.QuadratureSpec):
     if np.any(bad):
         raise DomainError(f"w must be positive and finite, got {float(ws[bad][0])!r}")
     log_normalizer = width_normalizer_diagnostics(params, spec)["log_normalizer"]
-    log_num, levels, delta = _log_shape_integrals(
+    log_num, levels, delta, _ = _log_shape_integrals(
         params.log_p + np.log(ws), params.r + 1.0, params.s + 1.0, params.q + ws, spec
     )
     return log_num - log_normalizer, levels, delta

@@ -7,13 +7,14 @@ stream draws from its own SFC64 bit generator, seeded by a
 sampling consumes randomness in fixed-size chunks, one child stream per
 chunk index, which makes the output independent of how many worker threads
 evaluate the chunks.  :func:`rejection_stream` draws one rejection target
-on its own pool, handing each chunk's accepted rows to a consumer in
-chunk-index order; the pool's threads draw under the caller's numpy
-error state, so a float guard set around the call holds for them too.
-Every command folds them into running estimates
-(:class:`categorical.DrawSummary`), in the memory of a few chunks;
-:func:`rejection_sample` collects them into one buffer, for library
-callers that want the draws, with the proposal index of each, from
+on its own pool, of one worker or more, and hands each chunk's kept rows,
+gathered once, with the proposal index of each, to a consumer in
+chunk-index order, which may overwrite them; the pool's threads draw
+under the caller's numpy error state, so a float guard set around the
+call holds for them too.  Every command folds them into running
+estimates (:class:`categorical.DrawSummary`), in the memory of a few
+chunks; :func:`rejection_sample` collects them into one buffer, for
+library callers that want the draws, with their proposal indices, from
 which :mod:`categorical` tells the two draws of an antithetic pair.
 The acceptance rate reported is the share of proposals accepted times
 the proposal's mass, so a caller whose proposal covers only part of the
@@ -41,7 +42,6 @@ __all__ = [
     "RejectionResult",
     "rejection_stream",
     "rejection_sample",
-    "kept_rows",
     "gauss_nodes",
     "log_integrate_2d",
     "resolve_threads",
@@ -173,17 +173,18 @@ def rejection_stream(
 
     ``proposal(generator, n)`` returns ``n`` draws (the rows of a 2-D
     array); ``accept`` maps them to a boolean mask and must be pure.
-    ``consume(draws, rows)`` receives each chunk with the ascending
-    indices of its kept rows (see :func:`kept_rows`), and may overwrite
-    it.  Workers keep up to ``threads`` chunks in flight, no more than the
-    acceptance rate so far says are needed; ``accept`` and ``consume`` run
-    on the calling thread in chunk-index order, so the consumed rows and
-    every counter are identical for any ``threads`` value.  Each worker
-    draws its chunk in a copy of the calling thread's context, so under
-    the caller's numpy error state too (``np.errstate`` is a context
-    variable, and a new thread starts with the default): a float error
-    that raises on one thread raises on any number.  No chunk outlives
-    the call.
+    ``consume(kept, index)`` receives each chunk's kept rows, each column
+    contiguous, with their ascending proposal indices (row ``r`` of chunk
+    ``c`` is ``c * CHUNK_SIZE + r``), and may overwrite ``kept``.  A pool
+    of ``threads`` workers, one at ``threads=1``, draws the chunks, with
+    up to ``threads`` in flight, no more than the acceptance rate so far
+    says are needed; ``accept`` and ``consume`` run on the calling thread
+    in chunk-index order, so the consumed rows and every counter are
+    identical for any ``threads`` value.  Each worker draws its chunk in
+    a copy of the calling thread's context, so under the caller's numpy
+    error state too (``np.errstate`` is a context variable, and a new
+    thread starts with the default): a float error that raises on one
+    thread raises on any number.  No chunk or worker outlives the call.
 
     Returns (acceptance rate, proposals drawn, chunks drawn).  The rate,
     also the one held to the floor, is the share of proposals accepted
@@ -199,39 +200,34 @@ def rejection_stream(
     if target_accepted < 1:
         raise DomainError(f"target_accepted must be >= 1, got {target_accepted!r}")
     threads = resolve_threads(threads)
+    # imported here, so that a process that draws nothing, or only wants
+    # a QuadratureSpec, loads neither it nor its logging
+    from concurrent.futures import ThreadPoolExecutor
+
     n_chunks = n_accepted = n_kept = 0  # n_accepted counts the last chunk's surplus too
 
     def propose(index: int) -> np.ndarray:
         return proposal(rng.chunk_generator(index), CHUNK_SIZE)
 
-    pool = None
-    if threads > 1:
-        # imported here, so that a process that draws on one thread, or
-        # only wants a QuadratureSpec, loads neither it nor its logging
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(max_workers=threads)
+    pool = ThreadPoolExecutor(max_workers=threads)
     pending: deque = deque()  # futures of the next chunks, in index order
     try:
         while n_kept < target_accepted:
-            if pool is None:
-                draws = propose(n_chunks)
-            else:
-                # the first chunk taken sets the rate; until then, fill the pool
-                while len(pending) < threads and (
-                    n_chunks == 0
-                    or n_accepted * (n_chunks + len(pending)) < target_accepted * n_chunks
-                ):
-                    # in a copy of the caller's context: its numpy error state
-                    pending.append(pool.submit(
-                        contextvars.copy_context().run, propose, n_chunks + len(pending)))
-                draws = pending.popleft().result()
+            # the first chunk taken sets the rate; until then, fill the pool
+            while len(pending) < threads and (
+                n_chunks == 0
+                or n_accepted * (n_chunks + len(pending)) < target_accepted * n_chunks
+            ):
+                # in a copy of the caller's context: its numpy error state
+                pending.append(pool.submit(
+                    contextvars.copy_context().run, propose, n_chunks + len(pending)))
+            draws = pending.popleft().result()
             rows = np.flatnonzero(np.asarray(accept(draws), dtype=bool))
-            n_chunks += 1
             n_accepted += rows.size
             rows = rows[: target_accepted - n_kept]
             if rows.size:
-                consume(draws, rows)
+                consume(_kept_rows(draws, rows), rows + n_chunks * CHUNK_SIZE)
+            n_chunks += 1
             n_kept += rows.size
             del draws  # freed before the next submission draws another chunk
             n_proposed = n_chunks * CHUNK_SIZE
@@ -244,12 +240,11 @@ def rejection_stream(
                     acceptance_rate=rate, n_proposed=n_proposed,
                 )
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
     return rate, n_proposed, n_chunks
 
 
-def kept_rows(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _kept_rows(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``draws[rows]`` for ascending ``rows``, columns contiguous.
 
     Rows that are the chunk's first ones (every chunk where nearly all
@@ -268,30 +263,20 @@ def kept_rows(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 class _RowBuffer:
     """Consumer that copies the kept rows, and their proposal indices, into
-    buffers of ``n_rows`` rows.
+    buffers of ``n_rows`` rows."""
 
-    ``accept`` wraps the predicate to count chunks: it runs once per chunk
-    drawn, in chunk-index order, before that chunk's rows are consumed.
-    """
-
-    def __init__(self, n_rows: int, accept: Callable[[np.ndarray], np.ndarray]):
+    def __init__(self, n_rows: int):
         self.n_rows = n_rows
-        self.predicate = accept
         self.samples = self.index = None
         self.n_kept = 0
-        self.chunk = -1
 
-    def accept(self, draws: np.ndarray) -> np.ndarray:
-        self.chunk += 1
-        return self.predicate(draws)
-
-    def __call__(self, draws: np.ndarray, rows: np.ndarray) -> None:
+    def __call__(self, kept: np.ndarray, index: np.ndarray) -> None:
         if self.samples is None:  # numpy's MemoryError names the size refused
-            self.samples = np.empty((self.n_rows, draws.shape[1]), draws.dtype, order="F")
+            self.samples = np.empty((self.n_rows, kept.shape[1]), kept.dtype, order="F")
             self.index = np.empty(self.n_rows, dtype=np.int64)
-        stop = self.n_kept + rows.size
-        self.samples[self.n_kept:stop] = kept_rows(draws, rows)
-        np.add(rows, self.chunk * CHUNK_SIZE, out=self.index[self.n_kept:stop])
+        stop = self.n_kept + index.size
+        self.samples[self.n_kept:stop] = kept
+        self.index[self.n_kept:stop] = index
         self.n_kept = stop
 
 
@@ -316,9 +301,9 @@ def rejection_sample(
     MemoryError
         If the buffer for ``target_accepted`` rows cannot be allocated.
     """
-    buffer = _RowBuffer(target_accepted, accept)
+    buffer = _RowBuffer(target_accepted)
     counters = rejection_stream(
-        proposal, buffer.accept, target_accepted, rng, buffer,
+        proposal, accept, target_accepted, rng, buffer,
         threads=threads, proposal_mass=proposal_mass,
     )
     return RejectionResult(buffer.samples, *counters, buffer.index)

@@ -290,14 +290,14 @@ class TestLrEstimates:
         assert 0.2 * spread < est.mc_std_err < 5.0 * spread
 
     @pytest.mark.parametrize("table", ["study", "size 100", "flat prior"])
-    def test_standard_error_matches_spread_over_seeds(self, table, study_counts):
+    def test_standard_error_matches_spread_over_seeds(self, table, study_counts, monkeypatch):
         # the SE over antithetic units must predict the spread of the LR
         # over independent seeds; a per-draw SE would miss by a factor of
         # about 3 (ID) to 30 (Inc, Exc) on the study table
         counts = {"study": study_counts, "size 100": cat.scaled_counts(study_counts, 100),
                   "flat prior": None}[table]
-        runs = [cat.summarize_draws(counts, 20_000, mc.RngStream(2000 + i), threads=1)
-                for i in range(100)]
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "1")  # no run draws a spare chunk
+        runs = [cat.summarize_draws(counts, 20_000, mc.RngStream(2000 + i)) for i in range(100)]
         for conclusion in cat.Conclusion:
             estimates = [run.estimate(conclusion) for run in runs]
             spread = np.std([est.lr for est in estimates], ddof=1)
@@ -443,7 +443,7 @@ class TestSweep:
         with pytest.raises(DomainError):
             cat.lr_sweep(study_counts, [], 1000, mc.RngStream(0))
 
-    def test_rows_equal_estimates_from_each_sizes_own_draws(self, study_counts):
+    def test_rows_equal_estimates_from_each_sizes_own_draws(self, study_counts, monkeypatch):
         # 300,000 draws take three chunks and end part way into the third;
         # at size 100 about one proposal in 500 is rejected, so its kept
         # rows are gathered, while at size 1000 each chunk is kept whole.
@@ -452,8 +452,9 @@ class TestSweep:
         # agrees with the plain ratio within the plain ratio's error
         n, rng, sizes = 300_000, mc.RngStream(84), [100, 1000]
         assert 2 * mc.CHUNK_SIZE < n < 3 * mc.CHUNK_SIZE
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "3")
         threads_before = threading.active_count()
-        sweep = cat.lr_sweep(study_counts, sizes, n, rng, threads=3)
+        sweep = cat.lr_sweep(study_counts, sizes, n, rng)
         assert threading.active_count() == threads_before
         integrated = [draws["q_id_integrated"] for draws in sweep.draws]
         assert [(d["size"], d["kept"]) for d in sweep.draws] == [(100, n), (1000, n)]
@@ -480,10 +481,10 @@ class TestSweep:
         monkeypatch.setattr(mc, "INTRACTABLE_FLOOR", 0.999)
         threads_before = threading.active_count()
         errors = []
-        for threads in (1, 3):
+        for threads in ("1", "3"):
+            monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
             with pytest.raises(ConstraintIntractableError) as err:
-                cat.lr_sweep(study_counts, [1000, 100], 400_000, mc.RngStream(85),
-                             threads=threads)
+                cat.lr_sweep(study_counts, [1000, 100], 400_000, mc.RngStream(85))
             errors.append((err.value.n_proposed, err.value.acceptance_rate))
             assert threading.active_count() == threads_before
         assert errors[0] == errors[1]

@@ -187,10 +187,11 @@ class TestRejectionSample:
 
         monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
         rng = mc.RngStream(11)
-        consumed = []
+        consumed, indices = [], []
 
-        def consume(d, rows):
-            consumed.append(mc.kept_rows(d, rows).copy())
+        def consume(kept, index):
+            consumed.append(kept.copy())
+            indices.append(index.copy())
 
         threads_before = threading.active_count()
         counters = mc.rejection_stream(
@@ -199,14 +200,49 @@ class TestRejectionSample:
         assert threading.active_count() == threads_before
         alone = mc.rejection_sample(uniform_pair_proposal, accept, target, rng, threads=1)
         assert np.array_equal(np.concatenate(consumed), alone.samples)
+        assert np.array_equal(np.concatenate(indices), alone.index)
         assert counters == (alone.acceptance_rate, alone.n_proposed, alone.n_chunks)
+        # each chunk's rows are the proposals that pass, at their global indices
+        for kept, index in zip(consumed, indices):
+            chunk = int(index[0]) // 1000
+            assert np.all(index // 1000 == chunk)
+            draws = uniform_pair_proposal(rng.chunk_generator(chunk), 1000)
+            assert np.array_equal(kept, draws[index % 1000])
+            assert np.all(accept(kept))
+
+    def test_one_thread_is_a_pool_of_one(self, monkeypatch):
+        # EVIDENTIAL_WEIGHT_THREADS=1 draws every chunk on one worker thread,
+        # not the caller's, to the same rows and counters as two threads do
+        def accept(d):
+            return d[:, 0] > d[:, 1]
+
+        workers = []
+
+        def proposal(gen, n):
+            workers.append(threading.get_ident())
+            return uniform_pair_proposal(gen, n)
+
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
+        rng = mc.RngStream(12)
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "2")
+        pooled = mc.rejection_sample(uniform_pair_proposal, accept, 5_500, rng)
+        monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "1")
+        threads_before = threading.active_count()
+        alone = mc.rejection_sample(proposal, accept, 5_500, rng)
+        assert threading.active_count() == threads_before
+        assert len(workers) == alone.n_chunks > 1
+        assert len(set(workers)) == 1 and workers[0] != threading.get_ident()
+        assert np.array_equal(alone.samples, pooled.samples)
+        assert np.array_equal(alone.index, pooled.index)
+        assert (alone.acceptance_rate, alone.n_proposed, alone.n_chunks) == (
+            pooled.acceptance_rate, pooled.n_proposed, pooled.n_chunks)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_stream_consumer_error_propagates_and_stops_the_workers(self, threads, monkeypatch):
         class Stop(Exception):
             pass
 
-        def consume(d, rows):
+        def consume(kept, index):
             raise Stop
 
         monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
