@@ -49,18 +49,24 @@ variance of LR(ID) is 1.0 to 1.42 times the plain ratio's, at 900 to
 1000 about a hundredth of it, and from 1500 up below 1e-5 of it.
 
 Where the four concentrations a slice integrates are 1 (see
-:func:`_uniform_slices`), :class:`DrawSummary` also replaces each kept
-row's rates by their exact conditional means on that slice (the same
-Rao-Blackwellization of accept-reject draws; Casella and Robert,
-*Biometrika* 83(1), 1996).  Fixing two rates of one conclusion, p_c and
-q_c, leaves the other two pairs on a convex polygon of the region, on
-which they are uniform, so each mean is a polygon centroid in closed
-form: the ID and Exc rates given the Inc rates (:func:`_id_exc_means`),
-and the Inc rates given the sampled ID rates (:func:`_inc_means`), both
-from one wedge-and-cap kernel (:func:`_wedge_and_cap_moments`).  Both
-hold on the flat prior, where at the same draws the variance of LR(ID)
-and LR(Exc) falls to about 0.22 of the plain ratio's and that of LR(Inc)
-to about 0.32; no posterior table of the study has either.  The draws,
+:func:`_uniform_slices`), :class:`DrawSummary` takes the LRs that slice
+covers from every proposal drawn, rejected ones included, not from the
+kept rows (Rao-Blackwellized accept-reject draws; Casella and Robert,
+*Biometrika* 83(1), 1996).  Fixing the rates of the other conclusions
+leaves (p_c, q_c) on a convex polygon of the region, the slice, on
+which the truncated law is uniform, and the proposal on a rectangle
+around it, its conditional support, on which the proposal is uniform.
+So the integrals of p_c and of q_c over the slice, each divided by the
+rectangle's area, are the exact conditional expectations of p_c 1_A and
+q_c 1_A under the proposal, and the ratio of their sums over every
+proposal estimates the LR.  An empty slice gives 0.  The ID and Exc
+rates given the Inc rates (:func:`_id_exc_integrals`) and the Inc rates
+given the ID rates (:func:`_inc_integrals`) come from one wedge-and-cap
+kernel (:func:`_wedge_and_cap_moments`).  Both slices are uniform on the
+flat prior, where at the same kept draws the variance of LR(ID) and
+LR(Exc) is about a tenth of the plain ratio's, and that of LR(Inc)
+about a fifth; no posterior table of the study has either.  Only the
+slices of the conclusions a caller reads are integrated.  The draws,
 the grids, ``n_samples`` and the acceptance rate do not change.
 :func:`lr_from_samples` stays the plain ratio of the sums.
 """
@@ -126,12 +132,14 @@ def admissible_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``p`` holds mated-comparison rate rows, ``q`` non-mated rows, each of
     shape (n, 3) ordered (ID, Inc, Exc).  All six inequalities are strict;
     the ratio orderings are cross-multiplied so zero rates never divide.
+    Five are tested.  The sixth, q_Exc > p_Exc, follows on the simplex:
+    were q_Exc <= p_Exc, then p_Inc q_Exc > p_Exc q_Inc >= q_Exc q_Inc
+    would give p_Inc > q_Inc, and so p_ID < q_ID.
     """
     return (
         (p[:, 0] > p[:, 2])
         & (p[:, 0] > q[:, 0])
         & (q[:, 2] > q[:, 0])
-        & (q[:, 2] > p[:, 2])
         & (p[:, 0] * q[:, 1] > p[:, 1] * q[:, 0])
         & (p[:, 1] * q[:, 2] > p[:, 2] * q[:, 1])
     )
@@ -232,8 +240,57 @@ class RatePairSamples:
 _BLOCK_ROWS = 1 << 16
 
 
+#: Rows per block of the constraint checks and the slice integrals, few
+#: enough for their temporaries to stay in a core's cache.
+_CACHE_ROWS = 1 << 13
+
+
 def _blocks(n: int, rows: int = _BLOCK_ROWS):
     return (slice(start, start + rows) for start in range(0, n, rows))
+
+
+#: Coefficients of y^20, y^19, ..., y^4 in the series of log1p(y) - y + y^2/2 - y^3/3.
+_LOG_TEST_SERIES = [(-1.0) ** (k + 1) / k for k in range(20, 3, -1)]
+
+
+def _log_test_exponent(y: np.ndarray, d: float) -> np.ndarray:
+    """The exponent of Marsaglia and Tsang's log test, 0.5 x^2 + d (1 - t^3 + 3 log t)
+    with t = 1 + y and y = c x, c^2 = 1 / (9 d), for ``y`` > -1.
+
+    It equals 3 d L(y) exactly, L(y) = log1p(y) - y + y^2/2 - y^3/3, in
+    which the terms of the test's own form, each near d, no longer cancel:
+    at d near 1e20 they lost every digit.  Where |y| < 0.1, L comes from
+    its series -y^4/4 + y^5/5 - ..., to as many terms as leave out less
+    than 2^-55 of the first at the largest such |y| (at most 17);
+    elsewhere, which only small d reach, from the four terms.
+    """
+    out = np.empty_like(y)
+    far = np.abs(y) >= 0.1
+    if far.any():
+        yf = y[far]
+        direct = np.log1p(yf)
+        direct -= yf
+        direct += 0.5 * yf * yf
+        direct -= yf * yf * yf / 3.0
+        out[far] = direct
+        near = ~far
+        ys = y[near]
+    else:
+        near, ys = slice(None), y
+    if ys.size:
+        top = float(np.max(np.abs(ys)))
+        # the first term left out is below top^terms times the first
+        terms = 1 if top == 0.0 else math.ceil(-55.0 * math.log(2.0) / math.log(top))
+        coefficients = _LOG_TEST_SERIES[-terms:]
+        series = np.full(ys.size, coefficients[0])
+        for coefficient in coefficients[1:]:
+            series *= ys
+            series += coefficient
+        ys = ys * ys
+        series *= ys * ys
+        out[near] = series
+    out *= 3.0 * d
+    return out
 
 
 def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> None:
@@ -251,34 +308,30 @@ def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> Non
     redrawn from ``gen.standard_gamma`` once all rows are filled, so every
     variate is an exact Gamma(alpha) draw, and only those few pairs lose
     their coupling.  Rows are filled ``_BLOCK_ROWS`` at a time, so the
-    temporaries stay small.
+    temporaries stay small; the log test, which draws nothing, runs once
+    over every variate that fails the squeeze, since each run of it is
+    some sixty numpy calls on a few thousand values.
     """
     d = alpha - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
     a = d ** (1.0 / 3.0)  # so that d v = (a + b x)^3
     b = a * c
+    # each variate that fails the squeeze: its position, y = c x and uniform
+    positions, ys, us = [], [], []
 
-    def fill(x, sign, bound, values):
-        """d v of each normal ``sign * x`` into ``values``; the positions rejected."""
+    def fill(x, sign, bound, values, offset):
+        """d v of each normal ``sign * x`` into ``values``, rows ``offset``,
+        ``offset`` + 2, ...; the squeeze for each."""
         u = gen.random(x.size)
         t = x * (sign * b)
         t += a
         v = t * t
         np.multiply(v, t, out=values)
-        # the squeeze, then the log test for what fails it, read as
-        # u < exp(...) so that u = 0 takes no log
         rest = np.flatnonzero(u >= bound)
-        xr = sign * x[rest]
-        tr = 1.0 + c * xr
-        # t <= 0 means x^4 >= 81 d^2 >= 36, so it fails the squeeze, and is rejected
-        live = np.flatnonzero(tr > 0.0)
-        xr, tr = xr[live], tr[live]
-        passed = np.zeros(rest.size, dtype=bool)
-        passed[live] = u[rest[live]] < np.exp(
-            0.5 * xr * xr + d * (1.0 - tr * tr * tr + 3.0 * np.log1p(c * xr)))
-        return rest[~passed]
+        positions.append(offset + 2 * rest)
+        ys.append(c * (sign * x[rest]))
+        us.append(u[rest])
 
-    redraw = []
     for start in range(0, out.size, _BLOCK_ROWS):
         block = out[start:start + _BLOCK_ROWS]
         first, second = block[0::2], block[1::2]
@@ -297,11 +350,17 @@ def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> Non
         bound *= bound
         bound *= -0.0331
         bound += 1.0
-        redraw.append(start + 2 * fill(x, 1.0, bound, first))
+        fill(x, 1.0, bound, first, start)
         n = second.size
-        redraw.append(start + 1 + 2 * fill(x[:n], -1.0, bound[:n], second))
-    if redraw:
-        redraw = np.concatenate(redraw)
+        fill(x[:n], -1.0, bound[:n], second, start + 1)
+    if positions:
+        positions, y, u = (np.concatenate(parts) for parts in (positions, ys, us))
+        # the log test, read as u < exp(...) so that u = 0 takes no log;
+        # 1 + y <= 0 means x^4 >= 81 d^2 >= 36, so it fails the squeeze, and is rejected
+        live = np.flatnonzero(y > -1.0)
+        passed = np.zeros(positions.size, dtype=bool)
+        passed[live] = u[live] < np.exp(_log_test_exponent(y[live], d))
+        redraw = positions[~passed]
         out[redraw] = gen.standard_gamma(alpha, size=redraw.size)
 
 
@@ -343,7 +402,8 @@ def _q_id_threshold(a: float, b: float) -> float:
 
 def _rate_pair_proposal(counts: ConclusionCounts | None):
     """Chunk proposal for the Dirichlet pair of ``counts``, the mass it covers,
-    whether its rows come in antithetic pairs, and the q_ID integration.
+    whether its rows come in antithetic pairs, the q_ID integration, and
+    whether the mated and the non-mated factor are reflected.
 
     The region lies inside the half-spaces p_ID > p_Exc and q_Exc > q_ID.
     Where a Dirichlet factor has equal outer concentrations, reversing its
@@ -401,11 +461,18 @@ def _rate_pair_proposal(counts: ConclusionCounts | None):
             draws[:, hi] = high
         return draws
 
-    return proposal, 0.5 ** len(folds), any(antithetic), q_id
+    reflected = (not antithetic[0], not antithetic[3])
+    return proposal, 0.5 ** len(folds), any(antithetic), q_id, reflected
 
 
 def _admissible_draws(draws: np.ndarray) -> np.ndarray:
-    return admissible_mask(draws[:, :3], draws[:, 3:])
+    """:func:`admissible_mask` of each row of a chunk, ``_CACHE_ROWS`` rows at
+    a time: on the calling thread, where the sampler waits for it, that
+    takes about 40% of the time of one pass over the whole chunk."""
+    admissible = np.empty(draws.shape[0], dtype=bool)
+    for block in _blocks(draws.shape[0], _CACHE_ROWS):
+        admissible[block] = admissible_mask(draws[block, :3], draws[block, 3:])
+    return admissible
 
 
 def sample_rate_pairs(
@@ -432,7 +499,7 @@ def sample_rate_pairs(
     """
     if n_accepted < 1:
         raise DomainError(f"n_accepted must be >= 1, got {n_accepted!r}")
-    proposal, mass, paired, _ = _rate_pair_proposal(counts)
+    proposal, mass, paired, _, _ = _rate_pair_proposal(counts)
     result = mc.rejection_sample(
         proposal, _admissible_draws, n_accepted, rng, threads=threads, proposal_mass=mass
     )
@@ -607,19 +674,21 @@ def _uniform_slices(counts: ConclusionCounts | None) -> tuple[bool, bool]:
             not any((h1[1], h1[2], h2[1], h2[2])))
 
 
-#: Rows per block of the polygon means, few enough for their dozen
-#: temporaries to stay in a core's cache.
-_POLYGON_ROWS = 1 << 13
+#: Floor on the rates and support areas the slice integrals divide by.  Where
+#: one is 0 the slice is empty, and the floor keeps every quotient finite.
+_FLOOR = 1e-300
 
 
-def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.ndarray | float,
+def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.ndarray | None,
                            hi: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, ...]:
     """Area, x-moment and y-moment, each times 6, of the region between the
     rays y = lo x and y = hi x on [a, m] and between y = lo x and y = cap
     on [m, e], row by row.
 
     The upper ray meets the cap at m (hi m = cap) or the region ends there
-    (m = e), and 0 <= a <= m <= e; ``lo`` may be the scalar 0.  Each
+    (m = e), and 0 <= a <= m <= e; ``lo`` None is the ray y = 0, which
+    saves four passes.  Where hi = lo and m = e, whatever a, the region is
+    empty and all three are 0.  Each
     piece's area and first moments are exact and taken times 6, with no
     differences of cubes, which lose precision on thin pieces.  The wedge,
     with g = hi - lo: 3 g w (a + m) its area, 2 g w (a^2 + a m + m^2) its
@@ -630,10 +699,15 @@ def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.n
     y-moment, the integral of (cap^2 - (lo x)^2) / 2 with no cancellation
     beyond 2, w = e - m.  Overwrites ``a`` and ``hi``.
     """
-    g = hi - lo
-    hm = g * m
     w = m - a
-    g *= w
+    if lo is None:  # g = hi
+        hm = hi * m
+        g = hi * w
+    else:
+        g = hi - lo
+        hm = g * m
+        g *= w
+        hi += lo
     am = a + m
     area = g * am
     area *= 3.0
@@ -641,12 +715,14 @@ def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.n
     t = m * m
     a += t
     mx = np.multiply(g, a, out=a)
-    hi += lo
-    my = mx * hi
+    my = mx * hi  # hi + lo
     mx *= 2.0
     w = np.subtract(e, m, out=w)
-    hr = np.multiply(lo, e, out=hi)
-    np.subtract(cap, hr, out=hr)
+    if lo is None:
+        hr = cap
+    else:
+        hr = np.multiply(lo, e, out=hi)
+        np.subtract(cap, hr, out=hr)
     h = hm + hr
     wh = h * w
     u = wh * 3.0
@@ -663,56 +739,77 @@ def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.n
     u *= 3.0
     my += u
     h *= hm
-    hr *= hr
-    h += hr
+    np.multiply(hr, hr, out=t)
+    h += t
     h *= w
     my -= h
     return area, mx, my
 
 
-def _id_exc_means(rates: np.ndarray) -> None:
-    """Overwrite the ID and Exc rates of each row of ``rates`` with their
-    means given its Inc rates, where that slice is uniform.
+def _id_exc_integrals(rates: np.ndarray, id_out: tuple | None, exc_out: tuple | None) -> None:
+    """Integrals of the ID and of the Exc rates over each row's slice at its
+    Inc rates, divided by the area of the row's proposal support there.
 
-    ``rates`` holds rows (p_ID, p_Inc, p_Exc, q_ID, q_Inc, q_Exc) of the
-    region.  With (p1, q1) = (p_Inc, q_Inc) fixed, (x, y) = (p_ID, q_ID)
-    ranges over the polygon x in [b / 2, b] with b = 1 - p1 (p_ID > p_Exc,
-    p_Exc >= 0), 0 <= y <= min(c, r (x - x0)) with c = (1 - q1) / 2 (q_Exc >
-    q_ID), r = q1 / p1 and x0 = max(0, q1 - p1) / q1 (the two ratio
-    orderings).  p_ID > q_ID and q_Exc > p_Exc hold on all of it: their
-    lines meet the upper one at x = b.  Measured from the line's foot x0,
-    the right end is d = b - x0 = min(b, 2 c / r), the left end max(0, d
-    - b / 2), and the line reaches c at m = min(d, c / r), never left of
-    the left end.  So the polygon is :func:`_wedge_and_cap_moments`'s region
-    with lo = 0, hi = r, cap = c and e = d.  b and 2 c are taken as p_ID +
-    p_Exc and q_ID + q_Exc, and every length from them, so each keeps its
-    relative precision where the Inc rates are within rounding of 1.  The
-    mean of p_Exc is then b less that of p_ID; likewise for q.
+    ``rates`` holds rows (p_ID, p_Inc, p_Exc, q_ID, q_Inc, q_Exc) of
+    proposals; ``id_out`` and ``exc_out`` are (mated, non-mated) columns
+    to fill, or None.  With (p1, q1) = (p_Inc, q_Inc) fixed, (x, y) =
+    (p_ID, q_ID) ranges over the polygon x in [b / 2, b] with b = 1 - p1
+    (p_ID > p_Exc, p_Exc >= 0), 0 <= y <= min(c, r (x - x0)) with c = (1 -
+    q1) / 2 (q_Exc > q_ID), r = q1 / p1 and x0 = max(0, q1 - p1) / q1 (the
+    two ratio orderings).  p_ID > q_ID and q_Exc > p_Exc hold on all of
+    it: their lines meet the upper one at x = b.  Measured from the line's
+    foot x0, the right end is d = b - x0 = min(b, 2 c / r), the left end
+    max(0, d - b / 2), and the line reaches c at m = min(d, c / r), never
+    left of the left end.  So the polygon is
+    :func:`_wedge_and_cap_moments`'s region with lo = 0, hi = r, cap = c
+    and e = d.  b and 2 c are taken as p_ID + p_Exc and q_ID + q_Exc, and
+    every length from them, so each keeps its relative precision where
+    the Inc rates are within rounding of 1.  The integral of p_Exc is
+    then that of b less p_ID; likewise for q.
+
+    This slice is uniform only where both factors are reflected, so the
+    support is the rectangle [b / 2, b] x [0, c].  Where p_Inc or q_Inc
+    is 0 the polygon is empty (a ratio ordering fails), and the floors on
+    r and on the support keep every quotient finite.
     """
-    for block in _blocks(rates.shape[0], _POLYGON_ROWS):
-        p_id, p, p_exc, q_id, q, q_exc = (rates[block, j] for j in range(6))
-        b = p_id + p_exc
-        c2 = q_id + q_exc
-        r = q / p
-        e = c2 / r
-        d = np.minimum(b, e)  # d, m and a are measured from the foot x0
-        e *= 0.5
-        m = np.minimum(e, d, out=e)
-        a = b * 0.5
-        np.subtract(d, a, out=a)
-        np.maximum(a, 0.0, out=a)
-        area, mx, my = _wedge_and_cap_moments(a, m, d, 0.0, r, c2 * 0.5)
-        mx /= area  # the mean of x - x0
-        np.divide(my, area, out=rates[block, 3])
-        np.subtract(c2, rates[block, 3], out=rates[block, 5])
-        np.subtract(b, d, out=b)  # x0
-        np.add(b, mx, out=rates[block, 0])
-        np.subtract(d, mx, out=rates[block, 2])
+    with np.errstate(divide="ignore"):  # q_Inc = 0: e is inf, and the polygon empty
+        for block in _blocks(rates.shape[0], _CACHE_ROWS):
+            p_id, p, p_exc, q_id, q, q_exc = (rates[block, j] for j in range(6))
+            b = p_id + p_exc
+            c2 = q_id + q_exc
+            r = np.maximum(p, _FLOOR)
+            np.divide(q, r, out=r)
+            e = c2 / r
+            d = np.minimum(b, e)  # d, m and a are measured from the foot x0
+            e *= 0.5
+            m = np.minimum(e, d, out=e)
+            a = b * 0.5
+            np.subtract(d, a, out=a)
+            np.maximum(a, 0.0, out=a)
+            area, mx, my = _wedge_and_cap_moments(a, m, d, None, r, c2 * 0.5)
+            inverse = b * c2  # 6 times the support's area b c / 2, as the kernel's moments
+            inverse *= 1.5
+            np.maximum(inverse, _FLOOR, out=inverse)
+            np.reciprocal(inverse, out=inverse)
+            if exc_out is not None:
+                np.multiply(d, area, out=m)
+                m -= mx
+                np.multiply(m, inverse, out=exc_out[0][block])
+                np.multiply(c2, area, out=m)
+                m -= my
+                np.multiply(m, inverse, out=exc_out[1][block])
+            if id_out is not None:
+                np.subtract(b, d, out=b)  # x0
+                b *= area
+                b += mx
+                np.multiply(b, inverse, out=id_out[0][block])
+                np.multiply(my, inverse, out=id_out[1][block])
 
 
-def _inc_means(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Means of p_Inc and q_Inc of each row of ``rates`` given its ID rates,
-    where that slice is uniform.
+def _inc_integrals(rates: np.ndarray, reflected: tuple[bool, bool], out: tuple) -> None:
+    """Integrals of p_Inc and q_Inc over each row's slice at its ID rates,
+    into the columns ``out``, each divided by the area of the row's
+    proposal support there.
 
     With (p0, q0) = (p_ID, q_ID) fixed, (x, y) = (p_Inc, q_Inc) ranges over
     the polygon x in [a, b], a = max(0, 1 - 2 p0) and b = 1 - p0 (p_ID >
@@ -721,105 +818,151 @@ def _inc_means(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     orderings); q_Exc > p_Exc holds on all of it, and p_ID > q_ID does not
     depend on (x, y).  Where the lower line reaches C before b, at C /
     lam, the polygon ends there: at xr.  The upper line reaches C at m = C
-    / s, which lies in (a, xr] because p0 > q0.  So the polygon is
+    / s, which lies in (a, xr] where p0 > q0.  So the polygon is
     :func:`_wedge_and_cap_moments`'s region with lo = lam, hi = s, cap = C
-    and e = xr.  b and 1 - q0 are taken from the other rates, as in
-    :func:`_id_exc_means`.  Kept rows have p0 > q0 and q0 < 1/2, so the
-    polygon is never empty.
+    and e = xr.  b, 1 - q0 and C are taken from the other rates, as in
+    :func:`_id_exc_integrals`.
+
+    The polygon is empty where p0 <= q0 or q0 >= 1/2.  Clamping makes its
+    integrals exactly 0 there with no test of either: hi = max(s, lam)
+    gives the wedge no height, m = min(C / hi, xr) the cap no width, and
+    C, floored at 0, the region no height.  The floors on p0 and b keep
+    lam and s finite where they are 0.  ``reflected`` says which factors
+    are: the support is x in [a, b] where p is, else [0, b], and y in [0,
+    C] where q is, else [0, 1 - q0].
+    """
+    p_reflected, q_reflected = reflected
+    with np.errstate(divide="ignore"):  # q_ID = 0: the lower line never reaches C
+        for block in _blocks(rates.shape[0], _CACHE_ROWS):
+            p, q = rates[block, 0], rates[block, 3]
+            b = rates[block, 1] + rates[block, 2]
+            u = rates[block, 4] + rates[block, 5]
+            top = u - q
+            np.maximum(top, 0.0, out=top)
+            lam = np.maximum(p, _FLOOR)
+            np.divide(q, lam, out=lam)
+            s = np.maximum(b, _FLOOR)
+            np.divide(u, s, out=s)
+            np.maximum(s, lam, out=s)
+            inverse = np.minimum(b, p) if p_reflected else b.copy()  # b - a, or b
+            inverse *= top if q_reflected else u
+            inverse *= 6.0  # as the kernel's moments
+            np.maximum(inverse, _FLOOR, out=inverse)
+            np.reciprocal(inverse, out=inverse)
+            a = np.subtract(b, p, out=u)
+            np.maximum(a, 0.0, out=a)
+            xr = top / lam
+            np.minimum(xr, b, out=xr)
+            m = np.divide(top, s, out=b)
+            np.minimum(m, xr, out=m)
+            area, mx, my = _wedge_and_cap_moments(a, m, xr, lam, s, top)
+            np.multiply(mx, inverse, out=out[0][block])
+            np.multiply(my, inverse, out=out[1][block])
+
+
+def _slice_integrals(rates: np.ndarray, sliced: Sequence[Conclusion],
+                     reflected: tuple[bool, bool]) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's slice integrals of p_c and of q_c, over its proposal
+    support's area, for each conclusion c of ``sliced``: two (n, k)
+    arrays, column j for ``sliced[j]``, each column contiguous.
+
+    Column j's means over the rows of a chunk are unbiased for E[p_c 1_A]
+    and E[q_c 1_A] under the proposal, each times the same constant, A
+    the region, wherever c's slice is uniform (see
+    :func:`_uniform_slices`).  ``reflected`` is the proposal's, as
+    :func:`_rate_pair_proposal` gives it.
     """
     n = rates.shape[0]
-    mean_p, mean_q = np.empty(n), np.empty(n)
-    for block in _blocks(n, _POLYGON_ROWS):
-        p, q = rates[block, 0], rates[block, 3]
-        b = rates[block, 1] + rates[block, 2]
-        top = q * -2.0
-        top += 1.0
-        lam = q / p
-        s = rates[block, 4] + rates[block, 5]
-        s /= b
-        a = b - p
-        np.maximum(a, 0.0, out=a)
-        with np.errstate(divide="ignore"):  # q_ID = 0: the lower line never reaches C
-            xr = top / lam
-        np.minimum(xr, b, out=xr)
-        area, mx, my = _wedge_and_cap_moments(a, top / s, xr, lam, s, top)
-        np.divide(mx, area, out=mean_p[block])
-        np.divide(my, area, out=mean_q[block])
-    return mean_p, mean_q
+    num, den = (np.empty((n, len(sliced)), order="F") for _ in range(2))
+    cols = {c: (num[:, j], den[:, j]) for j, c in enumerate(sliced)}
+    if Conclusion.ID in cols or Conclusion.EXC in cols:
+        _id_exc_integrals(rates, cols.get(Conclusion.ID), cols.get(Conclusion.EXC))
+    if Conclusion.INC in cols:
+        _inc_integrals(rates, reflected, cols[Conclusion.INC])
+    return num, den
 
 
 class DrawSummary:
     """Moments, and with ``bins`` each conclusion's grid cell counts, of one run's draws.
 
-    The moments are over units, the kept draws of each antithetic pair
-    (each draw alone unless ``paired``), the cell counts and ``n_samples``
-    over the kept draws.  It keeps no draw.  Its grids are those
-    :func:`density_grid` makes from the same draws, and its estimates
-    those of :func:`lr_from_samples`, up to float rounding, unless
-    ``q_id`` or ``polygons`` says otherwise.  ``q_id`` is the threshold
-    t and Beta mean m of :func:`_rate_pair_proposal`.  Then each kept row
-    that :func:`_q_id_certified` certifies enters the ID moments with m
-    in place of its sampled q_ID (see the module docstring), after the
-    grids have counted it; ``n_integrated`` counts those rows.  The
-    relative bias this adds is below ``Q_ID_TAIL``.
+    ``conclusions`` are the conclusions whose LRs the caller reads
+    (:meth:`estimate` refuses any other), and ``sliced`` those of them
+    taken from slice integrals, with the
+    proposal's ``reflected`` flags.  The moments of the others are over
+    units, the kept draws of each antithetic pair (each draw alone unless
+    ``paired``), the cell counts and ``n_samples`` over the kept draws.
+    It keeps no draw.  Its grids are those :func:`density_grid` makes from
+    the same draws, and its estimates those of :func:`lr_from_samples`, up
+    to float rounding, unless ``q_id`` or ``sliced`` says otherwise.
+    ``q_id`` is the threshold t and Beta mean m of
+    :func:`_rate_pair_proposal`.  Then each kept row that
+    :func:`_q_id_certified` certifies enters the ID moments with m in
+    place of its sampled q_ID (see the module docstring), after the grids
+    have counted it; ``n_integrated`` counts those rows.  The relative
+    bias this adds is below ``Q_ID_TAIL``.
 
-    ``polygons`` are the two flags of :func:`_uniform_slices`.  Where the
-    first holds, every kept row enters the ID and Exc moments as its
-    conditional means given its sampled Inc rates (:func:`_id_exc_means`);
-    where the second holds, the Inc moments as its means given its
-    sampled ID rates (:func:`_inc_means`), after the grids have counted
-    it.  These are exact conditional expectations under the truncated
-    law, so each mean of the ratio is unbiased, and the SE, still over
-    units, is that of the conditional means.  ``n_polygon`` counts the
-    rows that entered so.  On the flat prior, at 10^6 draws, the squared
-    relative error of LR(ID) and LR(Exc) falls from about 0.52e-6 to
-    0.11e-6, and that of LR(Inc) from 0.33e-6 to 0.10e-6.
+    Each conclusion of ``sliced`` takes its moments over every proposal
+    drawn instead, rejected ones and chunks that keep nothing included:
+    the integrals of :func:`_slice_integrals`, summed over each
+    antithetic pair where ``paired``.  They are exact conditional
+    expectations under the proposal, so each mean of the ratio is
+    unbiased, and the SE is over proposals (or pairs).  ``n_sliced``
+    counts the proposals that entered so.  On the flat prior, at 10^6
+    kept draws, the squared relative error of LR(ID) and LR(Exc) is about
+    5.5e-8, and that of LR(Inc) about 6e-8.
 
     It is the consumer of :func:`mc.rejection_stream`: each call takes
     one chunk's kept rows, as the stream gathers them, with their proposal
-    indices, and overwrites the rows.  The moments are merged in blocks of
-    ``_BLOCK_ROWS`` proposals, cut at the same proposal indices whatever
-    the thread count.  ``n_proposed`` and ``n_chunks`` are the sampler's
-    proposals and chunks, which :func:`summarize_draws` sets with the
-    acceptance rate.
+    indices, and the whole chunk.  It reads the slice integrals from the
+    chunk first, then overwrites the kept rows, which may be a view of
+    it.  The moments are merged chunk by chunk, those of the kept rows in
+    blocks of ``_BLOCK_ROWS`` proposals, cut at the same proposal indices
+    whatever the thread count.
+    ``n_proposed`` and ``n_chunks`` are the sampler's proposals and
+    chunks, which :func:`summarize_draws` sets with the acceptance rate.
     """
 
     def __init__(self, seed: int, bins: int = 0, paired: bool = True,
                  q_id: tuple[float, float] | None = None,
-                 polygons: tuple[bool, bool] = (False, False)):
+                 conclusions: Sequence[Conclusion] = tuple(Conclusion),
+                 sliced: Sequence[Conclusion] = (),
+                 reflected: tuple[bool, bool] = (False, False)):
         self.seed = seed
         self.paired = paired
         self.q_id = q_id
-        self.polygons = polygons
+        self.conclusions = tuple(conclusions)
+        self.sliced = tuple(sliced)
+        self.reflected = reflected
         self.moments: _Moments | None = None
+        self.slice_moments: _Moments | None = None
         self.n_samples = 0
         self.n_integrated = 0
-        self.n_polygon = 0
+        self.n_sliced = 0
         self.acceptance_rate = math.nan
         self.n_proposed = self.n_chunks = 0
         self.bins = bins
         self.cells = np.zeros((len(Conclusion) if bins else 0, bins * bins), dtype=np.intp)
 
-    def __call__(self, kept: np.ndarray, index: np.ndarray) -> None:
+    def __call__(self, kept: np.ndarray, index: np.ndarray, chunk: np.ndarray) -> None:
+        if self.sliced:
+            num, den = _slice_integrals(chunk, self.sliced, self.reflected)
+            if self.paired:  # rows 2i and 2i + 1 are a pair: CHUNK_SIZE is even
+                num, den = num[0::2] + num[1::2], den[0::2] + den[1::2]
+            block = _Moments.of(num, den)
+            self.slice_moments = (block if self.slice_moments is None
+                                  else self.slice_moments.merge(block))
+            self.n_sliced += chunk.shape[0]
         for j, cells in enumerate(self.cells):
             _count_cells(cells, kept[:, j], kept[:, 3 + j], self.bins)
-        # what follows overwrites the kept rows, which no one reads after
-        # this call; each step reads sampled rates that the steps after it
-        # overwrite.  The ID step also reads q_ID, but never runs with q_id:
-        # its slice is uniform only where the non-mated factor is reflected
-        id_exc, inc = self.polygons
-        inc_means = _inc_means(kept) if inc else None
+        self.n_samples += index.size
+        if index.size == 0 or set(self.conclusions) <= set(self.sliced):
+            return
+        # what follows overwrites the kept rows, which no one reads after this call
         if self.q_id is not None:
             t, mean = self.q_id
             certified = _q_id_certified(kept, t)
             self.n_integrated += int(np.count_nonzero(certified))
             np.putmask(kept[:, 3], certified, mean)
-        if id_exc:
-            _id_exc_means(kept)
-        if inc:
-            kept[:, 1], kept[:, 4] = inc_means
-        if id_exc or inc:
-            self.n_polygon += index.size
         unit, cuts = index, []  # unpaired draws are their own units: no sums, one block
         if self.paired:
             # proposals 2i and 2i + 1 are a pair (see _rate_pair_proposal), so
@@ -831,26 +974,31 @@ class DrawSummary:
             if hi > lo:
                 block = _Moments.of(*_unit_sums(kept[lo:hi, :3], kept[lo:hi, 3:], unit[lo:hi]))
                 self.moments = block if self.moments is None else self.moments.merge(block)
-        self.n_samples += index.size
 
     def estimate(self, conclusion: Conclusion) -> LrEstimate:
-        return self.moments.estimate(conclusion.value, self.n_samples,
-                                     self.acceptance_rate, self.seed)
+        if conclusion not in self.conclusions:
+            raise DomainError(f"LR({conclusion.name}) was not summarized from these draws")
+        if conclusion in self.sliced:
+            moments, j = self.slice_moments, self.sliced.index(conclusion)
+        else:
+            moments, j = self.moments, conclusion.value
+        return moments.estimate(j, self.n_samples, self.acceptance_rate, self.seed)
 
     def density_grid(self, conclusion: Conclusion) -> tuple[np.ndarray, np.ndarray]:
         return _density(self.cells[conclusion.value], self.n_samples, self.bins)
 
     def counters(self) -> dict:
-        """The kept draws, how many had q_ID integrated out, how many
-        entered the moments as polygon means, and the proposals and chunks
-        drawn; none depends on the thread count."""
+        """The kept draws, how many had q_ID integrated out, the proposals
+        that entered the LRs as slice integrals, and the proposals and
+        chunks drawn; none depends on the thread count."""
         return {"kept": self.n_samples, "q_id_integrated": self.n_integrated,
-                "polygon_integrated": self.n_polygon, "proposals": self.n_proposed,
+                "slice_integrated": self.n_sliced, "proposals": self.n_proposed,
                 "chunks": self.n_chunks}
 
 
 def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.RngStream,
-                    *, bins: int = 0) -> DrawSummary:
+                    *, bins: int = 0,
+                    conclusions: Sequence[Conclusion] = tuple(Conclusion)) -> DrawSummary:
     """Summary of ``n_accepted`` admissible pairs from one count table, drawn on ``rng``.
 
     The draws are those :func:`sample_rate_pairs` makes on the same stream,
@@ -858,16 +1006,20 @@ def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.Rn
     also counts each conclusion's grid cells, ``bins`` per axis.  They are
     drawn on a pool of :func:`mc.resolve_threads` workers (the
     ``EVIDENTIAL_WEIGHT_THREADS`` setting, else one per CPU), whose size
-    changes no result.  Where the non-mated factor is not reflected,
-    LR(ID) integrates q_ID out of the certified rows, and where a slice
-    of the region is uniform, the LRs it covers take each row's polygon
-    means (see :class:`DrawSummary`).  Any 3 draws span at least 2
-    antithetic pairs, the fewest a standard error is taken over.
+    changes no result.  The summary estimates the LRs of ``conclusions``
+    alone.  Where the non-mated factor is not reflected, LR(ID)
+    integrates q_ID out of the certified rows, and where the slice of a
+    conclusion read is uniform, its LR comes from the slice integrals of
+    every proposal (see :class:`DrawSummary`); only those slices are
+    integrated.  Any 3 draws span at least 2 antithetic pairs, the fewest
+    a standard error is taken over.
     """
     if n_accepted < 3:
         raise DomainError(f"a Monte Carlo standard error needs at least 3 draws, got {n_accepted}")
-    proposal, mass, paired, q_id = _rate_pair_proposal(counts)
-    summary = DrawSummary(rng.seed, bins, paired, q_id, _uniform_slices(counts))
+    proposal, mass, paired, q_id, reflected = _rate_pair_proposal(counts)
+    id_exc, inc = _uniform_slices(counts)
+    sliced = [c for c in conclusions if (inc if c is Conclusion.INC else id_exc)]
+    summary = DrawSummary(rng.seed, bins, paired, q_id, conclusions, sliced, reflected)
     summary.acceptance_rate, summary.n_proposed, summary.n_chunks = mc.rejection_stream(
         proposal, _admissible_draws, n_accepted, rng, summary, proposal_mass=mass
     )
@@ -883,7 +1035,7 @@ def lr_for_conclusion(
     """Recipient LR for hearing one conclusion, given optional validation counts."""
     if isinstance(conclusion, str):
         conclusion = Conclusion.parse(conclusion)
-    return summarize_draws(counts, n_accepted, rng).estimate(conclusion)
+    return summarize_draws(counts, n_accepted, rng, conclusions=(conclusion,)).estimate(conclusion)
 
 
 def _largest_remainder(total: int, weights: Sequence[int]) -> list[int]:
@@ -964,7 +1116,7 @@ def lr_sweep(
     n_accepted, rng.substream(i + 1))`` makes.  Its LRs are those
     :func:`lr_from_samples` makes from the draws of
     :func:`sample_rate_pairs` on the same stream, up to float rounding,
-    where no row has q_ID integrated out or polygon means taken (see
+    where no row has q_ID integrated out and no slice is integrated (see
     :class:`DrawSummary`).  Every size is checked before the first is
     drawn, and each is drawn on its own pool, as :func:`summarize_draws`
     draws.  The asymptotes are the plug-in rate ratios of

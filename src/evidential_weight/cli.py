@@ -321,8 +321,10 @@ def _cmd_categorical(args) -> Run:
     mc.resolve_threads()  # a bad EVIDENTIAL_WEIGHT_THREADS exits 2 before any draw
 
     # each table is one run on its own pool: the main draw, with its
-    # grids, on substream 0, and sweep size i on substream i + 1
-    main = categorical.summarize_draws(counts, args.samples, rng, bins=100)
+    # grids, on substream 0, and sweep size i on substream i + 1.  The main
+    # draw estimates the one LR it reports
+    main = categorical.summarize_draws(counts, args.samples, rng, bins=100,
+                                       conclusions=(conclusion,))
     estimate = main.estimate(conclusion)
     tables = [
         (f"density_grid_{c.name.lower()}.csv", ["p_bin", "q_bin", "density"],
@@ -330,8 +332,8 @@ def _cmd_categorical(args) -> Run:
         for c in categorical.Conclusion
     ]
     # the kept draws of each table, how many had q_ID integrated out of
-    # LR(ID), how many entered the LRs as polygon means, and the sampler's
-    # proposals and chunks
+    # LR(ID), how many proposals entered the LRs as slice integrals, and
+    # the sampler's proposals and chunks
     draws = {"main": main.counters()}
     if sweep_sizes:
         sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng)

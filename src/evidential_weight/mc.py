@@ -7,9 +7,10 @@ stream draws from its own SFC64 bit generator, seeded by a
 sampling consumes randomness in fixed-size chunks, one child stream per
 chunk index, which makes the output independent of how many worker threads
 evaluate the chunks.  :func:`rejection_stream` draws one rejection target
-on its own pool, of one worker or more, and hands each chunk's kept rows,
-gathered once, with the proposal index of each, to a consumer in
-chunk-index order, which may overwrite them; the pool's threads draw
+on its own pool, of one worker or more, and hands each chunk it takes,
+rejected rows included, to a consumer in chunk-index order, beside the
+chunk's kept rows, gathered once, with the proposal index of each, which
+the consumer may overwrite; the pool's threads draw
 under the caller's numpy error state, so a float guard set around the
 call holds for them too.  Every command folds them into running
 estimates (:class:`categorical.DrawSummary`), in the memory of a few
@@ -164,7 +165,7 @@ def rejection_stream(
     accept: Callable[[np.ndarray], np.ndarray],
     target_accepted: int,
     rng: RngStream,
-    consume: Callable[[np.ndarray, np.ndarray], None],
+    consume: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
     *,
     threads: int | None = None,
     proposal_mass: float = 1.0,
@@ -173,9 +174,13 @@ def rejection_stream(
 
     ``proposal(generator, n)`` returns ``n`` draws (the rows of a 2-D
     array); ``accept`` maps them to a boolean mask and must be pure.
-    ``consume(kept, index)`` receives each chunk's kept rows, each column
-    contiguous, with their ascending proposal indices (row ``r`` of chunk
-    ``c`` is ``c * CHUNK_SIZE + r``), and may overwrite ``kept``.  A pool
+    ``consume(kept, index, chunk)`` receives each chunk taken, whether it
+    keeps rows or not: its kept rows, each column contiguous, possibly
+    none, with their ascending proposal indices (row ``r`` of chunk ``c``
+    is ``c * CHUNK_SIZE + r``), and ``chunk``, all ``CHUNK_SIZE`` of its
+    proposals, rejected ones and those past the target included.  It may
+    overwrite ``kept``, which may be a view of ``chunk``: it reads what it
+    needs of ``chunk`` first.  A pool
     of ``threads`` workers, one at ``threads=1``, draws the chunks, with
     up to ``threads`` in flight, no more than the acceptance rate so far
     says are needed; ``accept`` and ``consume`` run on the calling thread
@@ -225,8 +230,7 @@ def rejection_stream(
             rows = np.flatnonzero(np.asarray(accept(draws), dtype=bool))
             n_accepted += rows.size
             rows = rows[: target_accepted - n_kept]
-            if rows.size:
-                consume(_kept_rows(draws, rows), rows + n_chunks * CHUNK_SIZE)
+            consume(_kept_rows(draws, rows), rows + n_chunks * CHUNK_SIZE, draws)
             n_chunks += 1
             n_kept += rows.size
             del draws  # freed before the next submission draws another chunk
@@ -248,11 +252,11 @@ def _kept_rows(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``draws[rows]`` for ascending ``rows``, columns contiguous.
 
     Rows that are the chunk's first ones (every chunk where nearly all
-    proposals pass) are a view of ``draws``; other rows are gathered
-    column by column.
+    proposals pass), or none, are a view of ``draws``; other rows are
+    gathered column by column.
     """
     n = rows.size
-    if rows[-1] == n - 1:
+    if n == 0 or rows[-1] == n - 1:
         return draws[:n]
     out = np.empty((n, draws.shape[1]), dtype=draws.dtype, order="F")
     for j in range(draws.shape[1]):
@@ -270,7 +274,7 @@ class _RowBuffer:
         self.samples = self.index = None
         self.n_kept = 0
 
-    def __call__(self, kept: np.ndarray, index: np.ndarray) -> None:
+    def __call__(self, kept: np.ndarray, index: np.ndarray, chunk: np.ndarray) -> None:
         if self.samples is None:  # numpy's MemoryError names the size refused
             self.samples = np.empty((self.n_rows, kept.shape[1]), kept.dtype, order="F")
             self.index = np.empty(self.n_rows, dtype=np.int64)

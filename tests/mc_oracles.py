@@ -4,9 +4,9 @@ The Monte Carlo oracles draw the conjugate state's parameters and average
 the sampling density of the report, sharing no code with the Student-t
 closed forms they check.  ``plain_rate_pairs`` is rejection sampling of
 categorical rate pairs from the untruncated Dirichlet pair, with neither
-reflection nor chunked streams.  ``slice_means`` clips the rate box by the
-six constraints of ``categorical.admissible_mask`` (Sutherland and Hodgman
-1974) and takes the centroid of what is left.  ``integrate_2d`` is a plain
+reflection nor chunked streams.  ``slice_integrals`` clips the rate box
+by the six constraints of ``categorical.admissible_mask`` (Sutherland and
+Hodgman 1974) and integrates over what is left.  ``integrate_2d`` is a plain
 tensor-product Gauss-Legendre rule for checking densities by integration.
 """
 
@@ -112,26 +112,6 @@ def plain_rate_pairs(
     return samples, n_proposed
 
 
-def polygon_mean_samples(
-    samples: categorical.RatePairSamples, counts: categorical.ConclusionCounts | None,
-) -> categorical.RatePairSamples:
-    """Buffered draws with each rate that ``categorical.DrawSummary`` replaces
-    by its polygon mean so replaced, all at once, each row keeping its unit.
-
-    ``lr_from_samples`` on the result is the summary's estimate from the
-    same draws, folded in one block rather than chunk by chunk.
-    """
-    rates = np.asfortranarray(np.hstack([samples.p, samples.q]))
-    id_exc, inc = categorical._uniform_slices(counts)
-    inc_means = categorical._inc_means(rates) if inc else None
-    if id_exc:
-        categorical._id_exc_means(rates)
-    if inc:
-        rates[:, 1], rates[:, 4] = inc_means
-    return categorical.RatePairSamples(rates[:, :3], rates[:, 3:], samples.acceptance_rate,
-                                       samples.seed, samples.unit)
-
-
 def _slacks(p, q):
     """The six constraints of ``categorical.admissible_mask``, each as a
     value that is positive where it holds."""
@@ -145,27 +125,44 @@ def _slacks(p, q):
     )
 
 
-def slice_means(p, q, j: int) -> tuple[float, float]:
-    """Means of (p_j, q_j), uniform on the region's slice at one row's other rates.
+def slice_integrals(p, q, j: int, reflected: tuple[bool, bool]) -> tuple[float, float, float]:
+    """Integrals of p_j, of q_j and of 1 over the region's slice at one
+    row's other rates, each divided by the area of the proposal's support
+    there.
 
-    ``p`` and ``q`` are one row's rates, (ID, Inc, Exc).  For ``j`` = 0 the
-    Inc rates stay fixed and (x, y) = (p_ID, q_ID) range over the box [0, 1
-    - p_Inc] x [0, 1 - q_Inc], with the Exc rates the remainders; for ``j``
-    = 1 the ID rates stay fixed and (x, y) = (p_Inc, q_Inc).  Each
+    ``p`` and ``q`` are one row's rates, (ID, Inc, Exc).  For ``j`` = 0 or
+    2 the Inc rates stay fixed and (x, y) = (p_j, q_j) range over the box
+    [0, 1 - p_Inc] x [0, 1 - q_Inc], with the other rates the remainders;
+    for ``j`` = 1 the ID rates stay fixed and (x, y) = (p_Inc, q_Inc), with
+    the Exc rates the remainders.  Each
     constraint is affine in (x, y) on a slice, so clipping the box by the
-    six, one after another, leaves the slice's polygon; its centroid is
-    summed over a fan of triangles from its first vertex.
+    six, one after another, leaves the slice's polygon, whose area and
+    first moments are summed over a fan of triangles from its first
+    vertex; an empty slice gives 0.  ``reflected`` says whether the
+    mated and the non-mated factor are proposed reflected into p_ID >
+    p_Exc and q_Exc > q_ID, which halves the box along that axis: the
+    support.
     """
-    fixed = 1 - j
+    fixed = 0 if j == 1 else 1
+    rest = 3 - j - fixed
 
     def rates(x, y):
         pp, qq = [0.0] * 3, [0.0] * 3
         pp[fixed], qq[fixed] = p[fixed], q[fixed]
         pp[j], qq[j] = x, y
-        pp[2], qq[2] = 1.0 - p[fixed] - x, 1.0 - q[fixed] - y
+        pp[rest], qq[rest] = 1.0 - p[fixed] - x, 1.0 - q[fixed] - y
         return pp, qq
 
     bx, by = 1.0 - p[fixed], 1.0 - q[fixed]
+    # the support: the box, less what reflection leaves out, which halves
+    # the ID-Exc axes and cuts the Inc ones against the Exc rate
+    if j != 1:
+        width = 0.5 * bx if reflected[0] else bx
+        height = 0.5 * by if reflected[1] else by
+    else:
+        width = min(bx, p[0]) if reflected[0] else bx
+        height = max(by - q[0], 0.0) if reflected[1] else by
+    support = width * height
     polygon = [(0.0, 0.0), (bx, 0.0), (bx, by), (0.0, by)]
     for i in range(6):
         values = [_slacks(*rates(x, y))[i] for x, y in polygon]
@@ -179,16 +176,17 @@ def slice_means(p, q, j: int) -> tuple[float, float]:
                 clipped.append((vertex[0] + t * (after[0] - vertex[0]),
                                 vertex[1] + t * (after[1] - vertex[1])))
         polygon = clipped
-    (x0, y0), area, mx, my = polygon[0], 0.0, 0.0, 0.0
+    (x0, y0), area, mx, my = polygon[0] if polygon else (0.0, 0.0), 0.0, 0.0, 0.0
     for (xa, ya), (xb, yb) in zip(polygon[1:], polygon[2:]):
         xa, ya, xb, yb = xa - x0, ya - y0, xb - x0, yb - y0
         cross = xa * yb - xb * ya
         area += cross
         mx += cross * (xa + xb)
         my += cross * (ya + yb)
-    if not area > 0.0:
-        raise DomainError("the slice is empty")
-    return x0 + mx / (3.0 * area), y0 + my / (3.0 * area)
+    if not area > 0.0:  # clipped away, or to a point or a line
+        return 0.0, 0.0, 0.0
+    return ((x0 * area + mx / 3.0) / (2.0 * support), (y0 * area + my / 3.0) / (2.0 * support),
+            area / (2.0 * support))
 
 
 def sample_wishart(

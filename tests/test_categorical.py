@@ -1,5 +1,6 @@
 """Categorical-conclusion module: constraints, LRs, sweep, and grids."""
 
+import itertools
 import math
 import threading
 from fractions import Fraction
@@ -14,7 +15,7 @@ from evidential_weight import categorical as cat
 from evidential_weight import mc
 from evidential_weight.core import LrEstimate
 from evidential_weight.errors import ConstraintIntractableError, DomainError, InputFormatError
-from mc_oracles import plain_rate_pairs, polygon_mean_samples, slice_means
+from mc_oracles import plain_rate_pairs, slice_integrals
 
 ID, INC, EXC = cat.Conclusion.ID, cat.Conclusion.INC, cat.Conclusion.EXC
 
@@ -89,9 +90,10 @@ class TestPriorSampling:
         assert 0.10 < prior_samples.acceptance_rate < 0.13
 
     def test_prior_acceptance_rate_is_region_mass(self, prior_samples):
-        # P(A) under the flat pair, by cubature; both factors are reflected,
-        # so a quarter of the proposal mass is drawn and the raw rate is 4 P(A)
-        mass, fold = 0.113710, 0.25
+        # P(A) under the flat pair, in closed form (see test_flat_prior_closed_forms);
+        # both factors are reflected, so a quarter of the proposal mass is
+        # drawn and the raw rate is 4 P(A)
+        mass, fold = FLAT_PRIOR_MASS, 0.25
         raw = prior_samples.acceptance_rate / fold
         n_proposed = len(prior_samples) / raw  # at most the number drawn: SE errs high
         se = fold * math.sqrt(raw * (1 - raw) / n_proposed)
@@ -376,6 +378,28 @@ class TestGammaPairs:
         # redrawn partners are independent
         assert abs(np.corrcoef(first, second)[0, 1]) < 0.03
 
+    @pytest.mark.parametrize("alpha", [1.5, 3664.0, 1e12, 1e16, 1e20])
+    def test_log_test_exponent_is_exact(self, alpha):
+        # the exponent of the log test for y = c x as the sampler forms it,
+        # against 0.5 x^2 + d (1 - t^3 + 3 log t), t = 1 + y, in mpmath at
+        # 80 digits with x = y / c exactly: at d near 1e20 its terms, each
+        # near d, cancel to about 1e-20.  Within 1e-15, relative where the
+        # exponent exceeds 1 in size (near y = -1 at small d), where one
+        # unit in the last place of a double is already above 1e-15
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 80
+        d = alpha - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        y = c * np.random.default_rng(3600).standard_normal(2000)
+        y = y[y > -1.0]
+        got = cat._log_test_exponent(y, d)
+        for yi, value in zip(y.tolist(), got.tolist()):
+            x, t = mp.mpf(yi) * mp.sqrt(9 * mp.mpf(d)), 1 + mp.mpf(yi)
+            want = x * x / 2 + d * (1 - t**3 + 3 * mp.log(t))
+            assert abs(value - want) <= 1e-15 * max(1.0, abs(want)), (yi, value)
+
 
 class TestScaledCounts:
     def test_totals_hit_target_exactly(self, study_counts):
@@ -493,9 +517,9 @@ class TestSweep:
 
 
 def _plain_summary(counts, n, rng, bins=0, q_id=False):
-    """``summarize_draws`` with no polygon means, and unless ``q_id`` no q_ID
-    integrated: the plain ratio for every LR."""
-    proposal, mass, paired, threshold = cat._rate_pair_proposal(counts)
+    """``summarize_draws`` with no slice integrated, and unless ``q_id`` no
+    q_ID integrated: the plain ratio for every LR."""
+    proposal, mass, paired, threshold, _ = cat._rate_pair_proposal(counts)
     summary = cat.DrawSummary(rng.seed, bins, paired, threshold if q_id else None)
     summary.acceptance_rate, _, _ = mc.rejection_stream(
         proposal, cat._admissible_draws, n, rng, summary, proposal_mass=mass)
@@ -549,9 +573,8 @@ class TestQIdIntegration:
     def test_only_lr_id_moves(self, study_counts, table):
         # on the same draws, everything but LR(ID) equals the plain path's
         # exactly; where q is reflected, LR(ID) does too.  The flat prior
-        # takes every LR from polygon means instead (see TestPolygonMeans):
-        # each equals the ratio of the polygon means of the same draws,
-        # held in one buffer
+        # takes every LR from the slice integrals of every proposal instead
+        # (see TestPolygonMeans), each within 5 SE of the plain ratio's
         counts = {"study": study_counts, "size 560": cat.scaled_counts(study_counts, 560),
                   "flat prior": None, "q symmetric": REFLECTION_CASES["q symmetric"][0]}[table]
         n, rng = 300_001, mc.RngStream(3100)
@@ -559,14 +582,13 @@ class TestQIdIntegration:
         plain = _plain_summary(counts, n, rng, bins=100)
         assert (ours.n_samples, ours.acceptance_rate) == (plain.n_samples, plain.acceptance_rate)
         assert np.array_equal(ours.cells, plain.cells)
-        assert ours.n_polygon == (n if table == "flat prior" else 0)
+        assert ours.n_sliced == (ours.n_proposed if table == "flat prior" else 0)
         if table == "flat prior":
             assert ours.n_integrated == 0
-            means = polygon_mean_samples(cat.sample_rate_pairs(counts, n, rng), counts)
             for conclusion in cat.Conclusion:
-                mine, theirs = ours.estimate(conclusion), cat.lr_from_samples(means, conclusion)
-                assert mine.lr == pytest.approx(theirs.lr, rel=1e-13, abs=0)
-                assert mine.mc_std_err == pytest.approx(theirs.mc_std_err, rel=1e-13, abs=0)
+                mine, theirs = ours.estimate(conclusion), plain.estimate(conclusion)
+                assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err
+                assert mine.mc_std_err < theirs.mc_std_err
             return
         for conclusion in (INC, EXC):
             assert ours.estimate(conclusion) == plain.estimate(conclusion)
@@ -579,36 +601,104 @@ class TestQIdIntegration:
             assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err
 
 
-#: LR(ID) of the flat prior by draw-free cubature (ROADMAP item 3).  By the
-#: region's symmetry under p <-> reversed q, LR(Inc) is 1 and LR(Exc) is
-#: 1 / LR(ID), both exactly.
-FLAT_PRIOR_LR_ID = 3.9916368
+#: P(A) and LR(ID) of the flat prior in closed form (ROADMAP item 3), checked
+#: against quadrature by ``test_flat_prior_closed_forms``.  By the region's
+#: symmetry under p <-> reversed q, LR(Inc) is 1 and LR(Exc) is 1 / LR(ID),
+#: both exactly.
+FLAT_PRIOR_MASS = 1.5 - 2.0 * math.log(2.0)
+FLAT_PRIOR_LR_ID = (7.0 - 8.0 * math.log(2.0)) / (17.0 - 24.0 * math.log(2.0))
 
 
-def _assert_means_match_clipping(p, q, j):
-    """The closed-form means of (p_j, q_j) given each row's other rates, and
-    for ID those of (p_Exc, q_Exc) too, against clipping, to 1e-12 relative."""
-    rates = np.asfortranarray(np.column_stack([p, q]))
-    if j == 0:
-        cat._id_exc_means(rates)
-        got = rates[:, [0, 3, 2, 5]]
-    else:
-        got = np.column_stack(cat._inc_means(rates))
-    want = np.array([slice_means(p[i], q[i], j) for i in range(p.shape[0])])
-    if j == 0:  # Exc takes what ID leaves of 1 - p_Inc and 1 - q_Inc
-        want = np.column_stack([want, 1.0 - p[:, 1] - want[:, 0], 1.0 - q[:, 1] - want[:, 1]])
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+def test_flat_prior_closed_forms():
+    # P(A) = 4 times the integral over (p_ID, q_ID) of the area of the slice
+    # of (p_Inc, q_Inc), and LR(ID) the ratio of its p- and q-moments, by
+    # Gauss-Legendre in mpmath at 25 digits, split where the slice changes
+    # shape: p = 1/2, q = p / (1 + p) (where c / k = 1) and q = min(p, 1/2).
+    # With x = p_Inc / (1 - p) and y = q_Inc / (1 - q) the slice is x > x0,
+    # k x < y < min(c, x), x < 1 (ROADMAP item 3)
+    import mpmath
+
+    mp = mpmath.mp.clone()
+    mp.dps = 25
+    areas = {}
+
+    def area(p, q):
+        if (p, q) not in areas:
+            x0 = max(0, (1 - 2 * p) / (1 - p))
+            c = (1 - 2 * q) / (1 - q)
+            k = q * (1 - p) / (p * (1 - q))
+            e = min(1, c / k) if k else 1
+            inner = (1 - k) * (c * c - x0 * x0) / 2 + c * (e - c) - k * (e * e - c * c) / 2
+            areas[p, q] = (1 - p) * (1 - q) * inner
+        return areas[p, q]
+
+    def integral(weight):
+        def over_q(p):
+            return mp.quad(lambda q: weight(p, q) * area(p, q),
+                           [0, p / (1 + p), min(p, mp.mpf(1) / 2)], method="gauss-legendre")
+        return mp.quad(over_q, [0, mp.mpf(1) / 2, 1], method="gauss-legendre")
+
+    mass = 4 * integral(lambda p, q: 1)
+    lr_id = integral(lambda p, q: p) / integral(lambda p, q: q)
+    ln2 = mp.log(2)
+    assert abs(mass - (mp.mpf(3) / 2 - 2 * ln2)) < mp.mpf(10) ** -20
+    assert abs(lr_id / ((7 - 8 * ln2) / (17 - 24 * ln2)) - 1) < mp.mpf(10) ** -20
+    # the float forms the tests use: 17 - 24 ln 2 cancels to about 0.364
+    assert abs(FLAT_PRIOR_MASS / mass - 1) < 1e-15
+    assert abs(FLAT_PRIOR_LR_ID / lr_id - 1) < 1e-14
+
+
+def _assert_integrals_match_clipping(rates, conclusions, reflected) -> int:
+    """The slice integrals of each row of ``rates`` for each of ``conclusions``
+    against clipping; returns how many of the rows' slices are empty.
+
+    Each must be within 1e-12 relative of clipping's, or 1e-15 absolute,
+    and exactly 0 where the slice is empty, with no float error under the
+    command's float guard.  Where p_ID is within 1e-4 of
+    q_ID the Inc slice is a thin wedge, whose height s - lam the kernel
+    takes as a difference of nearly equal slopes; its relative error
+    grows as the wedge thins, but the integrals shrink with it, so the
+    error stays far below 1e-15 against per-proposal values near 0.1.
+    """
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        num, den = cat._slice_integrals(rates, conclusions, reflected)
+    want = np.array([[slice_integrals(rates[i, :3], rates[i, 3:], c.value, reflected)
+                      for c in conclusions] for i in range(rates.shape[0])])
+    got = np.stack([num, den], axis=2)
+    np.testing.assert_allclose(got, want[:, :, :2], rtol=1e-12, atol=1e-15)
+    empty = want[:, :, 2] == 0.0
+    assert np.array_equal(got[empty], np.zeros((np.count_nonzero(empty), 2)))
+    return int(np.count_nonzero(empty))
+
+
+#: Count tables with a uniform slice, by the factors they reflect.
+SLICE_CASES = {
+    "flat prior": None,
+    "Inc, neither reflected": cat.ConclusionCounts((4, 0, 0), (2, 0, 0)),
+    "Inc, p reflected": cat.ConclusionCounts((0, 0, 0), (3, 0, 0)),
+    "Inc, q reflected": cat.ConclusionCounts((3, 0, 0), (0, 0, 0)),
+}
 
 
 class TestPolygonMeans:
-    def test_closed_form_matches_clipping_on_kept_rows(self):
-        samples = cat.sample_rate_pairs(None, 2_000, mc.RngStream(3200))
-        p, q = samples.p, samples.q
-        # both signs of q_Inc - p_Inc: the upper line of the ID slice passes
-        # through the origin on one side and not on the other
-        assert 0.3 < np.mean(q[:, 1] > p[:, 1]) < 0.7
-        _assert_means_match_clipping(p, q, 0)
-        _assert_means_match_clipping(p, q, 1)
+    def test_closed_form_matches_clipping_on_proposals(self):
+        # every proposal of a chunk, rejected or kept, on each reflection
+        # of the Inc slice's support; the ID and Exc slices are uniform
+        # only where both factors are reflected
+        for case, counts in SLICE_CASES.items():
+            proposal, _, _, _, reflected = cat._rate_pair_proposal(counts)
+            rates = proposal(mc.RngStream(3200).chunk_generator(0), 1000)
+            kept = cat._admissible_draws(rates)
+            assert 0.005 < kept.mean() < 0.6, case
+            conclusions = tuple(cat.Conclusion) if counts is None else (INC,)
+            assert cat._uniform_slices(counts) == (counts is None, True)
+            empty = _assert_integrals_match_clipping(rates, conclusions, reflected)
+            # the Inc slice is empty where p_ID <= q_ID or q_ID >= 1/2
+            assert 0 < empty < rates.shape[0], case
+            if counts is None:
+                # both signs of q_Inc - p_Inc: the upper line of the ID slice
+                # passes through the origin on one side and not on the other
+                assert 0.3 < np.mean(rates[:, 4] > rates[:, 1]) < 0.7
 
     def test_closed_form_matches_clipping_near_vertices(self):
         # rows on which a polygon's vertex set changes, and rows just either
@@ -616,30 +706,52 @@ class TestPolygonMeans:
         # its foot reaches the left end at q_Inc = 2 p_Inc / (1 + p_Inc), and
         # it reaches y = c at the right end at q_Inc = p_Inc / (2 - p_Inc).
         # Inc slice: the left end leaves 0 at p_ID = 1/2, the lower line
-        # reaches C at the right end at q_ID = p_ID / (1 + p_ID), and the
-        # upper line reaches C at the right end as q_ID falls to 0
+        # reaches C at the right end at q_ID = p_ID / (1 + p_ID), the upper
+        # line reaches C at the right end as q_ID falls to 0, and the slice
+        # empties at q_ID = p_ID and at q_ID = 1/2
         gen = np.random.default_rng(3201)
         nudges = (-1e-7, -1e-12, 0.0, 1e-12, 1e-7)
         id_rows = [(p1, edge * (1.0 + d)) for p1 in gen.uniform(0.01, 0.99, 60)
                    for edge in (p1, 2.0 * p1 / (1.0 + p1), p1 / (2.0 - p1)) for d in nudges]
         inc_rows = [(p0, edge * (1.0 + d)) for p0 in gen.uniform(0.02, 0.98, 60)
-                    for edge in (p0 / (1.0 + p0), 1e-9) for d in nudges]
+                    for edge in (p0 / (1.0 + p0), 1e-9, p0) for d in nudges]
         inc_rows += [(0.5 * (1.0 + d), q0) for q0 in gen.uniform(0.0, 0.49, 60) for d in nudges]
-        for j, rows in ((0, id_rows), (1, inc_rows)):
-            fixed = 1 - j
+        inc_rows += [(p0, 0.5 * (1.0 + d)) for p0 in gen.uniform(0.51, 0.99, 60) for d in nudges]
+        for fixed, rows in ((1, id_rows), (0, inc_rows)):
             p, q = np.zeros((len(rows), 3)), np.zeros((len(rows), 3))
             p[:, fixed], q[:, fixed] = np.array(rows).T
             p[:, 2], q[:, 2] = 1.0 - p[:, fixed], 1.0 - q[:, fixed]
-            _assert_means_match_clipping(p, q, j)
+            rates = np.asfortranarray(np.column_stack([p, q]))
+            if fixed == 1:
+                _assert_integrals_match_clipping(rates, (ID, EXC), (True, True))
+            else:
+                for reflected in itertools.product((False, True), repeat=2):
+                    _assert_integrals_match_clipping(rates, (INC,), reflected)
+        # a rate of exactly 0 or 1 empties a slice (or flattens its support)
+        # through a zero divisor: no float error either, and values within
+        # 1e-15 of clipping's 0, though not exactly 0 where p_Inc is 0.  Not
+        # both fixed rates 0: at p_Inc = q_Inc = 0 both ratio orderings read
+        # 0 > 0 everywhere, which clipping, keeping the boundary, takes as met
+        edges = np.array([e for e in itertools.product((0.0, 0.3, 1.0), repeat=2) if any(e)])
+        for fixed, conclusions in ((1, (ID, EXC)), (0, (INC,))):
+            p, q = np.zeros((len(edges), 3)), np.zeros((len(edges), 3))
+            p[:, fixed], q[:, fixed] = edges.T
+            p[:, 2], q[:, 2] = 1.0 - p[:, fixed], 1.0 - q[:, fixed]
+            rates = np.asfortranarray(np.column_stack([p, q]))
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                num, den = cat._slice_integrals(rates, conclusions, (True, True))
+            want = np.array([[slice_integrals(p[i], q[i], c.value, (True, True))[:2]
+                              for c in conclusions] for i in range(len(edges))])
+            np.testing.assert_allclose(np.stack([num, den], axis=2), want, rtol=1e-12, atol=1e-15)
 
-    def test_polygon_lrs_are_unbiased(self):
+    def test_slice_lrs_are_unbiased(self):
         # z of each flat-prior LR against its exact value, over 40 seeds
         n = 100_000
         exact = {ID: FLAT_PRIOR_LR_ID, INC: 1.0, EXC: 1.0 / FLAT_PRIOR_LR_ID}
         z = {conclusion: [] for conclusion in cat.Conclusion}
         for seed in range(3300, 3340):
             summary = cat.summarize_draws(None, n, mc.RngStream(seed))
-            assert summary.n_polygon == n
+            assert summary.n_sliced == summary.n_proposed
             for conclusion, values in z.items():
                 est = summary.estimate(conclusion)
                 values.append((est.lr - exact[conclusion]) / est.mc_std_err)
@@ -665,20 +777,39 @@ class TestPolygonMeans:
         assert (ours.n_samples, ours.acceptance_rate) == (plain.n_samples, plain.acceptance_rate)
         assert np.array_equal(ours.cells, plain.cells)
         assert ours.n_integrated == plain.n_integrated
-        assert ours.n_polygon == (n if any(slices) else 0)
-        means = polygon_mean_samples(cat.sample_rate_pairs(counts, n, rng), counts)
+        assert ours.n_sliced == (ours.n_proposed if any(slices) else 0)
         moved = {ID: slices[0], INC: slices[1], EXC: slices[0]}
+        if any(slices):  # plain rejection from numpy's Dirichlet, on its own stream
+            independent, _ = plain_rate_pairs(counts, n, mc.RngStream(3401))
         for conclusion in cat.Conclusion:
             mine, theirs = ours.estimate(conclusion), plain.estimate(conclusion)
             if not moved[conclusion]:
                 assert mine == theirs
                 continue
-            buffered = cat.lr_from_samples(means, conclusion)
-            assert mine.lr == pytest.approx(buffered.lr, rel=1e-13, abs=0)
-            assert mine.mc_std_err == pytest.approx(buffered.mc_std_err, rel=1e-13, abs=0)
             assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err
             assert mine.mc_std_err < theirs.mc_std_err
+            other = cat.lr_from_samples(independent, conclusion)
+            assert abs(mine.lr - other.lr) <= 5 * math.hypot(mine.mc_std_err, other.mc_std_err)
 
+    def test_every_proposal_enters(self, monkeypatch):
+        # chunks of 16 proposals at about 1.7% acceptance: about a third of
+        # the chunks keep nothing, yet every proposal of every chunk taken
+        # enters the slice integrals, each pair (q is antithetic) one unit
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 16)
+        counts, rng = SLICE_CASES["Inc, p reflected"], mc.RngStream(3450)
+        summary = cat.summarize_draws(counts, 300, rng, conclusions=(INC,))
+        assert summary.n_sliced == summary.n_proposed == 16 * summary.n_chunks
+        proposal, _, paired, _, reflected = cat._rate_pair_proposal(counts)
+        assert paired and reflected == (True, False)
+        chunks = [proposal(rng.chunk_generator(i), 16) for i in range(summary.n_chunks)]
+        kept = [np.count_nonzero(cat._admissible_draws(chunk)) for chunk in chunks]
+        assert kept.count(0) > summary.n_chunks // 5
+        num, den = cat._slice_integrals(np.vstack(chunks), (INC,), reflected)
+        est = summary.estimate(INC)
+        assert est.lr == pytest.approx(num.sum() / den.sum(), rel=1e-12, abs=0)
+        assert summary.slice_moments.n == summary.n_proposed // 2
+        with pytest.raises(DomainError, match="not summarized"):
+            summary.estimate(ID)
 
     # counts this large put the Inc (or the ID) rates within rounding of
     # 1, so the polygon's lengths must come from the small rates, not from
@@ -690,7 +821,7 @@ class TestPolygonMeans:
         n, rng = 20_000, mc.RngStream(3500)
         ours = cat.summarize_draws(counts, n, rng)
         plain = _plain_summary(counts, n, rng, q_id=True)
-        assert ours.n_polygon == n
+        assert ours.n_sliced == ours.n_proposed
         for conclusion in cat.Conclusion:
             mine, theirs = ours.estimate(conclusion), plain.estimate(conclusion)
             assert math.isfinite(mine.log10_lr) and mine.mc_std_err > 0

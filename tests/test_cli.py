@@ -9,10 +9,10 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from evidential_weight import categorical, cli, interval_opinion, mc, multi_expert
-from mc_oracles import polygon_mean_samples
 
 STUDY_JSON = {
     "H1": {"id": 3663, "inc": 1856, "exc": 450},
@@ -285,11 +285,21 @@ class TestCategoricalCommand:
         counts.write_text(json.dumps(STUDY_JSON))
         grids = [f"density_grid_{c}.csv" for c in ("id", "inc", "exc")]
         study = ["--validation", counts, "--sweep"]
+        inc_slice, huge = tmp_path / "inc.json", tmp_path / "huge.json"
+        inc_slice.write_text(json.dumps({"H1": {"id": 4, "inc": 0, "exc": 0},
+                                         "H2": {"id": 2, "inc": 0, "exc": 0}}))
+        huge.write_text(json.dumps({"H1": {"id": 1e20, "inc": 0, "exc": 0},
+                                    "H2": {"id": 0, "inc": 0, "exc": 1e20}}))
         cases = {
             "study": ([*study, "100,1000", "--samples", 20_000], ["sweep.csv"]),
             # three sizes of three chunks each, each drawn on its own pool
             "sweep3": ([*study, "100,500,1000", "--samples", 300_000], ["sweep.csv"]),
             "prior": (["--samples", 20_000], []),  # both proposal factors reflected
+            # LR(Inc) from the slice integrals of antithetic pairs
+            "inc slice": (["--conclusion", "inc", "--validation", inc_slice,
+                           "--samples", 20_001], []),
+            # counts this large reach the gamma sampler's log test at d near 1e20
+            "huge counts": (["--validation", huge, "--samples", 1000], []),
         }
         for case, (extra, tables) in cases.items():
             outputs = []
@@ -351,7 +361,8 @@ class TestCategoricalCommand:
         # integrates q_ID out of every row of LR(ID), which then agrees
         # with the library's plain ratio within that ratio's error, at a
         # hundredth of it or less.  On the flat prior every LR is the ratio
-        # of the polygon means of the same buffered draws
+        # of the sums of the slice integrals of every proposal of every
+        # chunk drawn, taken here from the chunks held in one buffer
         n, rng = 300_000, mc.RngStream(23)
         assert n % mc.CHUNK_SIZE
         counts, extra, sizes = None, [], [100, 1000]
@@ -363,7 +374,12 @@ class TestCategoricalCommand:
         samples = categorical.sample_rate_pairs(counts, n, rng)
         grids = {c: cli._grid_rows(*categorical.density_grid(samples, c))
                  for c in categorical.Conclusion}
-        means = polygon_mean_samples(samples, counts) if case == "prior" else samples
+        if case == "prior":
+            # a chunk keeps about 45% of its proposals, so 4 n proposals
+            # hold every chunk drawn
+            proposal, _, _, _, reflected = categorical._rate_pair_proposal(None)
+            chunks = np.vstack([proposal(rng.chunk_generator(i), mc.CHUNK_SIZE)
+                                for i in range(-(-n * 4 // mc.CHUNK_SIZE))])
         for threads in ("1", "3"):
             monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
             for conclusion in categorical.Conclusion:
@@ -374,7 +390,13 @@ class TestCategoricalCommand:
                     written = (out / f"density_grid_{c.name.lower()}.csv").read_text()
                     assert_same_lines(written.split("\n", 2)[2], text)
                 est = read_json(out / "result.json")["lr_estimate"]
-                alone = categorical.lr_from_samples(means, conclusion)
+                alone = categorical.lr_from_samples(samples, conclusion)
+                if case == "prior":
+                    drawn = read_json(out / "manifest.json")["draws"]["main"]["proposals"]
+                    num, den = categorical._slice_integrals(chunks[:drawn], (conclusion,),
+                                                            reflected)
+                    alone = categorical._Moments.of(num, den).estimate(
+                        0, n, samples.acceptance_rate, rng.seed)
                 if case == "study" and conclusion is categorical.Conclusion.ID:
                     assert abs(est["lr"] - alone.lr) <= 5 * alone.mc_std_err
                     assert est["mc_std_err"] < 0.01 * alone.mc_std_err
@@ -395,10 +417,11 @@ class TestCategoricalCommand:
         # the kept draws of each table and how many had q_ID integrated out:
         # all on the study table, none on the flat prior (a reflected
         # non-mated factor) or at size 100 (no row certified); and how many
-        # entered as polygon means: all on the flat prior, none on a study
-        # table; and the sampler's proposals and chunks, every chunk drawn in
-        # full.  Each study table keeps its 20,000 draws from its first
-        # chunk; the flat prior keeps about 59,600 a chunk, so 150,000 take 3
+        # proposals entered as slice integrals: all on the flat prior, none
+        # on a study table; and the sampler's proposals and chunks, every
+        # chunk drawn in full.  Each study table keeps its 20,000 draws from
+        # its first chunk; the flat prior keeps about 59,600 a chunk, so
+        # 150,000 take 3
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps(STUDY_JSON))
         n, n_prior = 20_000, 150_000
@@ -407,15 +430,15 @@ class TestCategoricalCommand:
                     "--samples", n, "--out", study]) == 0
         assert run(["categorical", "--samples", n_prior, "--out", prior]) == 0
         draws = read_json(study / "manifest.json")["draws"]
-        assert draws["main"] == {"kept": n, "q_id_integrated": n, "polygon_integrated": 0,
+        assert draws["main"] == {"kept": n, "q_id_integrated": n, "slice_integrated": 0,
                                  "proposals": mc.CHUNK_SIZE, "chunks": 1}
-        assert [(d["size"], d["kept"], d["polygon_integrated"]) for d in draws["sweep"]] == [
+        assert [(d["size"], d["kept"], d["slice_integrated"]) for d in draws["sweep"]] == [
             (100, n, 0), (1000, n, 0)]
         assert draws["sweep"][0]["q_id_integrated"] == 0
         assert 0.99 * n < draws["sweep"][1]["q_id_integrated"] <= n
         assert [(d["proposals"], d["chunks"]) for d in draws["sweep"]] == [(mc.CHUNK_SIZE, 1)] * 2
         assert read_json(prior / "manifest.json")["draws"] == {
-            "main": {"kept": n_prior, "q_id_integrated": 0, "polygon_integrated": n_prior,
+            "main": {"kept": n_prior, "q_id_integrated": 0, "slice_integrated": 3 * mc.CHUNK_SIZE,
                      "proposals": 3 * mc.CHUNK_SIZE, "chunks": 3}}
 
     def test_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
@@ -714,12 +737,13 @@ def test_inputs_at_the_edge_of_the_float_range(tmp_path, capsys, argv, files, co
 
 
 def test_failure_independent_of_thread_count(tmp_path, capsys, monkeypatch):
-    # counts of 1e20 overflow the Marsaglia-Tsang log test in np.exp; the
-    # float guard must reach the sampler's worker threads as well as the
-    # calling thread, where a pool thread used to warn and run on
+    # counts of 1e308 overflow the sum of each factor's gammas in a
+    # worker's proposal; the float guard must reach the sampler's worker
+    # threads as well as the calling thread, where a pool thread used to
+    # warn and run on
     counts = tmp_path / "counts.json"
-    counts.write_text(json.dumps({"H1": {"id": 1e20, "inc": 0, "exc": 0},
-                                  "H2": {"id": 0, "inc": 0, "exc": 1e20}}))
+    counts.write_text(json.dumps({"H1": {"id": 1e308, "inc": 1e308, "exc": 1e308},
+                                  "H2": {"id": 1e308, "inc": 1e308, "exc": 1e308}}))
     errors = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
@@ -730,7 +754,8 @@ def test_failure_independent_of_thread_count(tmp_path, capsys, monkeypatch):
         assert code == 3 and not out.exists()
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         errors.append(capsys.readouterr().err)
-    assert errors[0].startswith("numerical failure: ") and "overflow" in errors[0]
+    assert errors[0].startswith("numerical failure: ")
+    assert "overflow encountered in add" in errors[0]
     assert errors[1] == errors[0] and errors[2] == errors[0]
 
 

@@ -187,11 +187,12 @@ class TestRejectionSample:
 
         monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
         rng = mc.RngStream(11)
-        consumed, indices = [], []
+        consumed, indices, chunks = [], [], []
 
-        def consume(kept, index):
+        def consume(kept, index, chunk):
             consumed.append(kept.copy())
             indices.append(index.copy())
+            chunks.append(chunk.copy())
 
         threads_before = threading.active_count()
         counters = mc.rejection_stream(
@@ -202,13 +203,35 @@ class TestRejectionSample:
         assert np.array_equal(np.concatenate(consumed), alone.samples)
         assert np.array_equal(np.concatenate(indices), alone.index)
         assert counters == (alone.acceptance_rate, alone.n_proposed, alone.n_chunks)
-        # each chunk's rows are the proposals that pass, at their global indices
-        for kept, index in zip(consumed, indices):
-            chunk = int(index[0]) // 1000
-            assert np.all(index // 1000 == chunk)
-            draws = uniform_pair_proposal(rng.chunk_generator(chunk), 1000)
+        # each chunk taken is handed on whole, once, in order, with its rows
+        # that pass, at their global indices
+        assert len(chunks) == alone.n_chunks
+        for c, (kept, index, chunk) in enumerate(zip(consumed, indices, chunks)):
+            assert np.all(index // 1000 == c)
+            draws = uniform_pair_proposal(rng.chunk_generator(c), 1000)
+            assert np.array_equal(chunk, draws)
             assert np.array_equal(kept, draws[index % 1000])
             assert np.all(accept(kept))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_stream_hands_on_chunks_that_keep_nothing(self, threads, monkeypatch):
+        # at about one in twenty, most chunks of 10 keep no row; each is
+        # still handed on, with no kept rows and its whole proposal
+        def accept(d):
+            return d[:, 0] > 0.95
+
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 10)
+        rng = mc.RngStream(13)
+        calls = []
+
+        def consume(kept, index, chunk):
+            assert kept.shape == (index.size, 2) and chunk.shape == (10, 2)
+            calls.append(index.size)
+
+        _, n_proposed, n_chunks = mc.rejection_stream(
+            uniform_pair_proposal, accept, 40, rng, consume, threads=threads)
+        assert len(calls) == n_chunks == n_proposed // 10 and sum(calls) == 40
+        assert calls.count(0) > n_chunks // 2
 
     def test_one_thread_is_a_pool_of_one(self, monkeypatch):
         # EVIDENTIAL_WEIGHT_THREADS=1 draws every chunk on one worker thread,
@@ -242,7 +265,7 @@ class TestRejectionSample:
         class Stop(Exception):
             pass
 
-        def consume(kept, index):
+        def consume(kept, index, chunk):
             raise Stop
 
         monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
