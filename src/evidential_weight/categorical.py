@@ -15,9 +15,11 @@ gammas are negatively correlated in each factor that is not reflected
 (see :func:`_gamma_pairs`).  Every gamma that no such pair couples, a
 reflected factor's and each one the pair sampler rejects, comes from
 numpy's ``Generator.standard_gamma`` (at concentration 1 from its
-``standard_exponential``, the same values).  The LR is the ratio of the sums
-of the kept draws; its Monte Carlo standard error is taken over units,
-the sums of the kept draws (one or two) of each pair, which are
+``standard_exponential``, the same values).  The LR is the ratio of two
+sums over every proposal drawn, of its p_c and q_c where it is kept and
+0 where it is not, unless a refinement below replaces them (see
+:func:`_contributions`); its Monte Carlo standard error is taken over
+units, the contributions of each pair proposed, summed, which are
 independent where the draws of a pair are not.  On the study table, at
 the same number of draws, the variance of LR(ID) is about a tenth of
 what independent draws give, and that of LR(Inc) and LR(Exc) about a
@@ -50,31 +52,30 @@ variance of LR(ID) is 1.0 to 1.42 times the plain ratio's, at 900 to
 
 Where the four concentrations a slice integrates are 1 (see
 :func:`_uniform_slices`), :class:`DrawSummary` takes the LRs that slice
-covers from every proposal drawn, rejected ones included, not from the
-kept rows (Rao-Blackwellized accept-reject draws; Casella and Robert,
-*Biometrika* 83(1), 1996).  Fixing the rates of the other conclusions
-leaves (p_c, q_c) on a convex polygon of the region, the slice, on
-which the truncated law is uniform, and the proposal on a rectangle
-around it, its conditional support, on which the proposal is uniform.
-So the integrals of p_c and of q_c over the slice, each divided by the
-rectangle's area, are the exact conditional expectations of p_c 1_A and
-q_c 1_A under the proposal, and the ratio of their sums over every
-proposal estimates the LR.  An empty slice gives 0.  The ID and Exc
-rates given the Inc rates (:func:`_id_exc_integrals`) and the Inc rates
-given the ID rates (:func:`_inc_integrals`) come from one wedge-and-cap
-kernel (:func:`_wedge_and_cap_moments`).  Both slices are uniform on the
-flat prior, where at the same kept draws the variance of LR(ID) and
-LR(Exc) is about a tenth of the plain ratio's, and that of LR(Inc)
-about a fifth; no posterior table of the study has either.  Only the
-slices of the conclusions a caller reads are integrated.  The draws,
-the grids, ``n_samples`` and the acceptance rate do not change.
-:func:`lr_from_samples` stays the plain ratio of the sums.
+covers from the slice integrals of every proposal drawn in place of the
+kept rows' rates (Rao-Blackwellized accept-reject draws; Casella and
+Robert, *Biometrika* 83(1), 1996).  Fixing the rates of the other
+conclusions leaves (p_c, q_c) on a convex polygon of the region, the
+slice, on which the truncated law is uniform, and the proposal on a
+rectangle around it, its conditional support, on which the proposal is
+uniform.  So the integrals of p_c and of q_c over the slice, each
+divided by the rectangle's area, are the exact conditional expectations
+of p_c 1_A and q_c 1_A under the proposal.  An empty slice gives 0.  The
+ID and Exc rates given the Inc rates (:func:`_id_exc_integrals`) and the
+Inc rates given the ID rates (:func:`_inc_integrals`) come from one
+wedge-and-cap kernel (:func:`_wedge_and_cap_moments`).  Both slices are
+uniform on the flat prior, where at the same kept draws the variance of
+LR(ID) and LR(Exc) is about a tenth of the plain ratio's, and that of
+LR(Inc) about a fifth; no posterior table of the study has either.  Only
+the slices of the conclusions a caller reads are integrated.  The
+draws, the grids, ``n_samples`` and the acceptance rate do not change.
+:func:`lr_from_samples` stays the plain ratio of the sums of the kept
+draws, with its standard error over the pairs that hold one.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -235,13 +236,14 @@ class RatePairSamples:
         return self.p[:, j], self.q[:, j]
 
 
-#: Rows per block of the sampler and of the one-pass reductions over
-#: draws, small enough for the block's temporaries to stay in cache.
+#: Rows per block of the sampler and of the grid cell counts, small
+#: enough for the block's temporaries to stay in cache.
 _BLOCK_ROWS = 1 << 16
 
 
-#: Rows per block of the constraint checks and the slice integrals, few
-#: enough for their temporaries to stay in a core's cache.
+#: Rows per block of the constraint checks and of each chunk's LR
+#: contributions, few enough for their temporaries to stay in a core's
+#: cache.
 _CACHE_ROWS = 1 << 13
 
 
@@ -520,97 +522,59 @@ def _require_units(n: int) -> None:
         )
 
 
-def _unit_sums(p: np.ndarray, q: np.ndarray, unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sums of the kept rows ``p`` and ``q`` over each unit, for ``unit`` ascending.
+class _RatioSums:
+    """Running sums for the ratio of the column sums of paired streams.
 
-    A unit is the kept rows, one or two, of one antithetic pair; the sums
-    come back as (units, k) arrays whose columns are each contiguous.
-    """
-    starts = np.concatenate(([True], unit[1:] != unit[:-1]))  # each unit's first row
-    if starts.all():
-        return p, q
-    if unit.size % 2 == 0 and not starts[1::2].any():
-        # every unit two rows, as in a chunk that every proposal passes
-        return p[0::2] + p[1::2], q[0::2] + q[1::2]
-    index = np.cumsum(starts) - 1
-
-    def summed(values):
-        out = np.empty((int(index[-1]) + 1, values.shape[1]), order="F")
-        for j in range(values.shape[1]):
-            out[:, j] = np.bincount(index, weights=values[:, j], minlength=out.shape[0])
-        return out
-
-    return summed(p), summed(q)
-
-
-@dataclass(frozen=True)
-class _Moments:
-    """Count, means and centred second moments of paired rate columns.
-
-    Column j of ``p`` pairs with column j of ``q`` (one conclusion each);
-    each row is one unit, the sum of an antithetic pair's kept draws.
-    ``spp``, ``sqq`` and ``spq`` are the sums of squares and of
-    cross-products of the deviations from the means.  Blocks of units
-    combine with the pairwise update of Chan, Golub and LeVeque, so a
-    stream of blocks gives the moments of all its units.
+    Column j of each block's ``num`` pairs with column j of its ``den``,
+    one LR each, and each row is one unit: the contributions of an
+    antithetic pair, summed (or of one proposal where rows are not
+    paired).  Per column it keeps the count n, a reference ratio r0, the
+    sums of num and den, and, with the residuals e = num - r0 den, the
+    sums of e^2, e den and den^2.  r0 is the ratio of the first block
+    whose den sum in that column is positive: every den is nonnegative,
+    so every den before it is 0, and the sums before it hold at any r0.
+    Blocks merge by adding.  A stream of many units of which most are 0,
+    rejected proposals and those past the target, makes the centred
+    merges of Chan, Golub and LeVeque cancel; these sums do not.
     """
 
-    n: int
-    mp: np.ndarray
-    mq: np.ndarray
-    spp: np.ndarray
-    sqq: np.ndarray
-    spq: np.ndarray
+    def __init__(self, k: int):
+        self.n = 0
+        self.r0, self.sp, self.sq, self.see, self.seq, self.sqq = (np.zeros(k) for _ in range(6))
 
-    @classmethod
-    def of(cls, p: np.ndarray, q: np.ndarray) -> "_Moments":
-        """Moments of one block: (n, k) arrays whose columns are each contiguous."""
-        mp = p.mean(axis=0)
-        mq = q.mean(axis=0)
-        spp, sqq, spq = (np.zeros(p.shape[1]) for _ in range(3))
+    def add(self, num: np.ndarray, den: np.ndarray) -> None:
+        """Fold in one block: (n, k) arrays whose columns are each contiguous."""
+        sp = num.sum(axis=0)
+        sq = den.sum(axis=0)
+        np.divide(sp, sq, out=self.r0, where=(self.sq == 0.0) & (sq > 0.0))
+        e = num - self.r0 * den
         # element-wise sums rather than ``@``, which would wake BLAS threads
         # that then spin on the cores the sampler's workers draw on
-        for block in _blocks(p.shape[0]):
-            dp = p[block] - mp
-            dq = q[block] - mq
-            spp += np.einsum("ij,ij->j", dp, dp)
-            sqq += np.einsum("ij,ij->j", dq, dq)
-            spq += np.einsum("ij,ij->j", dp, dq)
-        return cls(p.shape[0], mp, mq, spp, sqq, spq)
-
-    def merge(self, other: "_Moments") -> "_Moments":
-        n = self.n + other.n
-        dp = other.mp - self.mp
-        dq = other.mq - self.mq
-        share = other.n / n
-        weight = self.n * share
-        return _Moments(
-            n,
-            self.mp + dp * share,
-            self.mq + dq * share,
-            self.spp + other.spp + dp * dp * weight,
-            self.sqq + other.sqq + dq * dq * weight,
-            self.spq + other.spq + dp * dq * weight,
-        )
+        self.see += np.einsum("ij,ij->j", e, e)
+        self.seq += np.einsum("ij,ij->j", e, den)
+        self.sqq += np.einsum("ij,ij->j", den, den)
+        self.sp += sp
+        self.sq += sq
+        self.n += num.shape[0]
 
     def estimate(self, j: int, n_samples: int, acceptance_rate: float,
                  seed: int | None) -> LrEstimate:
-        """Ratio of the means of column pair ``j``, with its delta-method SE over units."""
+        """Ratio of the means of column pair ``j``, with its delta-method SE over units.
+
+        The SE is sqrt(n / (n - 1) sum (num - r den)^2) / sum den at the
+        ratio r, the residual sum taken from those about r0.
+        """
         _require_units(self.n)
         n = self.n
-        mp = float(self.mp[j])
-        mq = float(self.mq[j])
-        log10_lr = math.log10(mp) - math.log10(mq)
-        scale = 1.0 / ((n - 1) * n)
-        var_mp = float(self.spp[j]) * scale
-        var_mq = float(self.sqq[j]) * scale
-        cov = float(self.spq[j]) * scale
+        mp = float(self.sp[j]) / n
+        mq = float(self.sq[j]) / n
         lr = mp / mq
-        rel_var = var_mp / mp**2 + var_mq / mq**2 - 2.0 * cov / (mp * mq)
-        se = lr * math.sqrt(max(rel_var, 0.0))
+        shift = lr - float(self.r0[j])
+        residual = float(self.see[j]) - shift * (2.0 * float(self.seq[j])
+                                                 - shift * float(self.sqq[j]))
         return LrEstimate(
-            log10_lr,
-            mc_std_err=se,
+            math.log10(mp) - math.log10(mq),
+            mc_std_err=math.sqrt(max(residual, 0.0) * n / (n - 1)) / float(self.sq[j]),
             n_samples=n_samples,
             acceptance_rate=acceptance_rate,
             seed=seed,
@@ -624,28 +588,31 @@ def lr_from_samples(samples: RatePairSamples, conclusion: Conclusion) -> LrEstim
     comes from the delta method for a ratio of two (correlated) means,
     taken over units: the sums of the kept draws of each antithetic pair
     (``samples.unit``), which are independent, where the draws of a pair
-    are not.  The units are one block of the moment accumulator that
-    :class:`DrawSummary` folds block by block; unlike it, this never
-    integrates q_ID out of LR(ID).
+    are not.  Unlike :class:`DrawSummary`, it never integrates q_ID out
+    of LR(ID), and its units are the pairs that hold a kept draw, not
+    every pair proposed.
     """
     if len(samples) == 0:
         _require_units(0)
-    pc, qc = samples.rate_columns(conclusion)
-    moments = _Moments.of(*_unit_sums(pc[:, None], qc[:, None], samples.unit))
-    return moments.estimate(0, len(samples), samples.acceptance_rate, samples.seed)
+    unit = samples.unit
+    index = np.cumsum(np.concatenate(([True], unit[1:] != unit[:-1]))) - 1
+    sums = _RatioSums(1)
+    sums.add(*(np.bincount(index, weights=rates)[:, None]
+               for rates in samples.rate_columns(conclusion)))
+    return sums.estimate(0, len(samples), samples.acceptance_rate, samples.seed)
 
 
-def _q_id_certified(kept: np.ndarray, t: float) -> np.ndarray:
-    """Which kept rows stay admissible with q_ID moved up to ``t``.
+def _q_id_certified(rates: np.ndarray, t: float) -> np.ndarray:
+    """Which admissible rows of ``rates`` stay admissible with q_ID moved up to ``t``.
 
     q_Inc and q_Exc move to (1 - t) w and (1 - t) (1 - w), w = q_Inc /
-    s with s = q_Inc + q_Exc.  A kept row already meets the two
+    s with s = q_Inc + q_Exc.  An admissible row already meets the two
     constraints free of q_ID (p_ID > p_Exc, and p_Inc q_Exc > p_Exc
     q_Inc, which the rescaling leaves alone); the other four, each
     multiplied through by s / (1 - t), read p_ID > t, q_Exc > t u, q_Exc
     > p_Exc u and p_ID q_Inc > p_Inc t u, with u = s / (1 - t).
     """
-    p_id, p_inc, p_exc, q_inc, q_exc = (kept[:, j] for j in (0, 1, 2, 4, 5))
+    p_id, p_inc, p_exc, q_inc, q_exc = (rates[:, j] for j in (0, 1, 2, 4, 5))
     u = q_inc + q_exc
     u *= 1.0 / (1.0 - t)
     bound = np.maximum(p_exc, t)
@@ -679,35 +646,37 @@ def _uniform_slices(counts: ConclusionCounts | None) -> tuple[bool, bool]:
 _FLOOR = 1e-300
 
 
-def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.ndarray | None,
-                           hi: np.ndarray, cap: np.ndarray) -> tuple[np.ndarray, ...]:
+def _wedge_and_cap_moments(a: np.ndarray, wa: np.ndarray, wc: np.ndarray, lo: np.ndarray | None,
+                           g: np.ndarray, cap: np.ndarray, hr: np.ndarray) -> tuple[np.ndarray, ...]:
     """Area, x-moment and y-moment, each times 6, of the region between the
-    rays y = lo x and y = hi x on [a, m] and between y = lo x and y = cap
-    on [m, e], row by row.
+    rays y = lo x and y = (lo + g) x on [a, m], m = a + wa, and between
+    y = lo x and y = cap on [m, e], e = m + wc, row by row.
 
-    The upper ray meets the cap at m (hi m = cap) or the region ends there
-    (m = e), and 0 <= a <= m <= e; ``lo`` None is the ray y = 0, which
-    saves four passes.  Where hi = lo and m = e, whatever a, the region is
-    empty and all three are 0.  Each
-    piece's area and first moments are exact and taken times 6, with no
-    differences of cubes, which lose precision on thin pieces.  The wedge,
-    with g = hi - lo: 3 g w (a + m) its area, 2 g w (a^2 + a m + m^2) its
-    x-moment and (hi + lo) / 2 times that its y-moment, w = m - a.  The
-    cap's trapezoid, of heights hm = g m and hr = cap - lo e at m and e:
-    3 w (hm + hr) its area, w ((hm + hr) (m + e) + hm m + hr e) its
-    x-moment, and 3 cap w (hm + hr) - w (hm (hm + hr) + hr^2) its
-    y-moment, the integral of (cap^2 - (lo x)^2) / 2 with no cancellation
-    beyond 2, w = e - m.  Overwrites ``a`` and ``hi``.
+    The upper ray meets the cap at m ((lo + g) m = cap) or the region
+    ends there (wc = 0); a, wa, wc and g are >= 0, and hr = cap - lo e is
+    the cap's height above the lower ray at e.  ``lo`` None is the ray y
+    = 0, which saves two passes.  The caller takes the slopes' difference
+    g, the widths and hr in forms that do not cancel where the region is
+    thin (see :func:`_inc_integrals`).  Where g = 0 and wc = 0, whatever
+    a, the region is empty and all three are 0.  Each piece's area and
+    first moments are exact and taken times 6, with no differences of
+    cubes, which lose precision on thin pieces.  The wedge: 3 g wa (a +
+    m) its area, 2 g wa (a^2 + a m + m^2) its x-moment and (g + 2 lo) / 2
+    times that its y-moment.  The cap's trapezoid, of heights hm = g m
+    and hr at m and e: 3 wc (hm + hr) its area, wc ((hm + hr) (m + e) +
+    hm m + hr e) its x-moment, and 3 cap wc (hm + hr) - wc (hm (hm + hr)
+    + hr^2) its y-moment, the integral of (cap^2 - (lo x)^2) / 2 with no
+    cancellation beyond 2.  Overwrites ``a`` and ``g``.
     """
-    w = m - a
-    if lo is None:  # g = hi
-        hm = hi * m
-        g = hi * w
+    m = a + wa
+    hm = g * m
+    if lo is None:
+        slopes = g  # of the two rays, summed
+        g = g * wa
     else:
-        g = hi - lo
-        hm = g * m
-        g *= w
-        hi += lo
+        slopes = lo * 2.0
+        slopes += g
+        g *= wa
     am = a + m
     area = g * am
     area *= 3.0
@@ -715,16 +684,11 @@ def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.n
     t = m * m
     a += t
     mx = np.multiply(g, a, out=a)
-    my = mx * hi  # hi + lo
+    my = mx * slopes
     mx *= 2.0
-    w = np.subtract(e, m, out=w)
-    if lo is None:
-        hr = cap
-    else:
-        hr = np.multiply(lo, e, out=hi)
-        np.subtract(cap, hr, out=hr)
+    e = np.add(m, wc, out=slopes)
     h = hm + hr
-    wh = h * w
+    wh = h * wc
     u = wh * 3.0
     area += u
     np.add(m, e, out=u)
@@ -733,7 +697,7 @@ def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.n
     np.multiply(hm, m, out=am)
     np.multiply(hr, e, out=t)
     am += t
-    am *= w
+    am *= wc
     mx += am
     np.multiply(wh, cap, out=u)
     u *= 3.0
@@ -741,7 +705,7 @@ def _wedge_and_cap_moments(a: np.ndarray, m: np.ndarray, e: np.ndarray, lo: np.n
     h *= hm
     np.multiply(hr, hr, out=t)
     h += t
-    h *= w
+    h *= wc
     my -= h
     return area, mx, my
 
@@ -761,10 +725,10 @@ def _id_exc_integrals(rates: np.ndarray, id_out: tuple | None, exc_out: tuple | 
     foot x0, the right end is d = b - x0 = min(b, 2 c / r), the left end
     max(0, d - b / 2), and the line reaches c at m = min(d, c / r), never
     left of the left end.  So the polygon is
-    :func:`_wedge_and_cap_moments`'s region with lo = 0, hi = r, cap = c
-    and e = d.  b and 2 c are taken as p_ID + p_Exc and q_ID + q_Exc, and
-    every length from them, so each keeps its relative precision where
-    the Inc rates are within rounding of 1.  The integral of p_Exc is
+    :func:`_wedge_and_cap_moments`'s region with lo = 0, g = r, cap = hr
+    = c, wa = m - a and wc = d - m.  b and 2 c are taken as p_ID + p_Exc
+    and q_ID + q_Exc, and every length from them, so each keeps its
+    relative precision where the Inc rates are within rounding of 1.  The integral of p_Exc is
     then that of b less p_ID; likewise for q.
 
     This slice is uniform only where both factors are reflected, so the
@@ -772,38 +736,40 @@ def _id_exc_integrals(rates: np.ndarray, id_out: tuple | None, exc_out: tuple | 
     is 0 the polygon is empty (a ratio ordering fails), and the floors on
     r and on the support keep every quotient finite.
     """
+    p_id, p, p_exc, q_id, q, q_exc = (rates[:, j] for j in range(6))
+    b = p_id + p_exc
+    c2 = q_id + q_exc
+    r = np.maximum(p, _FLOOR)
+    np.divide(q, r, out=r)
     with np.errstate(divide="ignore"):  # q_Inc = 0: e is inf, and the polygon empty
-        for block in _blocks(rates.shape[0], _CACHE_ROWS):
-            p_id, p, p_exc, q_id, q, q_exc = (rates[block, j] for j in range(6))
-            b = p_id + p_exc
-            c2 = q_id + q_exc
-            r = np.maximum(p, _FLOOR)
-            np.divide(q, r, out=r)
-            e = c2 / r
-            d = np.minimum(b, e)  # d, m and a are measured from the foot x0
-            e *= 0.5
-            m = np.minimum(e, d, out=e)
-            a = b * 0.5
-            np.subtract(d, a, out=a)
-            np.maximum(a, 0.0, out=a)
-            area, mx, my = _wedge_and_cap_moments(a, m, d, None, r, c2 * 0.5)
-            inverse = b * c2  # 6 times the support's area b c / 2, as the kernel's moments
-            inverse *= 1.5
-            np.maximum(inverse, _FLOOR, out=inverse)
-            np.reciprocal(inverse, out=inverse)
-            if exc_out is not None:
-                np.multiply(d, area, out=m)
-                m -= mx
-                np.multiply(m, inverse, out=exc_out[0][block])
-                np.multiply(c2, area, out=m)
-                m -= my
-                np.multiply(m, inverse, out=exc_out[1][block])
-            if id_out is not None:
-                np.subtract(b, d, out=b)  # x0
-                b *= area
-                b += mx
-                np.multiply(b, inverse, out=id_out[0][block])
-                np.multiply(my, inverse, out=id_out[1][block])
+        e = c2 / r
+    d = np.minimum(b, e)  # d, m and a are measured from the foot x0
+    e *= 0.5
+    m = np.minimum(e, d, out=e)
+    a = b * 0.5
+    np.subtract(d, a, out=a)
+    np.maximum(a, 0.0, out=a)
+    wc = d - m
+    wa = np.subtract(m, a, out=m)
+    c = c2 * 0.5
+    area, mx, my = _wedge_and_cap_moments(a, wa, wc, None, r, c, c)
+    inverse = b * c2  # 6 times the support's area b c / 2, as the kernel's moments
+    inverse *= 1.5
+    np.maximum(inverse, _FLOOR, out=inverse)
+    np.reciprocal(inverse, out=inverse)
+    if exc_out is not None:
+        np.multiply(d, area, out=m)
+        m -= mx
+        np.multiply(m, inverse, out=exc_out[0])
+        np.multiply(c2, area, out=m)
+        m -= my
+        np.multiply(m, inverse, out=exc_out[1])
+    if id_out is not None:
+        np.subtract(b, d, out=b)  # x0
+        b *= area
+        b += mx
+        np.multiply(b, inverse, out=id_out[0])
+        np.multiply(my, inverse, out=id_out[1])
 
 
 def _inc_integrals(rates: np.ndarray, reflected: tuple[bool, bool], out: tuple) -> None:
@@ -819,107 +785,140 @@ def _inc_integrals(rates: np.ndarray, reflected: tuple[bool, bool], out: tuple) 
     depend on (x, y).  Where the lower line reaches C before b, at C /
     lam, the polygon ends there: at xr.  The upper line reaches C at m = C
     / s, which lies in (a, xr] where p0 > q0.  So the polygon is
-    :func:`_wedge_and_cap_moments`'s region with lo = lam, hi = s, cap = C
-    and e = xr.  b, 1 - q0 and C are taken from the other rates, as in
-    :func:`_id_exc_integrals`.
+    :func:`_wedge_and_cap_moments`'s region with lo = lam, g = s - lam,
+    cap = C, wa = m - a, wc = xr - m and hr = C - lam xr.  b, 1 - q0 and C
+    are taken from the other rates, as in :func:`_id_exc_integrals`.
+
+    Where p0 is near q0 the polygon is a thin sliver along the ray y = x,
+    and the differences g, m - a and xr - m cancel.  On the simplex they
+    have forms that do not: g = (p0 - q0) / (p0 b); m - a is m where a =
+    0, else (p0 - q0) / (1 - q0), or p0 where m is b; and xr - m is g m
+    / lam where xr = C / lam, else b - m, with hr = 0 or C - lam b.  So
+    each is the least of its forms, with C - lam b floored at 0.
 
     The polygon is empty where p0 <= q0 or q0 >= 1/2.  Clamping makes its
-    integrals exactly 0 there with no test of either: hi = max(s, lam)
-    gives the wedge no height, m = min(C / hi, xr) the cap no width, and
-    C, floored at 0, the region no height.  The floors on p0 and b keep
-    lam and s finite where they are 0.  ``reflected`` says which factors
-    are: the support is x in [a, b] where p is, else [0, b], and y in [0,
-    C] where q is, else [0, 1 - q0].
+    integrals exactly 0 there with no test of either: p0 - q0, floored
+    at 0, gives the wedge no height or width and the cap no width, and
+    C, floored at 0, the region no height.  The floors on the divisors
+    keep every quotient finite.  ``reflected`` says which factors are:
+    the support is x in [a, b] where p is, else [0, b], and y in [0, C]
+    where q is, else [0, 1 - q0].
     """
     p_reflected, q_reflected = reflected
-    with np.errstate(divide="ignore"):  # q_ID = 0: the lower line never reaches C
-        for block in _blocks(rates.shape[0], _CACHE_ROWS):
-            p, q = rates[block, 0], rates[block, 3]
-            b = rates[block, 1] + rates[block, 2]
-            u = rates[block, 4] + rates[block, 5]
-            top = u - q
-            np.maximum(top, 0.0, out=top)
-            lam = np.maximum(p, _FLOOR)
-            np.divide(q, lam, out=lam)
-            s = np.maximum(b, _FLOOR)
-            np.divide(u, s, out=s)
-            np.maximum(s, lam, out=s)
-            inverse = np.minimum(b, p) if p_reflected else b.copy()  # b - a, or b
-            inverse *= top if q_reflected else u
-            inverse *= 6.0  # as the kernel's moments
-            np.maximum(inverse, _FLOOR, out=inverse)
-            np.reciprocal(inverse, out=inverse)
-            a = np.subtract(b, p, out=u)
-            np.maximum(a, 0.0, out=a)
-            xr = top / lam
-            np.minimum(xr, b, out=xr)
-            m = np.divide(top, s, out=b)
-            np.minimum(m, xr, out=m)
-            area, mx, my = _wedge_and_cap_moments(a, m, xr, lam, s, top)
-            np.multiply(mx, inverse, out=out[0][block])
-            np.multiply(my, inverse, out=out[1][block])
+    p, q = rates[:, 0], rates[:, 3]
+    b = rates[:, 1] + rates[:, 2]
+    u = rates[:, 4] + rates[:, 5]
+    top = u - q
+    np.maximum(top, 0.0, out=top)
+    inverse = np.minimum(b, p) if p_reflected else b.copy()  # b - a, or b
+    inverse *= top if q_reflected else u
+    inverse *= 6.0  # as the kernel's moments
+    np.maximum(inverse, _FLOOR, out=inverse)
+    np.reciprocal(inverse, out=inverse)
+    gap = p - q
+    np.maximum(gap, 0.0, out=gap)
+    floored = np.maximum(p, _FLOOR)
+    lam = q / floored
+    floored *= np.maximum(b, _FLOOR)
+    g = gap / floored
+    m = np.add(lam, g, out=floored)
+    np.maximum(m, _FLOOR, out=m)
+    np.divide(top, m, out=m)
+    np.minimum(m, b, out=m)
+    np.maximum(u, _FLOOR, out=u)
+    wa = np.divide(gap, u, out=gap)
+    np.minimum(wa, p, out=wa)
+    np.minimum(wa, m, out=wa)
+    wc = g * m
+    wc /= np.maximum(lam, _FLOOR)
+    np.minimum(wc, np.subtract(b, m, out=u), out=wc)
+    a = np.subtract(b, p, out=u)
+    np.maximum(a, 0.0, out=a)
+    hr = np.multiply(lam, b, out=b)
+    np.subtract(top, hr, out=hr)
+    np.maximum(hr, 0.0, out=hr)
+    area, mx, my = _wedge_and_cap_moments(a, wa, wc, lam, g, top, hr)
+    np.multiply(mx, inverse, out=out[0])
+    np.multiply(my, inverse, out=out[1])
 
 
-def _slice_integrals(rates: np.ndarray, sliced: Sequence[Conclusion],
-                     reflected: tuple[bool, bool]) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's slice integrals of p_c and of q_c, over its proposal
-    support's area, for each conclusion c of ``sliced``: two (n, k)
-    arrays, column j for ``sliced[j]``, each column contiguous.
+def _contributions(chunk: np.ndarray, kept: np.ndarray, conclusions: Sequence[Conclusion],
+                   sliced: Sequence[Conclusion], reflected: tuple[bool, bool],
+                   q_id: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each proposal's contributions to the numerator and the denominator of
+    the LR of each of ``conclusions``: two (n, k) arrays, column j for
+    ``conclusions[j]``, each column contiguous; and how many kept rows had
+    q_ID integrated out.
 
-    Column j's means over the rows of a chunk are unbiased for E[p_c 1_A]
-    and E[q_c 1_A] under the proposal, each times the same constant, A
-    the region, wherever c's slice is uniform (see
-    :func:`_uniform_slices`).  ``reflected`` is the proposal's, as
-    :func:`_rate_pair_proposal` gives it.
+    ``chunk`` holds the proposals, rows (p_ID, p_Inc, p_Exc, q_ID, q_Inc,
+    q_Exc), and ``kept`` marks those that count.  Column j's sums over
+    every proposal drawn, divided one by the other, estimate the LR of
+    ``conclusions[j]``:
+
+    - for a conclusion c of ``sliced``, each row's slice integrals of p_c
+      and of q_c over its proposal support's area, kept or not, whose
+      means are unbiased for E[p_c 1_A] and E[q_c 1_A] under the proposal,
+      A the region, where c's slice is uniform (see
+      :func:`_uniform_slices`); ``reflected`` is the proposal's, as
+      :func:`_rate_pair_proposal` gives it;
+    - for any other, p_c and q_c on the kept rows and 0 elsewhere, where
+      with ``q_id`` = (t, m) LR(ID)'s denominator takes the Beta mean m in
+      place of q_ID on each kept row that :func:`_q_id_certified`
+      certifies at t.
+
+    It writes nothing into ``chunk``.
     """
-    n = rates.shape[0]
-    num, den = (np.empty((n, len(sliced)), order="F") for _ in range(2))
-    cols = {c: (num[:, j], den[:, j]) for j, c in enumerate(sliced)}
-    if Conclusion.ID in cols or Conclusion.EXC in cols:
-        _id_exc_integrals(rates, cols.get(Conclusion.ID), cols.get(Conclusion.EXC))
-    if Conclusion.INC in cols:
-        _inc_integrals(rates, reflected, cols[Conclusion.INC])
-    return num, den
+    n = chunk.shape[0]
+    num, den = (np.empty((n, len(conclusions)), order="F") for _ in range(2))
+    cols = {c: (num[:, j], den[:, j]) for j, c in enumerate(conclusions)}
+    integrals = {c: cols.pop(c) for c in sliced}
+    if Conclusion.ID in integrals or Conclusion.EXC in integrals:
+        _id_exc_integrals(chunk, integrals.get(Conclusion.ID), integrals.get(Conclusion.EXC))
+    if Conclusion.INC in integrals:
+        _inc_integrals(chunk, reflected, integrals[Conclusion.INC])
+    n_integrated = 0
+    for c, (p, q) in cols.items():
+        np.multiply(chunk[:, c.value], kept, out=p)
+        np.multiply(chunk[:, 3 + c.value], kept, out=q)
+        if c is Conclusion.ID and q_id is not None:
+            t, mean = q_id
+            certified = _q_id_certified(chunk, t)
+            certified &= kept
+            n_integrated = int(np.count_nonzero(certified))
+            np.putmask(q, certified, mean)
+    return num, den, n_integrated
 
 
 class DrawSummary:
-    """Moments, and with ``bins`` each conclusion's grid cell counts, of one run's draws.
+    """LR sums, and with ``bins`` each conclusion's grid cell counts, of one run's draws.
 
     ``conclusions`` are the conclusions whose LRs the caller reads
-    (:meth:`estimate` refuses any other), and ``sliced`` those of them
-    taken from slice integrals, with the
-    proposal's ``reflected`` flags.  The moments of the others are over
-    units, the kept draws of each antithetic pair (each draw alone unless
-    ``paired``), the cell counts and ``n_samples`` over the kept draws.
-    It keeps no draw.  Its grids are those :func:`density_grid` makes from
-    the same draws, and its estimates those of :func:`lr_from_samples`, up
-    to float rounding, unless ``q_id`` or ``sliced`` says otherwise.
-    ``q_id`` is the threshold t and Beta mean m of
-    :func:`_rate_pair_proposal`.  Then each kept row that
-    :func:`_q_id_certified` certifies enters the ID moments with m in
-    place of its sampled q_ID (see the module docstring), after the grids
-    have counted it; ``n_integrated`` counts those rows.  The relative
-    bias this adds is below ``Q_ID_TAIL``.
-
-    Each conclusion of ``sliced`` takes its moments over every proposal
-    drawn instead, rejected ones and chunks that keep nothing included:
-    the integrals of :func:`_slice_integrals`, summed over each
-    antithetic pair where ``paired``.  They are exact conditional
-    expectations under the proposal, so each mean of the ratio is
-    unbiased, and the SE is over proposals (or pairs).  ``n_sliced``
-    counts the proposals that entered so.  On the flat prior, at 10^6
-    kept draws, the squared relative error of LR(ID) and LR(Exc) is about
-    5.5e-8, and that of LR(Inc) about 6e-8.
+    (:meth:`estimate` refuses any other), ``sliced`` those of them taken
+    from slice integrals, with the proposal's ``reflected`` flags, and
+    ``q_id`` the threshold t and Beta mean m of
+    :func:`_rate_pair_proposal`.  Each LR is the ratio of the sums of
+    :func:`_contributions` over every proposal drawn, rejected ones,
+    chunks that keep nothing and the last chunk's proposals past the
+    target included, and its SE the delta method's over units, every
+    antithetic pair proposed (each proposal alone unless ``paired``), all
+    in one :class:`_RatioSums`.  So without ``q_id`` or ``sliced`` its
+    LRs are those of :func:`lr_from_samples` on the same draws, up to
+    float rounding, and its SEs those times sqrt(N (n - 1) / (n (N -
+    1))), N the units proposed and n those that hold a kept draw.  It
+    keeps no draw.  ``n_integrated`` counts the kept rows that had q_ID
+    integrated out, which adds a relative bias below ``Q_ID_TAIL``, and
+    ``n_sliced`` the proposals that entered as slice integrals, exact
+    conditional expectations under the proposal.  On the flat prior, at
+    10^6 kept draws, the squared relative error of LR(ID) and LR(Exc) is
+    about 5.5e-8, and that of LR(Inc) about 6e-8.
 
     It is the consumer of :func:`mc.rejection_stream`: each call takes
-    one chunk's kept rows, as the stream gathers them, with their proposal
-    indices, and the whole chunk.  It reads the slice integrals from the
-    chunk first, then overwrites the kept rows, which may be a view of
-    it.  The moments are merged chunk by chunk, those of the kept rows in
-    blocks of ``_BLOCK_ROWS`` proposals, cut at the same proposal indices
-    whatever the thread count.
-    ``n_proposed`` and ``n_chunks`` are the sampler's proposals and
-    chunks, which :func:`summarize_draws` sets with the acceptance rate.
+    one chunk as drawn and the mask of its kept rows, which alone the
+    cell counts and ``n_samples`` count.  It folds the chunk in blocks of
+    ``_CACHE_ROWS`` rows, whose temporaries stay in cache, the same
+    blocks at any thread count.  ``n_proposed`` and ``n_chunks`` are the
+    sampler's proposals and chunks, which :func:`summarize_draws` sets
+    with the acceptance rate.
     """
 
     def __init__(self, seed: int, bins: int = 0, paired: bool = True,
@@ -933,8 +932,7 @@ class DrawSummary:
         self.conclusions = tuple(conclusions)
         self.sliced = tuple(sliced)
         self.reflected = reflected
-        self.moments: _Moments | None = None
-        self.slice_moments: _Moments | None = None
+        self.sums = _RatioSums(len(self.conclusions))
         self.n_samples = 0
         self.n_integrated = 0
         self.n_sliced = 0
@@ -943,46 +941,26 @@ class DrawSummary:
         self.bins = bins
         self.cells = np.zeros((len(Conclusion) if bins else 0, bins * bins), dtype=np.intp)
 
-    def __call__(self, kept: np.ndarray, index: np.ndarray, chunk: np.ndarray) -> None:
-        if self.sliced:
-            num, den = _slice_integrals(chunk, self.sliced, self.reflected)
-            if self.paired:  # rows 2i and 2i + 1 are a pair: CHUNK_SIZE is even
-                num, den = num[0::2] + num[1::2], den[0::2] + den[1::2]
-            block = _Moments.of(num, den)
-            self.slice_moments = (block if self.slice_moments is None
-                                  else self.slice_moments.merge(block))
-            self.n_sliced += chunk.shape[0]
+    def __call__(self, chunk: np.ndarray, kept: np.ndarray) -> None:
+        rows = np.flatnonzero(kept)
         for j, cells in enumerate(self.cells):
-            _count_cells(cells, kept[:, j], kept[:, 3 + j], self.bins)
-        self.n_samples += index.size
-        if index.size == 0 or set(self.conclusions) <= set(self.sliced):
-            return
-        # what follows overwrites the kept rows, which no one reads after this call
-        if self.q_id is not None:
-            t, mean = self.q_id
-            certified = _q_id_certified(kept, t)
-            self.n_integrated += int(np.count_nonzero(certified))
-            np.putmask(kept[:, 3], certified, mean)
-        unit, cuts = index, []  # unpaired draws are their own units: no sums, one block
-        if self.paired:
-            # proposals 2i and 2i + 1 are a pair (see _rate_pair_proposal), so
-            # blocks of _BLOCK_ROWS proposals, an even number, hold whole pairs
-            unit = index >> 1
-            start = index[0] - index[0] % _BLOCK_ROWS + _BLOCK_ROWS
-            cuts = np.searchsorted(index, range(start, index[-1] + 1, _BLOCK_ROWS))
-        for lo, hi in itertools.pairwise([0, *cuts, index.size]):
-            if hi > lo:
-                block = _Moments.of(*_unit_sums(kept[lo:hi, :3], kept[lo:hi, 3:], unit[lo:hi]))
-                self.moments = block if self.moments is None else self.moments.merge(block)
+            _count_cells(cells, chunk[:, j].take(rows), chunk[:, 3 + j].take(rows), self.bins)
+        self.n_samples += rows.size
+        if self.sliced:
+            self.n_sliced += chunk.shape[0]
+        for block in _blocks(chunk.shape[0], _CACHE_ROWS):
+            num, den, n_integrated = _contributions(chunk[block], kept[block], self.conclusions,
+                                                    self.sliced, self.reflected, self.q_id)
+            self.n_integrated += n_integrated
+            if self.paired:  # rows 2i and 2i + 1 are a pair: blocks are even
+                num, den = num[0::2] + num[1::2], den[0::2] + den[1::2]
+            self.sums.add(num, den)
 
     def estimate(self, conclusion: Conclusion) -> LrEstimate:
         if conclusion not in self.conclusions:
             raise DomainError(f"LR({conclusion.name}) was not summarized from these draws")
-        if conclusion in self.sliced:
-            moments, j = self.slice_moments, self.sliced.index(conclusion)
-        else:
-            moments, j = self.moments, conclusion.value
-        return moments.estimate(j, self.n_samples, self.acceptance_rate, self.seed)
+        return self.sums.estimate(self.conclusions.index(conclusion), self.n_samples,
+                                  self.acceptance_rate, self.seed)
 
     def density_grid(self, conclusion: Conclusion) -> tuple[np.ndarray, np.ndarray]:
         return _density(self.cells[conclusion.value], self.n_samples, self.bins)
@@ -1002,7 +980,7 @@ def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.Rn
     """Summary of ``n_accepted`` admissible pairs from one count table, drawn on ``rng``.
 
     The draws are those :func:`sample_rate_pairs` makes on the same stream,
-    folded chunk by chunk as they are accepted; with ``bins`` the summary
+    folded chunk by chunk as they are drawn; with ``bins`` the summary
     also counts each conclusion's grid cells, ``bins`` per axis.  They are
     drawn on a pool of :func:`mc.resolve_threads` workers (the
     ``EVIDENTIAL_WEIGHT_THREADS`` setting, else one per CPU), whose size
@@ -1012,7 +990,7 @@ def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.Rn
     conclusion read is uniform, its LR comes from the slice integrals of
     every proposal (see :class:`DrawSummary`); only those slices are
     integrated.  Any 3 draws span at least 2 antithetic pairs, the fewest
-    a standard error is taken over.
+    whose spread a standard error can show.
     """
     if n_accepted < 3:
         raise DomainError(f"a Monte Carlo standard error needs at least 3 draws, got {n_accepted}")

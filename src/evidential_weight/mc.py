@@ -8,19 +8,19 @@ sampling consumes randomness in fixed-size chunks, one child stream per
 chunk index, which makes the output independent of how many worker threads
 evaluate the chunks.  :func:`rejection_stream` draws one rejection target
 on its own pool, of one worker or more, and hands each chunk it takes,
-rejected rows included, to a consumer in chunk-index order, beside the
-chunk's kept rows, gathered once, with the proposal index of each, which
-the consumer may overwrite; the pool's threads draw
-under the caller's numpy error state, so a float guard set around the
-call holds for them too.  Every command folds them into running
-estimates (:class:`categorical.DrawSummary`), in the memory of a few
-chunks; :func:`rejection_sample` collects them into one buffer, for
-library callers that want the draws, with their proposal indices, from
-which :mod:`categorical` tells the two draws of an antithetic pair.
-The acceptance rate reported is the share of proposals accepted times
-the proposal's mass, so a caller whose proposal covers only part of the
-untruncated distribution (see :func:`categorical.sample_rate_pairs`)
-gets that distribution's rate, held to the floor.  The chunk size and the intractability thresholds
+as drawn, to a consumer in chunk-index order, with a mask of the
+proposals that count: those accepted, up to the target; the pool's
+threads draw under the caller's numpy error state, so a float guard set
+around the call holds for them too.  Every command folds them into
+running estimates (:class:`categorical.DrawSummary`), in the memory of a
+few chunks; :func:`rejection_sample` collects the kept rows into one
+buffer, for library callers that want the draws, with their proposal
+indices, from which :mod:`categorical` tells the two draws of an
+antithetic pair.  The acceptance rate reported is the share of
+proposals accepted times the proposal's mass, so a caller whose
+proposal covers only part of the untruncated distribution (see
+:func:`categorical.sample_rate_pairs`) gets that distribution's rate,
+held to the floor.  The chunk size and the intractability thresholds
 (``CHUNK_SIZE``, ``INTRACTABLE_FLOOR``, ``INTRACTABLE_PROBE``) are
 module constants, not parameters; the chunk loop reads them as it runs.
 """
@@ -165,7 +165,7 @@ def rejection_stream(
     accept: Callable[[np.ndarray], np.ndarray],
     target_accepted: int,
     rng: RngStream,
-    consume: Callable[[np.ndarray, np.ndarray, np.ndarray], None],
+    consume: Callable[[np.ndarray, np.ndarray], None],
     *,
     threads: int | None = None,
     proposal_mass: float = 1.0,
@@ -174,22 +174,21 @@ def rejection_stream(
 
     ``proposal(generator, n)`` returns ``n`` draws (the rows of a 2-D
     array); ``accept`` maps them to a boolean mask and must be pure.
-    ``consume(kept, index, chunk)`` receives each chunk taken, whether it
-    keeps rows or not: its kept rows, each column contiguous, possibly
-    none, with their ascending proposal indices (row ``r`` of chunk ``c``
-    is ``c * CHUNK_SIZE + r``), and ``chunk``, all ``CHUNK_SIZE`` of its
-    proposals, rejected ones and those past the target included.  It may
-    overwrite ``kept``, which may be a view of ``chunk``: it reads what it
-    needs of ``chunk`` first.  A pool
+    ``consume(chunk, kept)`` receives each chunk taken, whether it keeps
+    rows or not: ``chunk``, all ``CHUNK_SIZE`` of its proposals as drawn,
+    and ``kept``, the boolean mask of those that count, the accepted ones
+    up to the ``target_accepted``-th of the stream and none past it.  Row
+    ``r`` of chunk ``c`` is proposal ``c * CHUNK_SIZE + r``.  A pool
     of ``threads`` workers, one at ``threads=1``, draws the chunks, with
     up to ``threads`` in flight, no more than the acceptance rate so far
     says are needed; ``accept`` and ``consume`` run on the calling thread
-    in chunk-index order, so the consumed rows and every counter are
-    identical for any ``threads`` value.  Each worker draws its chunk in
-    a copy of the calling thread's context, so under the caller's numpy
-    error state too (``np.errstate`` is a context variable, and a new
-    thread starts with the default): a float error that raises on one
-    thread raises on any number.  No chunk or worker outlives the call.
+    in chunk-index order, so the consumed chunks, their masks and every
+    counter are identical for any ``threads`` value.  Each worker draws
+    its chunk in a copy of the calling thread's context, so under the
+    caller's numpy error state too (``np.errstate`` is a context
+    variable, and a new thread starts with the default): a float error
+    that raises on one thread raises on any number.  No chunk or worker
+    outlives the call.
 
     Returns (acceptance rate, proposals drawn, chunks drawn).  The rate,
     also the one held to the floor, is the share of proposals accepted
@@ -227,12 +226,16 @@ def rejection_stream(
                 pending.append(pool.submit(
                     contextvars.copy_context().run, propose, n_chunks + len(pending)))
             draws = pending.popleft().result()
-            rows = np.flatnonzero(np.asarray(accept(draws), dtype=bool))
-            n_accepted += rows.size
-            rows = rows[: target_accepted - n_kept]
-            consume(_kept_rows(draws, rows), rows + n_chunks * CHUNK_SIZE, draws)
+            kept = np.asarray(accept(draws), dtype=bool)
+            n_new = int(np.count_nonzero(kept))
+            n_accepted += n_new
+            if n_kept + n_new > target_accepted:  # none past the target
+                kept = kept.copy()
+                kept[np.flatnonzero(kept)[target_accepted - n_kept]:] = False
+                n_new = target_accepted - n_kept
+            consume(draws, kept)
             n_chunks += 1
-            n_kept += rows.size
+            n_kept += n_new
             del draws  # freed before the next submission draws another chunk
             n_proposed = n_chunks * CHUNK_SIZE
             rate = n_accepted / n_proposed * proposal_mass
@@ -248,23 +251,6 @@ def rejection_stream(
     return rate, n_proposed, n_chunks
 
 
-def _kept_rows(draws: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``draws[rows]`` for ascending ``rows``, columns contiguous.
-
-    Rows that are the chunk's first ones (every chunk where nearly all
-    proposals pass), or none, are a view of ``draws``; other rows are
-    gathered column by column.
-    """
-    n = rows.size
-    if n == 0 or rows[-1] == n - 1:
-        return draws[:n]
-    out = np.empty((n, draws.shape[1]), dtype=draws.dtype, order="F")
-    for j in range(draws.shape[1]):
-        # "clip" skips the bounds check, which would copy via a temporary
-        np.take(draws[:, j], rows, out=out[:, j], mode="clip")
-    return out
-
-
 class _RowBuffer:
     """Consumer that copies the kept rows, and their proposal indices, into
     buffers of ``n_rows`` rows."""
@@ -272,16 +258,18 @@ class _RowBuffer:
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
         self.samples = self.index = None
-        self.n_kept = 0
+        self.n_kept = self.n_chunks = 0
 
-    def __call__(self, kept: np.ndarray, index: np.ndarray, chunk: np.ndarray) -> None:
+    def __call__(self, chunk: np.ndarray, kept: np.ndarray) -> None:
         if self.samples is None:  # numpy's MemoryError names the size refused
-            self.samples = np.empty((self.n_rows, kept.shape[1]), kept.dtype, order="F")
+            self.samples = np.empty((self.n_rows, chunk.shape[1]), chunk.dtype, order="F")
             self.index = np.empty(self.n_rows, dtype=np.int64)
-        stop = self.n_kept + index.size
-        self.samples[self.n_kept:stop] = kept
-        self.index[self.n_kept:stop] = index
+        rows = np.flatnonzero(kept)
+        stop = self.n_kept + rows.size
+        self.samples[self.n_kept:stop] = chunk[rows]
+        self.index[self.n_kept:stop] = rows + self.n_chunks * CHUNK_SIZE
         self.n_kept = stop
+        self.n_chunks += 1
 
 
 def rejection_sample(

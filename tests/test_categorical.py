@@ -473,7 +473,9 @@ class TestSweep:
         # rows are gathered, while at size 1000 each chunk is kept whole.
         # Size 100 has q_ID integrated out of no row, so its LR(ID) is the
         # plain ratio; size 1000 out of nearly every row, so its LR(ID)
-        # agrees with the plain ratio within the plain ratio's error
+        # agrees with the plain ratio within the plain ratio's error.  The
+        # sweep's SEs are over every pair proposed, N, the library's over
+        # the n pairs that hold a kept draw
         n, rng, sizes = 300_000, mc.RngStream(84), [100, 1000]
         assert 2 * mc.CHUNK_SIZE < n < 3 * mc.CHUNK_SIZE
         monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", "3")
@@ -487,6 +489,9 @@ class TestSweep:
             samples = cat.sample_rate_pairs(
                 cat.scaled_counts(study_counts, size), n, rng.substream(i + 1)
             )
+            units, pairs = np.unique(samples.unit).size, sweep.draws[i]["proposals"] // 2
+            assert n / 2 <= units < pairs
+            factor = math.sqrt(pairs * (units - 1) / (units * (pairs - 1)))
             for conclusion in cat.Conclusion:
                 row = sweep.estimate(size, conclusion)
                 alone = cat.lr_from_samples(samples, conclusion)
@@ -495,7 +500,8 @@ class TestSweep:
                     assert row.mc_std_err < alone.mc_std_err
                 else:
                     assert row.lr == pytest.approx(alone.lr, rel=1e-13, abs=0)
-                    assert row.mc_std_err == pytest.approx(alone.mc_std_err, rel=1e-12, abs=0)
+                    assert row.mc_std_err == pytest.approx(alone.mc_std_err * factor,
+                                                           rel=1e-12, abs=0)
                 assert (row.n_samples, row.acceptance_rate, row.seed) == (
                     alone.n_samples, alone.acceptance_rate, alone.seed)
 
@@ -648,20 +654,24 @@ def test_flat_prior_closed_forms():
     assert abs(FLAT_PRIOR_LR_ID / lr_id - 1) < 1e-14
 
 
+def _slice_integrals(rates, conclusions, reflected):
+    """The contributions of every row of ``rates`` to the LRs of
+    ``conclusions``, each taken from its slice integrals."""
+    num, den, _ = cat._contributions(rates, cat._admissible_draws(rates), conclusions,
+                                     conclusions, reflected, None)
+    return num, den
+
+
 def _assert_integrals_match_clipping(rates, conclusions, reflected) -> int:
     """The slice integrals of each row of ``rates`` for each of ``conclusions``
     against clipping; returns how many of the rows' slices are empty.
 
     Each must be within 1e-12 relative of clipping's, or 1e-15 absolute,
     and exactly 0 where the slice is empty, with no float error under the
-    command's float guard.  Where p_ID is within 1e-4 of
-    q_ID the Inc slice is a thin wedge, whose height s - lam the kernel
-    takes as a difference of nearly equal slopes; its relative error
-    grows as the wedge thins, but the integrals shrink with it, so the
-    error stays far below 1e-15 against per-proposal values near 0.1.
+    command's float guard.
     """
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        num, den = cat._slice_integrals(rates, conclusions, reflected)
+        num, den = _slice_integrals(rates, conclusions, reflected)
     want = np.array([[slice_integrals(rates[i, :3], rates[i, 3:], c.value, reflected)
                       for c in conclusions] for i in range(rates.shape[0])])
     got = np.stack([num, den], axis=2)
@@ -739,10 +749,31 @@ class TestPolygonMeans:
             p[:, 2], q[:, 2] = 1.0 - p[:, fixed], 1.0 - q[:, fixed]
             rates = np.asfortranarray(np.column_stack([p, q]))
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                num, den = cat._slice_integrals(rates, conclusions, (True, True))
+                num, den = _slice_integrals(rates, conclusions, (True, True))
             want = np.array([[slice_integrals(p[i], q[i], c.value, (True, True))[:2]
                               for c in conclusions] for i in range(len(edges))])
             np.testing.assert_allclose(np.stack([num, den], axis=2), want, rtol=1e-12, atol=1e-15)
+
+    def test_thin_inc_slice_matches_mpmath(self):
+        # flat-prior proposal 276 of a 2,000-row chunk 0 of RngStream(1) has
+        # p_ID 0.408039 and q_ID 0.407992: its Inc slice is a sliver along
+        # y = x, whose slopes' difference and widths each cancel when taken
+        # as differences (1.9e-12 relative off, so).  Clipping in mpmath at
+        # 50 digits, from the row's float rates, is the reference
+        import mpmath
+
+        proposal, _, _, _, reflected = cat._rate_pair_proposal(None)
+        rates = proposal(mc.RngStream(1).chunk_generator(0), 2000)
+        row = rates[276]
+        assert abs(row[0] - 0.408039) < 1e-6 and abs(row[3] - 0.407992) < 1e-6
+        num, den = _slice_integrals(rates[276:277], (INC,), reflected)
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        p, q = ([mp.mpf(float(v)) for v in half] for half in (row[:3], row[3:]))
+        want = slice_integrals(p, q, INC.value, reflected)
+        assert 0 < want[0] < 1e-8
+        for got, exact in ((num[0, 0], want[0]), (den[0, 0], want[1])):
+            assert abs(got / exact - 1) <= 1e-15, (got, exact)
 
     def test_slice_lrs_are_unbiased(self):
         # z of each flat-prior LR against its exact value, over 40 seeds
@@ -804,10 +835,10 @@ class TestPolygonMeans:
         chunks = [proposal(rng.chunk_generator(i), 16) for i in range(summary.n_chunks)]
         kept = [np.count_nonzero(cat._admissible_draws(chunk)) for chunk in chunks]
         assert kept.count(0) > summary.n_chunks // 5
-        num, den = cat._slice_integrals(np.vstack(chunks), (INC,), reflected)
+        num, den = _slice_integrals(np.vstack(chunks), (INC,), reflected)
         est = summary.estimate(INC)
         assert est.lr == pytest.approx(num.sum() / den.sum(), rel=1e-12, abs=0)
-        assert summary.slice_moments.n == summary.n_proposed // 2
+        assert summary.sums.n == summary.n_proposed // 2
         with pytest.raises(DomainError, match="not summarized"):
             summary.estimate(ID)
 
@@ -828,6 +859,12 @@ class TestPolygonMeans:
             assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err
 
 
+def _residual(sums: cat._RatioSums) -> np.ndarray:
+    """Sum of (num - r den)^2 of each column at its final ratio r."""
+    shift = (sums.sp / sums.n) / (sums.sq / sums.n) - sums.r0
+    return sums.see - shift * (2.0 * sums.seq - shift * sums.sqq)
+
+
 class TestMoments:
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1),
@@ -838,17 +875,37 @@ class TestMoments:
         # columns of different spreads and correlations
         p = np.asfortranarray(gen.dirichlet([2.0, 5.0, 0.5], size=n))
         q = np.asfortranarray(0.3 * p + 0.7 * gen.dirichlet([1.0, 1.0, 9.0], size=n))
-        whole = cat._Moments.of(p, q)
-        merged = None
+        whole, merged = cat._RatioSums(3), cat._RatioSums(3)
+        whole.add(p, q)
         for start, stop in zip(np.cumsum([0] + cuts[:-1]), np.cumsum(cuts)):
-            block = cat._Moments.of(p[start:stop], q[start:stop])
-            merged = block if merged is None else merged.merge(block)
+            merged.add(p[start:stop], q[start:stop])
         assert merged.n == whole.n == n
-        for field in ("mp", "mq", "spp", "sqq"):
+        for field in ("sp", "sq"):
             np.testing.assert_allclose(getattr(merged, field), getattr(whole, field),
                                        rtol=1e-13, atol=0)
-        scale = np.sqrt(whole.spp * whole.sqq)
-        np.testing.assert_allclose(merged.spq, whole.spq, rtol=1e-13, atol=1e-13 * scale.max())
+        np.testing.assert_allclose(_residual(merged), _residual(whole), rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_ratio_with_zero_units_has_no_error(self, seed):
+        # blocks whose units all hold num = r den, with all-zero units, as
+        # rejected proposals and those past the target give, among them and
+        # a whole block of them first: the residuals about the first
+        # nonzero block's ratio stay within rounding of 0.  Centred merges
+        # of the same blocks cancel, to an SE of up to 2.3e-9 of the LR
+        gen = np.random.default_rng(seed)
+        r, sums, n_rows = 358.25888055326374, cat._RatioSums(2), 0
+        for rows in (4096, 65536, 3, 65536, 1000):
+            den = np.asfortranarray(gen.uniform(0.0, 2e-3, size=(rows, 2)))
+            den[gen.random(rows) < 0.4] = 0.0
+            if n_rows == 0:
+                den[:] = 0.0
+            sums.add(np.asfortranarray(r * den), den)
+            n_rows += rows
+        assert sums.n == n_rows
+        for j in range(2):
+            est = sums.estimate(j, n_rows, 1.0, seed)
+            assert est.lr == pytest.approx(r, rel=1e-15)
+            assert 0.0 <= est.mc_std_err <= 1e-15 * est.lr
 
 
 class TestDensityGrid:

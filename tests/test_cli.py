@@ -391,18 +391,28 @@ class TestCategoricalCommand:
                     assert_same_lines(written.split("\n", 2)[2], text)
                 est = read_json(out / "result.json")["lr_estimate"]
                 alone = categorical.lr_from_samples(samples, conclusion)
+                drawn = read_json(out / "manifest.json")["draws"]["main"]["proposals"]
+                factor = 1.0
                 if case == "prior":
-                    drawn = read_json(out / "manifest.json")["draws"]["main"]["proposals"]
-                    num, den = categorical._slice_integrals(chunks[:drawn], (conclusion,),
-                                                            reflected)
-                    alone = categorical._Moments.of(num, den).estimate(
-                        0, n, samples.acceptance_rate, rng.seed)
+                    taken, sliced = chunks[:drawn], (conclusion,)
+                    num, den, _ = categorical._contributions(
+                        taken, categorical._admissible_draws(taken), sliced, sliced, reflected,
+                        None)
+                    alone = categorical._RatioSums(1)
+                    alone.add(num, den)
+                    alone = alone.estimate(0, n, samples.acceptance_rate, rng.seed)
+                else:
+                    # the command's SE is over every pair proposed, N, the
+                    # library's over the n pairs that hold a kept draw
+                    units, pairs = np.unique(samples.unit).size, drawn // 2
+                    factor = math.sqrt(pairs * (units - 1) / (units * (pairs - 1)))
                 if case == "study" and conclusion is categorical.Conclusion.ID:
                     assert abs(est["lr"] - alone.lr) <= 5 * alone.mc_std_err
                     assert est["mc_std_err"] < 0.01 * alone.mc_std_err
                 else:
                     assert est["lr"] == pytest.approx(alone.lr, rel=1e-13, abs=0)
-                    assert est["mc_std_err"] == pytest.approx(alone.mc_std_err, rel=1e-12, abs=0)
+                    assert est["mc_std_err"] == pytest.approx(alone.mc_std_err * factor,
+                                                              rel=1e-12, abs=0)
                 assert (est["n_samples"], est["acceptance_rate"]) == (
                     alone.n_samples, alone.acceptance_rate)
         if case == "study":

@@ -158,8 +158,8 @@ class TestRejectionSample:
         assert result.samples.shape == (target, 2)
 
     def test_kept_rows_equal_filtered_proposals(self, monkeypatch):
-        # chunks drawn above the threshold are accepted whole (one block
-        # copy); the others are gathered row by row
+        # chunks drawn above the threshold are accepted whole, the others
+        # in part; the buffer gathers the kept rows of each
         def proposal(gen, n):
             low = 0.6 if gen.random() < 0.5 else 0.0
             return gen.uniform(low, 1.0, size=(n, 3))
@@ -187,12 +187,11 @@ class TestRejectionSample:
 
         monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
         rng = mc.RngStream(11)
-        consumed, indices, chunks = [], [], []
+        chunks, masks = [], []
 
-        def consume(kept, index, chunk):
-            consumed.append(kept.copy())
-            indices.append(index.copy())
+        def consume(chunk, kept):
             chunks.append(chunk.copy())
+            masks.append(kept.copy())
 
         threads_before = threading.active_count()
         counters = mc.rejection_stream(
@@ -200,23 +199,28 @@ class TestRejectionSample:
         )
         assert threading.active_count() == threads_before
         alone = mc.rejection_sample(uniform_pair_proposal, accept, target, rng, threads=1)
-        assert np.array_equal(np.concatenate(consumed), alone.samples)
-        assert np.array_equal(np.concatenate(indices), alone.index)
         assert counters == (alone.acceptance_rate, alone.n_proposed, alone.n_chunks)
-        # each chunk taken is handed on whole, once, in order, with its rows
-        # that pass, at their global indices
-        assert len(chunks) == alone.n_chunks
-        for c, (kept, index, chunk) in enumerate(zip(consumed, indices, chunks)):
-            assert np.all(index // 1000 == c)
+        # each chunk taken is handed on once, in order, as drawn, with the
+        # mask of its rows that pass, up to the target and none past it
+        assert len(chunks) == len(masks) == alone.n_chunks
+        for c, (chunk, kept) in enumerate(zip(chunks, masks)):
             draws = uniform_pair_proposal(rng.chunk_generator(c), 1000)
             assert np.array_equal(chunk, draws)
-            assert np.array_equal(kept, draws[index % 1000])
-            assert np.all(accept(kept))
+            assert kept.dtype == bool and kept.shape == (1000,)
+            if c < len(chunks) - 1:
+                assert np.array_equal(kept, accept(draws))
+        last = np.flatnonzero(masks[-1])
+        assert np.array_equal(masks[-1], accept(chunks[-1]) & (np.arange(1000) <= last[-1]))
+        assert sum(int(kept.sum()) for kept in masks) == target
+        assert np.array_equal(np.concatenate([d[k] for d, k in zip(chunks, masks)]),
+                              alone.samples)
+        index = np.concatenate([np.flatnonzero(k) + 1000 * c for c, k in enumerate(masks)])
+        assert np.array_equal(index, alone.index)
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_stream_hands_on_chunks_that_keep_nothing(self, threads, monkeypatch):
         # at about one in twenty, most chunks of 10 keep no row; each is
-        # still handed on, with no kept rows and its whole proposal
+        # still handed on, whole, with a mask that keeps nothing
         def accept(d):
             return d[:, 0] > 0.95
 
@@ -224,9 +228,9 @@ class TestRejectionSample:
         rng = mc.RngStream(13)
         calls = []
 
-        def consume(kept, index, chunk):
-            assert kept.shape == (index.size, 2) and chunk.shape == (10, 2)
-            calls.append(index.size)
+        def consume(chunk, kept):
+            assert chunk.shape == (10, 2) and kept.shape == (10,)
+            calls.append(int(kept.sum()))
 
         _, n_proposed, n_chunks = mc.rejection_stream(
             uniform_pair_proposal, accept, 40, rng, consume, threads=threads)
@@ -265,7 +269,7 @@ class TestRejectionSample:
         class Stop(Exception):
             pass
 
-        def consume(kept, index, chunk):
+        def consume(chunk, kept):
             raise Stop
 
         monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
