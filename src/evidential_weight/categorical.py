@@ -6,9 +6,10 @@ validation counts) but truncated to an ordering region expressing that
 the expert discriminates: identifications dominate among mated
 comparisons, exclusions dominate among non-mated ones, and the
 mated/non-mated rate ratio decreases from ID to Inconclusive to
-Exclusion.  Sampling is by rejection from the Dirichlet pair, with each
-factor that is symmetric under reversing its rates reflected into the
-region's half-space first (see :func:`sample_rate_pairs`).
+Exclusion.  Sampling is by rejection from the Dirichlet pair, some
+factors reflected into the region's half-space first.  Which layers a
+table's LRs take is decided once, by its :class:`_Plan`, which states
+each layer's condition; the sections below say what each layer does.
 
 Proposals come in antithetic pairs, rows 2i and 2i + 1 of a chunk, whose
 gammas are negatively correlated in each factor that is not reflected
@@ -25,7 +26,7 @@ the same number of draws, the variance of LR(ID) is about a tenth of
 what independent draws give, and that of LR(Inc) and LR(Exc) about a
 thousandth.
 
-Where the non-mated factor is drawn unreflected, :class:`DrawSummary`
+Under q_ID integration (see :class:`_Plan`), :class:`DrawSummary`
 also integrates the non-mated ID rate q_ID out of LR(ID) on the kept
 rows where that is certified (conditional Monte Carlo, or
 Rao-Blackwellization; Asmussen and Glynn, *Stochastic Simulation*,
@@ -50,10 +51,9 @@ lose the pair's antithetic cancellation: from size 300 to about 620 the
 variance of LR(ID) is 1.0 to 1.42 times the plain ratio's, at 900 to
 1000 about a hundredth of it, and from 1500 up below 1e-5 of it.
 
-Where the four concentrations a slice integrates are 1 (see
-:func:`_uniform_slices`), :class:`DrawSummary` takes the LRs that slice
-covers from the slice integrals of every proposal drawn in place of the
-kept rows' rates (Rao-Blackwellized accept-reject draws; Casella and
+Where a slice is uniform, :class:`DrawSummary` takes the LRs it covers
+from the slice integrals of every proposal drawn in place of the kept
+rows' rates (Rao-Blackwellized accept-reject draws; Casella and
 Robert, *Biometrika* 83(1), 1996).  Fixing the rates of the other
 conclusions leaves (p_c, q_c) on a convex polygon of the region, the
 slice, on which the truncated law is uniform, and the proposal on a
@@ -306,7 +306,7 @@ def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> Non
     normals X and -X, each accepted by its own uniform.  Numpy's sampler
     cannot couple two variates this way; every variate that needs no
     partner comes from ``gen.standard_gamma`` instead (see
-    :func:`_rate_pair_proposal`).  Each variate the test rejects is
+    :meth:`_Plan.proposal`).  Each variate the test rejects is
     redrawn from ``gen.standard_gamma`` once all rows are filled, so every
     variate is an exact Gamma(alpha) draw, and only those few pairs lose
     their coupling.  Rows are filled ``_BLOCK_ROWS`` at a time, so the
@@ -402,51 +402,65 @@ def _q_id_threshold(a: float, b: float) -> float:
     return hi
 
 
-def _rate_pair_proposal(counts: ConclusionCounts | None):
-    """Chunk proposal for the Dirichlet pair of ``counts``, the mass it covers,
-    whether its rows come in antithetic pairs, the q_ID integration, and
-    whether the mated and the non-mated factor are reflected.
+@dataclass(frozen=True)
+class _Plan:
+    """Which estimator layers one count table's LRs take, and its chunk proposal.
 
-    The region lies inside the half-spaces p_ID > p_Exc and q_Exc > q_ID.
-    Where a Dirichlet factor has equal outer concentrations, reversing its
-    rates leaves its density unchanged, so each proposal of that factor is
-    reflected into its half-space: an exact draw from the factor
-    conditioned on the half-space, at half the proposal mass.
+    :func:`_plan` sets every field from ``alphas``, the six Dirichlet
+    concentrations (p_ID, p_Inc, p_Exc, q_ID, q_Inc, q_Exc), counts + 1.
+    Each layer's condition is stated here alone:
 
-    Rows 2i and 2i + 1 of a chunk are a pair (see :func:`_gamma_pairs`),
-    whose gammas are antithetic in each factor that is not reflected.  A
-    reflected factor's gammas are independent, each column one call of
-    numpy's ``standard_gamma``, or at concentration 1 of its
-    ``standard_exponential``, the same values sooner: reflection carries
-    an antithetic partner into the same half-space, and on the flat prior
-    such partners raised the variance of LR(ID) by half.  Where both
-    factors are reflected, every row is independent of every other.  The
-    columns are drawn in order from the chunk's generator.
+    - ``reflected`` (mated, non-mated) holds where the factor's outer
+      concentrations are equal.  The region lies inside the half-spaces
+      p_ID > p_Exc and q_Exc > q_ID, and reversing such a factor's rates
+      leaves its density unchanged, so each of its proposals is reflected
+      into its half-space: an exact draw from the factor conditioned on
+      the half-space, at half the proposal ``mass``.  Its gammas are
+      independent: reflection carries an antithetic partner into the
+      same half-space, and on the flat prior such partners raised the
+      variance of LR(ID) by half.  Rows 2i and 2i + 1 of a chunk are a
+      pair (see :func:`_gamma_pairs`), antithetic in each factor not
+      reflected, and ``paired`` unless both are.
+    - ``q_id`` is the threshold t of :func:`_q_id_threshold` and the Beta
+      mean a / (a + b), a the q_ID concentration and b the sum of the
+      other two, where the non-mated factor is not reflected and t < 1
+      (at t = 1 no row is certified: p_ID would have to exceed it); else
+      None.
+    - ``slices`` (ID/Exc, Inc): given p_Inc and q_Inc, the truncated
+      pair's density in (p_ID, q_ID) is proportional to p_ID^(a_ID - 1)
+      p_Exc^(a_Exc - 1) q_ID^(b_ID - 1) q_Exc^(b_Exc - 1), a and b the
+      mated and non-mated concentrations: uniform exactly where those
+      four are 1, that is where their counts are 0.  Likewise the Inc
+      slice, with the Inc and Exc concentrations.  ``sliced`` names the
+      conclusions read whose slice is uniform.
 
-    Where the non-mated factor is not reflected, q_ID given w = q_Inc /
-    (q_Inc + q_Exc) is Beta(a, b), and the integration is the threshold
-    of :func:`_q_id_threshold` and the Beta mean a / (a + b) (see
-    :class:`DrawSummary`); otherwise it is None.
+    The README's categorical conventions map these layers over tables.
     """
-    if counts is None:
-        counts = ConclusionCounts((0, 0, 0), (0, 0, 0))
-    alphas = np.concatenate(counts.alphas())
-    # (high, low) column of each reflected factor: p_ID over p_Exc, q_Exc over q_ID
-    folds = [(hi, lo) for hi, lo in ((0, 2), (5, 3)) if alphas[hi] == alphas[lo]]
-    antithetic = [all(j // 3 != hi // 3 for hi, _ in folds) for j in range(6)]
-    q_id = None
-    if antithetic[3]:
-        a, b = float(alphas[3]), float(alphas[4] + alphas[5])
-        t = _q_id_threshold(a, b)
-        if t < 1.0:  # no row is certified at t = 1: p_ID would have to exceed it
-            q_id = (t, a / (a + b))
 
-    def proposal(gen: np.random.Generator, n: int) -> np.ndarray:
+    alphas: tuple[float, ...]
+    reflected: tuple[bool, bool]
+    q_id: tuple[float, float] | None
+    slices: tuple[bool, bool]
+
+    @property
+    def paired(self) -> bool:
+        return not all(self.reflected)
+
+    @property
+    def mass(self) -> float:
+        return 0.5 ** sum(self.reflected)
+
+    def sliced(self, conclusions: Sequence[Conclusion]) -> tuple[Conclusion, ...]:
+        id_exc, inc = self.slices
+        return tuple(c for c in conclusions if (inc if c is Conclusion.INC else id_exc))
+
+    def proposal(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` proposals, the columns drawn in order from ``gen``."""
         # column-major, so the constraint checks read contiguous columns;
         # every concentration is at least 1, so normalized gammas are exact
         draws = np.empty((n, 6), order="F")
-        for j, alpha in enumerate(alphas.tolist()):
-            if antithetic[j]:
+        for j, alpha in enumerate(self.alphas):
+            if not self.reflected[j // 3]:
                 _gamma_pairs(gen, alpha, draws[:, j])
             elif alpha == 1.0:  # standard_gamma(1.0), bit for bit, and faster
                 gen.standard_exponential(out=draws[:, j])
@@ -457,14 +471,30 @@ def _rate_pair_proposal(counts: ConclusionCounts | None):
             total += draws[:, first + 2]
             for j in range(first, first + 3):
                 draws[:, j] /= total
-        for hi, lo in folds:
-            high = np.maximum(draws[:, hi], draws[:, lo])
-            np.minimum(draws[:, hi], draws[:, lo], out=draws[:, lo])
-            draws[:, hi] = high
+        # (high, low) column of each factor: p_ID over p_Exc, q_Exc over q_ID
+        for (hi, lo), reflected in zip(((0, 2), (5, 3)), self.reflected):
+            if reflected:
+                high = np.maximum(draws[:, hi], draws[:, lo])
+                np.minimum(draws[:, hi], draws[:, lo], out=draws[:, lo])
+                draws[:, hi] = high
         return draws
 
-    reflected = (not antithetic[0], not antithetic[3])
-    return proposal, 0.5 ** len(folds), any(antithetic), q_id, reflected
+
+def _plan(counts: ConclusionCounts | None) -> _Plan:
+    """The :class:`_Plan` of ``counts``, the flat prior where they are None."""
+    if counts is None:
+        counts = ConclusionCounts((0, 0, 0), (0, 0, 0))
+    alphas = tuple(np.concatenate(counts.alphas()).tolist())
+    p_id, p_inc, p_exc, q_id, q_inc, q_exc = alphas
+    reflected = (p_id == p_exc, q_exc == q_id)
+    integration = None
+    if not reflected[1]:
+        b = q_inc + q_exc
+        t = _q_id_threshold(q_id, b)
+        if t < 1.0:
+            integration = (t, q_id / (q_id + b))
+    slices = (p_id == p_exc == q_id == q_exc == 1.0, p_inc == p_exc == q_inc == q_exc == 1.0)
+    return _Plan(alphas, reflected, integration, slices)
 
 
 def _admissible_draws(draws: np.ndarray) -> np.ndarray:
@@ -492,26 +522,23 @@ def sample_rate_pairs(
     the same region.
 
     Factors with equal outer concentrations are proposed reflected into
-    the region's half-spaces (see :func:`_rate_pair_proposal`).  The
-    accepted draws keep the truncated distribution, and the reported
-    acceptance rate (and the intractability floor it is held to) is the
-    prior mass of the region under the untruncated pair: the rate among
-    reflected proposals times their mass.  Proposals come in antithetic
-    pairs, and each row's ``unit`` names its pair.
+    the region's half-spaces (see :class:`_Plan`).  The accepted draws
+    keep the truncated distribution, and the reported acceptance rate
+    (and the intractability floor it is held to) is the prior mass of the
+    region under the untruncated pair: the rate among reflected proposals
+    times their mass.  Proposals come in antithetic pairs, and each row's
+    ``unit`` names its pair.
     """
-    if n_accepted < 1:
-        raise DomainError(f"n_accepted must be >= 1, got {n_accepted!r}")
-    proposal, mass, paired, _, _ = _rate_pair_proposal(counts)
-    result = mc.rejection_sample(
-        proposal, _admissible_draws, n_accepted, rng, threads=threads, proposal_mass=mass
-    )
+    plan = _plan(counts)
+    result = mc.rejection_sample(plan.proposal, _admissible_draws, n_accepted, rng,
+                                 threads=threads, proposal_mass=plan.mass)
     return RatePairSamples(
         p=result.samples[:, :3],
         q=result.samples[:, 3:],
         acceptance_rate=result.acceptance_rate,
         seed=rng.seed,
         # a chunk holds whole pairs: CHUNK_SIZE is even
-        unit=result.index >> 1 if paired else result.index,
+        unit=result.index >> 1 if plan.paired else result.index,
     )
 
 
@@ -624,21 +651,6 @@ def _q_id_certified(rates: np.ndarray, t: float) -> np.ndarray:
     u *= p_inc
     certified &= bound > u
     return certified
-
-
-def _uniform_slices(counts: ConclusionCounts | None) -> tuple[bool, bool]:
-    """Whether the region's slices at (p_Inc, q_Inc) and at (p_ID, q_ID) hold uniform laws.
-
-    Given p_Inc and q_Inc, the truncated pair's density in (p_ID, q_ID) is
-    proportional to p_ID^(a_ID - 1) p_Exc^(a_Exc - 1) q_ID^(b_ID - 1)
-    q_Exc^(b_Exc - 1) on the slice, a and b the mated and non-mated
-    concentrations: uniform exactly where those four are 1, that is where
-    their counts are 0.  Likewise in (p_Inc, q_Inc) given p_ID and q_ID,
-    with the Inc and Exc concentrations.  Both hold on the flat prior.
-    """
-    h1, h2 = (counts.h1, counts.h2) if counts is not None else ((0, 0, 0), (0, 0, 0))
-    return (not any((h1[0], h1[2], h2[0], h2[2])),
-            not any((h1[1], h1[2], h2[1], h2[2])))
 
 
 #: Floor on the rates and support areas the slice integrals divide by.  Where
@@ -843,8 +855,7 @@ def _inc_integrals(rates: np.ndarray, reflected: tuple[bool, bool], out: tuple) 
 
 
 def _contributions(chunk: np.ndarray, kept: np.ndarray, conclusions: Sequence[Conclusion],
-                   sliced: Sequence[Conclusion], reflected: tuple[bool, bool],
-                   q_id: tuple[float, float] | None) -> tuple[np.ndarray, np.ndarray, int]:
+                   plan: _Plan) -> tuple[np.ndarray, np.ndarray, int]:
     """Each proposal's contributions to the numerator and the denominator of
     the LR of each of ``conclusions``: two (n, k) arrays, column j for
     ``conclusions[j]``, each column contiguous; and how many kept rows had
@@ -855,33 +866,31 @@ def _contributions(chunk: np.ndarray, kept: np.ndarray, conclusions: Sequence[Co
     every proposal drawn, divided one by the other, estimate the LR of
     ``conclusions[j]``:
 
-    - for a conclusion c of ``sliced``, each row's slice integrals of p_c
-      and of q_c over its proposal support's area, kept or not, whose
-      means are unbiased for E[p_c 1_A] and E[q_c 1_A] under the proposal,
-      A the region, where c's slice is uniform (see
-      :func:`_uniform_slices`); ``reflected`` is the proposal's, as
-      :func:`_rate_pair_proposal` gives it;
+    - for a conclusion c that ``plan`` takes from slice integrals, each
+      row's slice integrals of p_c and of q_c over its proposal support's
+      area, kept or not, whose means are unbiased for E[p_c 1_A] and
+      E[q_c 1_A] under the proposal, A the region;
     - for any other, p_c and q_c on the kept rows and 0 elsewhere, where
-      with ``q_id`` = (t, m) LR(ID)'s denominator takes the Beta mean m in
-      place of q_ID on each kept row that :func:`_q_id_certified`
-      certifies at t.
+      under ``plan.q_id`` LR(ID)'s denominator takes the Beta mean in
+      place of q_ID on each certified kept row.
 
-    It writes nothing into ``chunk``.
+    :class:`_Plan` says where each layer applies.  It writes nothing into
+    ``chunk``.
     """
     n = chunk.shape[0]
     num, den = (np.empty((n, len(conclusions)), order="F") for _ in range(2))
     cols = {c: (num[:, j], den[:, j]) for j, c in enumerate(conclusions)}
-    integrals = {c: cols.pop(c) for c in sliced}
+    integrals = {c: cols.pop(c) for c in plan.sliced(conclusions)}
     if Conclusion.ID in integrals or Conclusion.EXC in integrals:
         _id_exc_integrals(chunk, integrals.get(Conclusion.ID), integrals.get(Conclusion.EXC))
     if Conclusion.INC in integrals:
-        _inc_integrals(chunk, reflected, integrals[Conclusion.INC])
+        _inc_integrals(chunk, plan.reflected, integrals[Conclusion.INC])
     n_integrated = 0
     for c, (p, q) in cols.items():
         np.multiply(chunk[:, c.value], kept, out=p)
         np.multiply(chunk[:, 3 + c.value], kept, out=q)
-        if c is Conclusion.ID and q_id is not None:
-            t, mean = q_id
+        if c is Conclusion.ID and plan.q_id is not None:
+            t, mean = plan.q_id
             certified = _q_id_certified(chunk, t)
             certified &= kept
             n_integrated = int(np.count_nonzero(certified))
@@ -893,15 +902,14 @@ class DrawSummary:
     """LR sums, and with ``bins`` each conclusion's grid cell counts, of one run's draws.
 
     ``conclusions`` are the conclusions whose LRs the caller reads
-    (:meth:`estimate` refuses any other), ``sliced`` those of them taken
-    from slice integrals, with the proposal's ``reflected`` flags, and
-    ``q_id`` the threshold t and Beta mean m of
-    :func:`_rate_pair_proposal`.  Each LR is the ratio of the sums of
-    :func:`_contributions` over every proposal drawn, rejected ones,
-    chunks that keep nothing and the last chunk's proposals past the
-    target included, and its SE the delta method's over units, every
-    antithetic pair proposed (each proposal alone unless ``paired``), all
-    in one :class:`_RatioSums`.  So without ``q_id`` or ``sliced`` its
+    (:meth:`estimate` refuses any other), and ``plan`` the count table's
+    :class:`_Plan`, which says which layers apply.  Each LR is the ratio
+    of the sums of :func:`_contributions` over every proposal drawn,
+    rejected ones, chunks that keep nothing and the last chunk's
+    proposals past the target included, and its SE the delta method's
+    over units, every antithetic pair proposed (each proposal alone
+    unless the plan is not ``paired``), all in one :class:`_RatioSums`.
+    So where the plan integrates neither q_ID nor a slice read, its
     LRs are those of :func:`lr_from_samples` on the same draws, up to
     float rounding, and its SEs those times sqrt(N (n - 1) / (n (N -
     1))), N the units proposed and n those that hold a kept draw.  It
@@ -921,17 +929,11 @@ class DrawSummary:
     with the acceptance rate.
     """
 
-    def __init__(self, seed: int, bins: int = 0, paired: bool = True,
-                 q_id: tuple[float, float] | None = None,
-                 conclusions: Sequence[Conclusion] = tuple(Conclusion),
-                 sliced: Sequence[Conclusion] = (),
-                 reflected: tuple[bool, bool] = (False, False)):
+    def __init__(self, plan: _Plan, seed: int, bins: int = 0,
+                 conclusions: Sequence[Conclusion] = tuple(Conclusion)):
+        self.plan = plan
         self.seed = seed
-        self.paired = paired
-        self.q_id = q_id
         self.conclusions = tuple(conclusions)
-        self.sliced = tuple(sliced)
-        self.reflected = reflected
         self.sums = _RatioSums(len(self.conclusions))
         self.n_samples = 0
         self.n_integrated = 0
@@ -946,13 +948,13 @@ class DrawSummary:
         for j, cells in enumerate(self.cells):
             _count_cells(cells, chunk[:, j].take(rows), chunk[:, 3 + j].take(rows), self.bins)
         self.n_samples += rows.size
-        if self.sliced:
+        if self.plan.sliced(self.conclusions):
             self.n_sliced += chunk.shape[0]
         for block in _blocks(chunk.shape[0], _CACHE_ROWS):
             num, den, n_integrated = _contributions(chunk[block], kept[block], self.conclusions,
-                                                    self.sliced, self.reflected, self.q_id)
+                                                    self.plan)
             self.n_integrated += n_integrated
-            if self.paired:  # rows 2i and 2i + 1 are a pair: blocks are even
+            if self.plan.paired:  # rows 2i and 2i + 1 are a pair: blocks are even
                 num, den = num[0::2] + num[1::2], den[0::2] + den[1::2]
             self.sums.add(num, den)
 
@@ -985,21 +987,17 @@ def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.Rn
     drawn on a pool of :func:`mc.resolve_threads` workers (the
     ``EVIDENTIAL_WEIGHT_THREADS`` setting, else one per CPU), whose size
     changes no result.  The summary estimates the LRs of ``conclusions``
-    alone.  Where the non-mated factor is not reflected, LR(ID)
-    integrates q_ID out of the certified rows, and where the slice of a
-    conclusion read is uniform, its LR comes from the slice integrals of
-    every proposal (see :class:`DrawSummary`); only those slices are
-    integrated.  Any 3 draws span at least 2 antithetic pairs, the fewest
-    whose spread a standard error can show.
+    alone, by the layers the table's :class:`_Plan` applies; only the
+    slices of the conclusions read are integrated.  Any 3 draws span at
+    least 2 antithetic pairs, the fewest whose spread a standard error
+    can show.
     """
     if n_accepted < 3:
         raise DomainError(f"a Monte Carlo standard error needs at least 3 draws, got {n_accepted}")
-    proposal, mass, paired, q_id, reflected = _rate_pair_proposal(counts)
-    id_exc, inc = _uniform_slices(counts)
-    sliced = [c for c in conclusions if (inc if c is Conclusion.INC else id_exc)]
-    summary = DrawSummary(rng.seed, bins, paired, q_id, conclusions, sliced, reflected)
+    plan = _plan(counts)
+    summary = DrawSummary(plan, rng.seed, bins, conclusions)
     summary.acceptance_rate, summary.n_proposed, summary.n_chunks = mc.rejection_stream(
-        proposal, _admissible_draws, n_accepted, rng, summary, proposal_mass=mass
+        plan.proposal, _admissible_draws, n_accepted, rng, summary, proposal_mass=plan.mass
     )
     return summary
 

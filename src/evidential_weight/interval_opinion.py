@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import mc, scalar_opinion
-from .core import LrEstimate, float_rows, require_positive
+from .core import LrEstimate, float_rows, linear_lr, require_positive
 from .errors import DomainError, QuadratureConvergenceError
 from .scalar_opinion import NormalGammaParams
 
@@ -437,7 +437,7 @@ class IntervalLr:
 
     @property
     def lr_w(self) -> float:
-        return 10.0**self.log10_lr_w
+        return linear_lr(self.log10_lr_w)
 
 
 def lr_for_interval(

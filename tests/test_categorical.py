@@ -1,5 +1,6 @@
 """Categorical-conclusion module: constraints, LRs, sweep, and grids."""
 
+import dataclasses
 import itertools
 import math
 import threading
@@ -15,6 +16,7 @@ from evidential_weight import categorical as cat
 from evidential_weight import mc
 from evidential_weight.core import LrEstimate
 from evidential_weight.errors import ConstraintIntractableError, DomainError, InputFormatError
+from conftest import STUDY_COUNTS
 from mc_oracles import plain_rate_pairs, slice_integrals
 
 ID, INC, EXC = cat.Conclusion.ID, cat.Conclusion.INC, cat.Conclusion.EXC
@@ -112,6 +114,37 @@ REFLECTION_CASES = {
 }
 
 
+#: The estimator layers of each count table the tests and CI draw from, one
+#: row per combination, as the README's categorical conventions map them:
+#: the tables, then reflected (p, q), paired, mass, whether q_ID is
+#: integrated, and the uniform slices (ID/Exc, Inc)
+PLAN_MAP = {
+    "flat prior": ([None], (True, True), False, 0.25, False, (True, True)),
+    "study": ([STUDY_COUNTS, *(cat.scaled_counts(STUDY_COUNTS, size) for size in (100, 560, 1000)),
+               cat.ConclusionCounts((10**20, 0, 0), (0, 0, 10**20))],
+              (False, False), True, 1.0, True, (False, False)),
+    "p symmetric": ([cat.ConclusionCounts((5, 3, 5), (1, 4, 9))],
+                    (True, False), True, 0.5, True, (False, False)),
+    "Inc, neither reflected": ([cat.ConclusionCounts((4, 0, 0), (2, 0, 0))],
+                               (False, False), True, 1.0, True, (False, True)),
+    "Inc, p reflected": ([cat.ConclusionCounts((0, 0, 0), (3, 0, 0))],
+                         (True, False), True, 0.5, True, (False, True)),
+    "Inc, q reflected": ([cat.ConclusionCounts((3, 0, 0), (0, 0, 0))],
+                         (False, True), True, 0.5, False, (False, True)),
+    "ID and Exc": ([cat.ConclusionCounts((0, 20, 0), (0, 30, 0))],
+                   (True, True), False, 0.25, False, (True, False)),
+}
+
+
+@pytest.mark.parametrize("row", sorted(PLAN_MAP))
+def test_plan_map(row):
+    tables, reflected, paired, mass, q_id, slices = PLAN_MAP[row]
+    for counts in tables:
+        plan = cat._plan(counts)
+        assert (plan.reflected, plan.paired, plan.mass, plan.q_id is not None, plan.slices) == (
+            reflected, paired, mass, q_id, slices), counts
+
+
 class TestReflectedProposal:
     @pytest.mark.parametrize("case", sorted(REFLECTION_CASES))
     def test_matches_plain_rejection(self, case):
@@ -146,7 +179,7 @@ class TestReflectedProposal:
         folds = {"flat prior": [(0, 2), (5, 3)], "p symmetric": [(0, 2)],
                  "q symmetric": [(5, 3)]}[case]
         alphas = np.concatenate((counts or cat.ConclusionCounts((0, 0, 0), (0, 0, 0))).alphas())
-        proposal = cat._rate_pair_proposal(counts)[0]
+        proposal = cat._plan(counts).proposal
         n, stream = mc.CHUNK_SIZE, mc.RngStream(94)
         for chunk in (0, 2):
             gen = stream.chunk_generator(chunk)
@@ -525,10 +558,11 @@ class TestSweep:
 def _plain_summary(counts, n, rng, bins=0, q_id=False):
     """``summarize_draws`` with no slice integrated, and unless ``q_id`` no
     q_ID integrated: the plain ratio for every LR."""
-    proposal, mass, paired, threshold, _ = cat._rate_pair_proposal(counts)
-    summary = cat.DrawSummary(rng.seed, bins, paired, threshold if q_id else None)
+    plan = cat._plan(counts)
+    plan = dataclasses.replace(plan, slices=(False, False), q_id=plan.q_id if q_id else None)
+    summary = cat.DrawSummary(plan, rng.seed, bins)
     summary.acceptance_rate, _, _ = mc.rejection_stream(
-        proposal, cat._admissible_draws, n, rng, summary, proposal_mass=mass)
+        plan.proposal, cat._admissible_draws, n, rng, summary, proposal_mass=plan.mass)
     return summary
 
 
@@ -552,9 +586,7 @@ class TestQIdIntegration:
         # at 1, which no mated ID rate exceeds
         assert cat._q_id_threshold(1e12 + 1, 3.0) == 1.0
         counts = cat.ConclusionCounts((5, 5, 1), (10**12, 0, 1))
-        assert cat._rate_pair_proposal(counts)[3] is None
-        assert cat._rate_pair_proposal(cat.ConclusionCounts((5, 5, 1), (1, 0, 1)))[3] is None
-        assert cat._rate_pair_proposal(cat.ConclusionCounts((5, 5, 1), (1, 0, 2)))[3] is not None
+        assert cat._plan(counts).q_id is None
 
     @pytest.mark.parametrize("size", [None, 700, 1_000_000])
     def test_integrated_lr_id_is_unbiased(self, study_counts, size):
@@ -656,9 +688,10 @@ def test_flat_prior_closed_forms():
 
 def _slice_integrals(rates, conclusions, reflected):
     """The contributions of every row of ``rates`` to the LRs of
-    ``conclusions``, each taken from its slice integrals."""
-    num, den, _ = cat._contributions(rates, cat._admissible_draws(rates), conclusions,
-                                     conclusions, reflected, None)
+    ``conclusions``, each taken from its slice integrals, on a support
+    reflected as ``reflected`` says."""
+    plan = dataclasses.replace(cat._plan(None), reflected=reflected)  # both slices uniform
+    num, den, _ = cat._contributions(rates, cat._admissible_draws(rates), conclusions, plan)
     return num, den
 
 
@@ -696,13 +729,12 @@ class TestPolygonMeans:
         # of the Inc slice's support; the ID and Exc slices are uniform
         # only where both factors are reflected
         for case, counts in SLICE_CASES.items():
-            proposal, _, _, _, reflected = cat._rate_pair_proposal(counts)
-            rates = proposal(mc.RngStream(3200).chunk_generator(0), 1000)
+            plan = cat._plan(counts)
+            rates = plan.proposal(mc.RngStream(3200).chunk_generator(0), 1000)
             kept = cat._admissible_draws(rates)
             assert 0.005 < kept.mean() < 0.6, case
             conclusions = tuple(cat.Conclusion) if counts is None else (INC,)
-            assert cat._uniform_slices(counts) == (counts is None, True)
-            empty = _assert_integrals_match_clipping(rates, conclusions, reflected)
+            empty = _assert_integrals_match_clipping(rates, conclusions, plan.reflected)
             # the Inc slice is empty where p_ID <= q_ID or q_ID >= 1/2
             assert 0 < empty < rates.shape[0], case
             if counts is None:
@@ -762,15 +794,15 @@ class TestPolygonMeans:
         # 50 digits, from the row's float rates, is the reference
         import mpmath
 
-        proposal, _, _, _, reflected = cat._rate_pair_proposal(None)
-        rates = proposal(mc.RngStream(1).chunk_generator(0), 2000)
+        plan = cat._plan(None)
+        rates = plan.proposal(mc.RngStream(1).chunk_generator(0), 2000)
         row = rates[276]
         assert abs(row[0] - 0.408039) < 1e-6 and abs(row[3] - 0.407992) < 1e-6
-        num, den = _slice_integrals(rates[276:277], (INC,), reflected)
+        num, den = _slice_integrals(rates[276:277], (INC,), plan.reflected)
         mp = mpmath.mp.clone()
         mp.dps = 50
         p, q = ([mp.mpf(float(v)) for v in half] for half in (row[:3], row[3:]))
-        want = slice_integrals(p, q, INC.value, reflected)
+        want = slice_integrals(p, q, INC.value, plan.reflected)
         assert 0 < want[0] < 1e-8
         for got, exact in ((num[0, 0], want[0]), (den[0, 0], want[1])):
             assert abs(got / exact - 1) <= 1e-15, (got, exact)
@@ -801,7 +833,7 @@ class TestPolygonMeans:
             "Inc": (cat.ConclusionCounts((4, 0, 0), (2, 0, 0)), (False, True)),
             "neither": (cat.ConclusionCounts((0, 0, 1), (0, 0, 0)), (False, False)),
         }[table]
-        assert cat._uniform_slices(counts) == slices
+        assert cat._plan(counts).slices == slices
         n, rng = 200_001, mc.RngStream(3400)
         ours = cat.summarize_draws(counts, n, rng, bins=100)
         plain = _plain_summary(counts, n, rng, bins=100, q_id=True)
@@ -830,12 +862,12 @@ class TestPolygonMeans:
         counts, rng = SLICE_CASES["Inc, p reflected"], mc.RngStream(3450)
         summary = cat.summarize_draws(counts, 300, rng, conclusions=(INC,))
         assert summary.n_sliced == summary.n_proposed == 16 * summary.n_chunks
-        proposal, _, paired, _, reflected = cat._rate_pair_proposal(counts)
-        assert paired and reflected == (True, False)
-        chunks = [proposal(rng.chunk_generator(i), 16) for i in range(summary.n_chunks)]
+        plan = cat._plan(counts)
+        assert plan.paired and plan.reflected == (True, False)
+        chunks = [plan.proposal(rng.chunk_generator(i), 16) for i in range(summary.n_chunks)]
         kept = [np.count_nonzero(cat._admissible_draws(chunk)) for chunk in chunks]
         assert kept.count(0) > summary.n_chunks // 5
-        num, den = _slice_integrals(np.vstack(chunks), (INC,), reflected)
+        num, den = _slice_integrals(np.vstack(chunks), (INC,), plan.reflected)
         est = summary.estimate(INC)
         assert est.lr == pytest.approx(num.sum() / den.sum(), rel=1e-12, abs=0)
         assert summary.sums.n == summary.n_proposed // 2

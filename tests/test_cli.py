@@ -285,23 +285,35 @@ class TestCategoricalCommand:
         counts.write_text(json.dumps(STUDY_JSON))
         grids = [f"density_grid_{c}.csv" for c in ("id", "inc", "exc")]
         study = ["--validation", counts, "--sweep"]
-        inc_slice, huge = tmp_path / "inc.json", tmp_path / "huge.json"
-        inc_slice.write_text(json.dumps({"H1": {"id": 4, "inc": 0, "exc": 0},
-                                         "H2": {"id": 2, "inc": 0, "exc": 0}}))
-        huge.write_text(json.dumps({"H1": {"id": 1e20, "inc": 0, "exc": 0},
-                                    "H2": {"id": 0, "inc": 0, "exc": 1e20}}))
+        tables = {"inc": ((4, 0, 0), (2, 0, 0)), "inc-p": ((0, 0, 0), (3, 0, 0)),
+                  "inc-q": ((3, 0, 0), (0, 0, 0)), "id-exc": ((0, 20, 0), (0, 30, 0)),
+                  "huge": ((1e20, 0, 0), (0, 0, 1e20))}
+        paths = {}
+        for name, (h1, h2) in tables.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps({scenario: dict(zip(("id", "inc", "exc"), row))
+                                               for scenario, row in (("H1", h1), ("H2", h2))}))
         cases = {
             "study": ([*study, "100,1000", "--samples", 20_000], ["sweep.csv"]),
             # three sizes of three chunks each, each drawn on its own pool
             "sweep3": ([*study, "100,500,1000", "--samples", 300_000], ["sweep.csv"]),
             "prior": (["--samples", 20_000], []),  # both proposal factors reflected
             # LR(Inc) from the slice integrals of antithetic pairs
-            "inc slice": (["--conclusion", "inc", "--validation", inc_slice,
+            "inc slice": (["--conclusion", "inc", "--validation", paths["inc"],
                            "--samples", 20_001], []),
+            # the same with p reflected, at 0.8% acceptance over 10 chunks,
+            # and with q reflected
+            "inc slice, p reflected": (["--conclusion", "inc", "--validation", paths["inc-p"],
+                                        "--samples", 20_001], []),
+            "inc slice, q reflected": (["--conclusion", "inc", "--validation", paths["inc-q"],
+                                        "--samples", 20_001], []),
+            # LR(ID) from the ID/Exc slice integrals, both factors reflected
+            "id-exc slice": (["--conclusion", "id", "--validation", paths["id-exc"],
+                              "--samples", 20_001], []),
             # counts this large reach the gamma sampler's log test at d near 1e20
-            "huge counts": (["--validation", huge, "--samples", 1000], []),
+            "huge counts": (["--validation", paths["huge"], "--samples", 1000], []),
         }
-        for case, (extra, tables) in cases.items():
+        for case, (extra, written) in cases.items():
             outputs = []
             for threads in ("1", "2", "3"):
                 monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
@@ -311,7 +323,7 @@ class TestCategoricalCommand:
                 manifest = read_json(out / "manifest.json")
                 del manifest["wall_time_s"], manifest["command"]
                 outputs.append((files, manifest))
-            assert sorted(outputs[0][0]) == sorted(["result.json"] + grids + tables)
+            assert sorted(outputs[0][0]) == sorted(["result.json"] + grids + written)
             assert outputs[1] == outputs[0]
             assert outputs[2] == outputs[0]
 
@@ -377,8 +389,8 @@ class TestCategoricalCommand:
         if case == "prior":
             # a chunk keeps about 45% of its proposals, so 4 n proposals
             # hold every chunk drawn
-            proposal, _, _, _, reflected = categorical._rate_pair_proposal(None)
-            chunks = np.vstack([proposal(rng.chunk_generator(i), mc.CHUNK_SIZE)
+            plan = categorical._plan(None)
+            chunks = np.vstack([plan.proposal(rng.chunk_generator(i), mc.CHUNK_SIZE)
                                 for i in range(-(-n * 4 // mc.CHUNK_SIZE))])
         for threads in ("1", "3"):
             monkeypatch.setenv("EVIDENTIAL_WEIGHT_THREADS", threads)
@@ -394,10 +406,9 @@ class TestCategoricalCommand:
                 drawn = read_json(out / "manifest.json")["draws"]["main"]["proposals"]
                 factor = 1.0
                 if case == "prior":
-                    taken, sliced = chunks[:drawn], (conclusion,)
+                    taken = chunks[:drawn]
                     num, den, _ = categorical._contributions(
-                        taken, categorical._admissible_draws(taken), sliced, sliced, reflected,
-                        None)
+                        taken, categorical._admissible_draws(taken), (conclusion,), plan)
                     alone = categorical._RatioSums(1)
                     alone.add(num, den)
                     alone = alone.estimate(0, n, samples.acceptance_rate, rng.seed)
@@ -518,6 +529,18 @@ class TestIntervalCommand:
 
     def test_degenerate_interval_exit_2(self, tmp_path):
         assert run(["interval", "--lo", "10", "--hi", "10", "--out", tmp_path]) == 2
+
+    def test_width_factor_beyond_float_range_saturates(self, tmp_path):
+        # lr_w near 10^309.05 times lr_m near 0.009: the LR, 10^307.0017,
+        # is a float, and lr_w saturates to inf as the curves' LRs do
+        path = tmp_path / "v.csv"
+        path.write_text("scenario,log10_lo,log10_hi\n" + "H2,47.5,52.5\n" * 1000)
+        out = tmp_path / "out"
+        assert run(["interval", "--lo", "9.999967763860608e+49", "--hi", "1.000003223624331e+50",
+                    "--validation", path, "--out", out]) == 0
+        result = read_json(out / "result.json")
+        assert result["lr_w"] == math.inf
+        assert result["lr_estimate"]["log10_lr"] == pytest.approx(307.00168498238855, rel=1e-12)
 
     @pytest.mark.parametrize("grid", ["0:1:3", "-1:1:3"])
     def test_nonpositive_width_grid_checked_before_computing(
