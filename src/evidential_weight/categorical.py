@@ -12,8 +12,10 @@ table's LRs take is decided once, by its :class:`_Plan`, which states
 each layer's condition; the sections below say what each layer does.
 
 Proposals come in antithetic pairs, rows 2i and 2i + 1 of a chunk, whose
-gammas are negatively correlated in each factor that is not reflected
-(see :func:`_gamma_pairs`).  Every gamma that no such pair couples, a
+gammas are negatively correlated in each factor that is not reflected:
+the partners of a pair take the normals X and -X of Marsaglia and
+Tsang's sampler and one accept uniform, or U and 1 - U at concentration
+1 (see :func:`_gamma_pairs`).  Every gamma that no such pair couples, a
 reflected factor's and each one the pair sampler rejects, comes from
 numpy's ``Generator.standard_gamma`` (at concentration 1 from its
 ``standard_exponential``, the same values).  The LR is the ratio of two
@@ -22,9 +24,9 @@ sums over every proposal drawn, of its p_c and q_c where it is kept and
 :func:`_contributions`); its Monte Carlo standard error is taken over
 units, the contributions of each pair proposed, summed, which are
 independent where the draws of a pair are not.  On the study table, at
-the same number of draws, the variance of LR(ID) is about a tenth of
-what independent draws give, and that of LR(Inc) and LR(Exc) about a
-thousandth.
+the same number of draws, the variance of the plain ratio of LR(ID) is
+about a fourteenth of what independent draws give, and that of LR(Inc)
+and LR(Exc) below a thousandth.
 
 Under q_ID integration (see :class:`_Plan`), :class:`DrawSummary`
 also integrates the non-mated ID rate q_ID out of LR(ID) on the kept
@@ -118,13 +120,16 @@ class Conclusion(enum.Enum):
 
     @classmethod
     def parse(cls, text: str) -> "Conclusion":
-        key = text.strip().upper()
-        aliases = {"ID": cls.ID, "IDENTIFICATION": cls.ID,
-                   "INC": cls.INC, "INCONCLUSIVE": cls.INC,
-                   "EXC": cls.EXC, "EXCLUSION": cls.EXC}
-        if key not in aliases:
+        conclusion = _CONCLUSION_NAMES.get(text.strip().upper())
+        if conclusion is None:
             raise DomainError(f"unknown conclusion {text!r}; expected id, inc, or exc")
-        return aliases[key]
+        return conclusion
+
+
+#: Each name :meth:`Conclusion.parse` takes, upper-cased.
+_CONCLUSION_NAMES = {"ID": Conclusion.ID, "IDENTIFICATION": Conclusion.ID,
+                     "INC": Conclusion.INC, "INCONCLUSIVE": Conclusion.INC,
+                     "EXC": Conclusion.EXC, "EXCLUSION": Conclusion.EXC}
 
 
 def admissible_mask(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -295,6 +300,32 @@ def _log_test_exponent(y: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
+def _squeeze(x: np.ndarray, d: float) -> np.ndarray:
+    """The squeeze of Marsaglia and Tsang's test for the normals ``x`` at d =
+    alpha - 1/3: a u below it passes the log test, u < exp(3 d L(c x)) (see
+    :func:`_log_test_exponent`), for X and -X alike.
+
+    Where c |x| <= 1/2 it is 1 - x^4 / (54 d), certified as follows, with
+    y = c x.  For y >= 0, L(y) >= -y^4/4, since the derivative of L(y) +
+    y^4/4 is y^4 / (1 + y) >= 0; for -1 < y < 0, L(y) = -sum_{k>=4} |y|^k /
+    k >= -y^4 / (4 (1 - |y|)).  So L(y) >= -y^4/2 on |y| <= 1/2, and as
+    exp(z) >= 1 + z, exp(3 d L) >= 1 - (3 d / 2) c^4 x^4 = 1 - x^4 / (54 d).
+    The coefficient carries a relative margin of 2^-20, far above the
+    rounding of the bound, so that on numpy's 2^-53 grid of uniforms no
+    u the squeeze passes fails the exact test.  Elsewhere it is Marsaglia
+    and Tsang's own 1 - 0.0331 x^4.
+    """
+    bound = x * x
+    far = np.flatnonzero(bound > 2.25 * d)  # c |x| > 1/2, as c^2 = 1 / (9 d)
+    bound *= bound
+    outer = bound[far]
+    bound *= (1.0 + 2.0**-20) / (54.0 * d)
+    outer *= 0.0331
+    bound[far] = outer
+    np.subtract(1.0, bound, out=bound)
+    return bound
+
+
 def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> None:
     """Fill ``out`` with Gamma(``alpha``) variates, ``alpha >= 1``, in antithetic pairs 2i, 2i + 1.
 
@@ -303,16 +334,23 @@ def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> Non
     -log(U) for one U in the open interval (0, 1); above it each is the
     d v of Marsaglia and Tsang (ACM TOMS 26(3), 2000), v = (1 + c X)^3
     with d = alpha - 1/3 and c = 1/sqrt(9 d), where the partners take the
-    normals X and -X, each accepted by its own uniform.  Numpy's sampler
-    cannot couple two variates this way; every variate that needs no
-    partner comes from ``gen.standard_gamma`` instead (see
-    :meth:`_Plan.proposal`).  Each variate the test rejects is
-    redrawn from ``gen.standard_gamma`` once all rows are filled, so every
-    variate is an exact Gamma(alpha) draw, and only those few pairs lose
-    their coupling.  Rows are filled ``_BLOCK_ROWS`` at a time, so the
-    temporaries stay small; the log test, which draws nothing, runs once
-    over every variate that fails the squeeze, since each run of it is
-    some sixty numpy calls on a few thousand values.
+    normals X and -X and one accept uniform u: X is accepted where u <
+    h(X), -X where u < h(-X).  (-X, u) has the law of (X, u), so each
+    partner alone is an exact Marsaglia-Tsang draw, and the two rejections
+    are coupled, so a pair loses its coupling about half as often as with
+    a uniform each.  Each row's columns draw independent (X, u); the rows
+    of a pair are one unit.  Numpy's sampler cannot couple two variates
+    this way; every variate that needs no partner comes from
+    ``gen.standard_gamma`` instead (see :meth:`_Plan.proposal`).  Each
+    variate the test rejects is redrawn from ``gen.standard_gamma`` once
+    all rows are filled, so every variate is an exact Gamma(alpha) draw,
+    and only those few pairs lose their coupling.  Rows are filled
+    ``_BLOCK_ROWS`` at a time, so the temporaries stay small.  The
+    squeeze (:func:`_squeeze`) is symmetric in X, so one comparison with
+    u names the rows of both partners that take the log test, which
+    draws nothing and runs once over every such variate: at alpha 7 about
+    0.8% of them, at the study table's concentrations of 451 and more
+    below 0.02%.
     """
     d = alpha - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
@@ -320,20 +358,6 @@ def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> Non
     b = a * c
     # each variate that fails the squeeze: its position, y = c x and uniform
     positions, ys, us = [], [], []
-
-    def fill(x, sign, bound, values, offset):
-        """d v of each normal ``sign * x`` into ``values``, rows ``offset``,
-        ``offset`` + 2, ...; the squeeze for each."""
-        u = gen.random(x.size)
-        t = x * (sign * b)
-        t += a
-        v = t * t
-        np.multiply(v, t, out=values)
-        rest = np.flatnonzero(u >= bound)
-        positions.append(offset + 2 * rest)
-        ys.append(c * (sign * x[rest]))
-        us.append(u[rest])
-
     for start in range(0, out.size, _BLOCK_ROWS):
         block = out[start:start + _BLOCK_ROWS]
         first, second = block[0::2], block[1::2]
@@ -348,13 +372,18 @@ def _gamma_pairs(gen: np.random.Generator, alpha: float, out: np.ndarray) -> Non
             np.negative(np.log(u[:second.size]), out=second)
             continue
         x = gen.standard_normal(first.size)
-        bound = x * x  # the squeeze 1 - 0.0331 x^4, the same for X and -X
-        bound *= bound
-        bound *= -0.0331
-        bound += 1.0
-        fill(x, 1.0, bound, first, start)
+        u = gen.random(first.size)
         n = second.size
-        fill(x[:n], -1.0, bound[:n], second, start + 1)
+        bx = x * b
+        for values, t in ((first, a + bx), (second, a - bx[:n])):
+            v = t * t
+            np.multiply(v, t, out=values)
+        rest = np.flatnonzero(u >= _squeeze(x, d))
+        twin = rest[rest < n]
+        y, u = c * x[rest], u[rest]
+        positions += [start + 2 * rest, start + 1 + 2 * twin]
+        ys += [y, -y[:twin.size]]
+        us += [u, u[:twin.size]]
     if positions:
         positions, y, u = (np.concatenate(parts) for parts in (positions, ys, us))
         # the log test, read as u < exp(...) so that u = 0 takes no log;
@@ -449,6 +478,12 @@ class _Plan:
     @property
     def mass(self) -> float:
         return 0.5 ** sum(self.reflected)
+
+    def layers(self) -> dict:
+        """The layers, as ``manifest.json`` records each table's: ``reflected``
+        and ``uniform_slices`` as [mated, non-mated] and [ID/Exc, Inc]."""
+        return {"reflected": list(self.reflected), "paired": self.paired,
+                "q_id_integration": self.q_id is not None, "uniform_slices": list(self.slices)}
 
     def sliced(self, conclusions: Sequence[Conclusion]) -> tuple[Conclusion, ...]:
         id_exc, inc = self.slices
@@ -924,7 +959,9 @@ class DrawSummary:
     one chunk as drawn and the mask of its kept rows, which alone the
     cell counts and ``n_samples`` count.  It folds the chunk in blocks of
     ``_CACHE_ROWS`` rows, whose temporaries stay in cache, the same
-    blocks at any thread count.  ``n_proposed`` and ``n_chunks`` are the
+    blocks at any thread count.  Where no LR read takes a slice and fewer
+    than a quarter of a chunk's units hold a kept row, it folds only
+    those units and counts the rest, which add 0 to every sum, as units.  ``n_proposed`` and ``n_chunks`` are the
     sampler's proposals and chunks, which :func:`summarize_draws` sets
     with the acceptance rate.
     """
@@ -950,6 +987,8 @@ class DrawSummary:
         self.n_samples += rows.size
         if self.plan.sliced(self.conclusions):
             self.n_sliced += chunk.shape[0]
+        else:
+            chunk, kept = self._kept_units(chunk, kept, rows)
         for block in _blocks(chunk.shape[0], _CACHE_ROWS):
             num, den, n_integrated = _contributions(chunk[block], kept[block], self.conclusions,
                                                     self.plan)
@@ -957,6 +996,24 @@ class DrawSummary:
             if self.plan.paired:  # rows 2i and 2i + 1 are a pair: blocks are even
                 num, den = num[0::2] + num[1::2], den[0::2] + den[1::2]
             self.sums.add(num, den)
+
+    def _kept_units(self, chunk: np.ndarray, kept: np.ndarray,
+                    rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the units of ``chunk`` that hold a kept row, and their
+        mask, where fewer than a quarter of its units do; else ``chunk`` and
+        ``kept``.  The other units, which add 0 to every sum, are counted
+        into the sums here, so only the rounding of the sums moves."""
+        width = 2 if self.plan.paired else 1
+        units = chunk.shape[0] // width
+        if 4 * rows.size >= width * units:  # at least a quarter of the units hold one
+            return chunk, kept
+        held = np.flatnonzero(kept[0::2] | kept[1::2]) if self.plan.paired else rows
+        if 4 * held.size >= units:
+            return chunk, kept
+        if self.plan.paired:  # both rows of each pair, in order
+            held = (2 * held[:, None] + np.arange(2)).ravel()
+        self.sums.n += units - held.size // width
+        return chunk[held], kept[held]
 
     def estimate(self, conclusion: Conclusion) -> LrEstimate:
         if conclusion not in self.conclusions:
@@ -969,11 +1026,12 @@ class DrawSummary:
 
     def counters(self) -> dict:
         """The kept draws, how many had q_ID integrated out, the proposals
-        that entered the LRs as slice integrals, and the proposals and
-        chunks drawn; none depends on the thread count."""
+        that entered the LRs as slice integrals, the proposals and chunks
+        drawn, and the plan's :meth:`_Plan.layers`; none depends on the
+        thread count."""
         return {"kept": self.n_samples, "q_id_integrated": self.n_integrated,
                 "slice_integrated": self.n_sliced, "proposals": self.n_proposed,
-                "chunks": self.n_chunks}
+                "chunks": self.n_chunks, "plan": self.plan.layers()}
 
 
 def summarize_draws(counts: ConclusionCounts | None, n_accepted: int, rng: mc.RngStream,

@@ -332,8 +332,8 @@ def _cmd_categorical(args) -> Run:
         for c in categorical.Conclusion
     ]
     # the kept draws of each table, how many had q_ID integrated out of
-    # LR(ID), how many proposals entered the LRs as slice integrals, and
-    # the sampler's proposals and chunks
+    # LR(ID), how many proposals entered the LRs as slice integrals, the
+    # sampler's proposals and chunks, and the table's estimator layers
     draws = {"main": main.counters()}
     if sweep_sizes:
         sweep = categorical.lr_sweep(counts, sweep_sizes, args.samples, rng)

@@ -411,6 +411,67 @@ class TestGammaPairs:
         # redrawn partners are independent
         assert abs(np.corrcoef(first, second)[0, 1]) < 0.03
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 7.0, 451.0, 3664.0, 3.6e5, 1e12, 1e20])
+    def test_squeeze_never_passes_a_rejected_variate(self, alpha):
+        # every uniform the squeeze passes, a multiple of 2^-53 below its
+        # bound, passes the exact test u < exp(3 d L(c x)), taken in mpmath
+        # at 50 digits with c and d the sampler's floats; where 1 + c x <= 0
+        # the exact test rejects, and the bound must be at most 0.  x runs
+        # over both signs from where the bound is within rounding of 1 to
+        # c |x| = 1.5, past the cut at 1/2 to Marsaglia and Tsang's squeeze
+        import mpmath
+
+        mp = mpmath.mp.clone()
+        mp.dps = 50
+        d = alpha - 1.0 / 3.0
+        c = 1.0 / math.sqrt(9.0 * d)
+        near = (54.0 * d * np.logspace(-18.0, 0.0, 200)) ** 0.25
+        x = np.concatenate([near, np.linspace(0.0, 1.5, 301)[1:] / c])
+        x = np.concatenate([x, -x])
+        assert np.abs(c * x).max() > 1.49 and np.abs(c * x).min() < 1e-3
+        bounds = cat._squeeze(x, d)
+        for xi, bound in zip(x.tolist(), bounds.tolist()):
+            y = mp.mpf(c) * mp.mpf(xi)
+            if y <= -1:
+                assert bound <= 0.0, xi
+            elif bound > 0.0:
+                passed = (mp.ceil(mp.mpf(bound) * 2**53) - 1) / mp.mpf(2) ** 53
+                exact = mp.exp(3 * mp.mpf(d) * (mp.log1p(y) - y + y**2 / 2 - y**3 / 3))
+                assert passed < exact, (xi, bound)
+
+    @pytest.mark.parametrize("alpha, share", [(7.0, 0.02), (3664.0, 1e-3)])
+    def test_squeeze_leaves_few_variates_to_the_log_test(self, alpha, share, monkeypatch):
+        # Marsaglia and Tsang's fixed squeeze sends about 8.3% of variates
+        # to the log test at every concentration
+        reached = []
+        exponent = cat._log_test_exponent
+        monkeypatch.setattr(cat, "_log_test_exponent",
+                            lambda y, d: reached.append(y.size) or exponent(y, d))
+        out = np.empty(mc.CHUNK_SIZE)
+        cat._gamma_pairs(mc.RngStream(int(alpha) + 2).generator(), alpha, out)
+        assert len(reached) <= 1 and sum(reached) < share * out.size
+
+    @pytest.mark.parametrize("alpha", ALPHAS[1:])
+    def test_one_accept_uniform_per_pair(self, alpha):
+        # each block draws one normal and one uniform per pair; the partners
+        # of a pair share both
+        sizes = []
+
+        class Counting:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, size):
+                sizes.append(size)
+                return self.gen.random(size)
+
+            def __getattr__(self, name):
+                return getattr(self.gen, name)
+
+        out = np.empty(mc.CHUNK_SIZE)
+        cat._gamma_pairs(Counting(mc.RngStream(int(alpha * 10) + 3).generator()), alpha, out)
+        assert sizes == [cat._BLOCK_ROWS // 2] * (mc.CHUNK_SIZE // cat._BLOCK_ROWS)
+
     @pytest.mark.parametrize("alpha", [1.5, 3664.0, 1e12, 1e16, 1e20])
     def test_log_test_exponent_is_exact(self, alpha):
         # the exponent of the log test for y = c x as the sampler forms it,
@@ -564,6 +625,48 @@ def _plain_summary(counts, n, rng, bins=0, q_id=False):
     summary.acceptance_rate, _, _ = mc.rejection_stream(
         plan.proposal, cat._admissible_draws, n, rng, summary, proposal_mass=plan.mass)
     return summary
+
+
+@pytest.mark.parametrize("h1, h2, conclusions", [
+    ((4, 0, 0), (2, 0, 0), (ID, EXC)),  # paired, q_ID integration, about 12% of pairs keep one
+    ((2, 9, 2), (1, 0, 1), tuple(cat.Conclusion)),  # both factors reflected, 15% kept
+])
+def test_sparse_chunks_fold_only_their_kept_units(h1, h2, conclusions, monkeypatch):
+    # where fewer than a quarter of a chunk's units hold a kept row and no
+    # LR read takes a slice, only those units are folded, and the rest
+    # enter the count alone: the same LRs and SEs, up to rounding, as
+    # folding every proposal of the same chunks, the last one's past the
+    # target included
+    counts, n, rng = cat.ConclusionCounts(h1, h2), 20_000, mc.RngStream(3700)
+    folded = []
+    contributions = cat._contributions
+    monkeypatch.setattr(cat, "_contributions",
+                        lambda chunk, *rest: folded.append(chunk.shape[0]) or
+                        contributions(chunk, *rest))
+    summary = cat.summarize_draws(counts, n, rng, conclusions=conclusions)
+    plan = summary.plan
+    assert summary.n_chunks > 1 and not plan.sliced(conclusions)
+    assert sum(folded) < 0.5 * summary.n_proposed
+    everything = cat._RatioSums(len(conclusions))
+    kept_total = n_integrated = 0
+    for i in range(summary.n_chunks):
+        chunk = plan.proposal(rng.chunk_generator(i), mc.CHUNK_SIZE)
+        kept = cat._admissible_draws(chunk)
+        kept[np.flatnonzero(kept)[n - kept_total:]] = False
+        kept_total += np.count_nonzero(kept)
+        num, den, integrated = contributions(chunk, kept, conclusions, plan)
+        n_integrated += integrated
+        if plan.paired:
+            num, den = num[0::2] + num[1::2], den[0::2] + den[1::2]
+        everything.add(num, den)
+    assert kept_total == summary.n_samples == n
+    assert summary.sums.n == everything.n == summary.n_proposed // (1 + plan.paired)
+    assert summary.n_integrated == n_integrated
+    for j, conclusion in enumerate(conclusions):
+        want = everything.estimate(j, n, summary.acceptance_rate, rng.seed)
+        got = summary.estimate(conclusion)
+        assert got.lr == pytest.approx(want.lr, rel=1e-13, abs=0)
+        assert got.mc_std_err == pytest.approx(want.mc_std_err, rel=1e-12, abs=0)
 
 
 def _dirichlet_mean_ratio_id(counts):
@@ -847,6 +950,14 @@ class TestPolygonMeans:
         for conclusion in cat.Conclusion:
             mine, theirs = ours.estimate(conclusion), plain.estimate(conclusion)
             if not moved[conclusion]:
+                if table == "Inc":
+                    # about 12% of its pairs keep a row: reading no slice,
+                    # the plain summary folds only those, which moves the
+                    # rounding of the sums alone
+                    assert mine.lr == pytest.approx(theirs.lr, rel=1e-13, abs=0)
+                    assert mine.mc_std_err == pytest.approx(theirs.mc_std_err, rel=1e-12, abs=0)
+                    mine = dataclasses.replace(mine, log10_lr=theirs.log10_lr,
+                                               mc_std_err=theirs.mc_std_err)
                 assert mine == theirs
                 continue
             assert abs(mine.lr - theirs.lr) <= 5 * theirs.mc_std_err

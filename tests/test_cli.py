@@ -439,10 +439,12 @@ class TestCategoricalCommand:
         # all on the study table, none on the flat prior (a reflected
         # non-mated factor) or at size 100 (no row certified); and how many
         # proposals entered as slice integrals: all on the flat prior, none
-        # on a study table; and the sampler's proposals and chunks, every
-        # chunk drawn in full.  Each study table keeps its 20,000 draws from
-        # its first chunk; the flat prior keeps about 59,600 a chunk, so
-        # 150,000 take 3
+        # on a study table; the sampler's proposals and chunks, every chunk
+        # drawn in full; and each table's plan, the same on every study
+        # table (size 100 plans q_ID integration but certifies no row), and
+        # reflection and both slices on the flat prior.  Each study table
+        # keeps its 20,000 draws from its first chunk; the flat prior keeps
+        # about 59,600 a chunk, so 150,000 take 3
         counts = tmp_path / "counts.json"
         counts.write_text(json.dumps(STUDY_JSON))
         n, n_prior = 20_000, 150_000
@@ -451,16 +453,21 @@ class TestCategoricalCommand:
                     "--samples", n, "--out", study]) == 0
         assert run(["categorical", "--samples", n_prior, "--out", prior]) == 0
         draws = read_json(study / "manifest.json")["draws"]
+        study_plan = {"reflected": [False, False], "paired": True, "q_id_integration": True,
+                      "uniform_slices": [False, False]}
         assert draws["main"] == {"kept": n, "q_id_integrated": n, "slice_integrated": 0,
-                                 "proposals": mc.CHUNK_SIZE, "chunks": 1}
+                                 "proposals": mc.CHUNK_SIZE, "chunks": 1, "plan": study_plan}
         assert [(d["size"], d["kept"], d["slice_integrated"]) for d in draws["sweep"]] == [
             (100, n, 0), (1000, n, 0)]
         assert draws["sweep"][0]["q_id_integrated"] == 0
         assert 0.99 * n < draws["sweep"][1]["q_id_integrated"] <= n
         assert [(d["proposals"], d["chunks"]) for d in draws["sweep"]] == [(mc.CHUNK_SIZE, 1)] * 2
+        assert [d["plan"] for d in draws["sweep"]] == [study_plan] * 2
         assert read_json(prior / "manifest.json")["draws"] == {
             "main": {"kept": n_prior, "q_id_integrated": 0, "slice_integrated": 3 * mc.CHUNK_SIZE,
-                     "proposals": 3 * mc.CHUNK_SIZE, "chunks": 3}}
+                     "proposals": 3 * mc.CHUNK_SIZE, "chunks": 3,
+                     "plan": {"reflected": [True, True], "paired": False,
+                              "q_id_integration": False, "uniform_slices": [True, True]}}}
 
     def test_memory_does_not_grow_with_samples(self, tmp_path, monkeypatch):
         # numpy reports its buffers to tracemalloc; one buffer of the
